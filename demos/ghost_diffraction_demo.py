@@ -17,7 +17,7 @@ from thermalpdc import (
     ghost_diffraction,
     single_slit,
 )
-from thermalpdc.artifacts import write_xy_csv
+from thermalpdc.artifacts import write_csv
 
 
 def main():
@@ -42,8 +42,8 @@ def main():
         dip = lo + int(np.argmin(pattern.normalized[lo:hi]))
         print(f"{order:6d} {pattern.x_r[dip] * 1e3:10.3f} {pattern.normalized[dip]:10.2e}")
 
-    write_xy_csv("ghost_diffraction.csv", pattern.x_r, pattern.raw,
-                 pattern.normalized, x_label="x_r")
+    write_csv("ghost_diffraction.csv", {"x_r": pattern.x_r, "value_raw": pattern.raw,
+                                        "value_normalized": pattern.normalized})
     print("wrote ghost_diffraction.csv")
 
 

@@ -24,7 +24,7 @@ from thermalpdc import (
     ghost_image,
     separability_margin,
 )
-from thermalpdc.artifacts import write_pgm, write_xy_csv
+from thermalpdc.artifacts import write_csv, write_pgm
 
 
 def main():
@@ -55,7 +55,7 @@ def main():
     print("normalized reconstructions differ by",
           f"{np.abs(pair[0].normalized - pair[1].normalized).max():.2e}")
 
-    write_xy_csv("ghost_image.csv", x_r, pair[0].raw, pair[0].normalized, x_label="x_r")
+    write_csv("ghost_image.csv", {"x_r": x_r, "value_raw": pair[0].raw, "value_normalized": pair[0].normalized})
     write_pgm("ghost_image_g2.pgm", pair[0].g2.values)
     print("wrote ghost_image.csv and ghost_image_g2.pgm")
 

@@ -16,6 +16,7 @@ from .correlations import (
     noise_reduction_threshold,
     param_grid,
     sweep,
+    sweep_columns,
     write_sweep_csv,
 )
 from .fock import (

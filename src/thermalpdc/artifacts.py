@@ -8,14 +8,29 @@ import hashlib
 import numpy as np
 
 
-def write_xy_csv(path, x, raw, normalized, x_label: str = "x") -> None:
-    """Reconstruction CSV: one row per sample, columns (x, value_raw,
-    value_normalized)."""
+def write_csv(path, columns) -> None:
+    """Columnar CSV: a header of the column names, then one row per index.
+
+    `columns` maps each name to a sequence; all must have the same length.
+    Bool columns are written true/false and integer columns as str; any
+    other column is read as float and written as repr(float), with NaN (or
+    None) as an empty field.  Lines end in CRLF, the csv module's default.
+    """
+    fields = [_fields(np.asarray(values)) for values in columns.values()]
+    if len({len(f) for f in fields}) > 1:
+        raise ValueError("CSV columns must have equal lengths")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([x_label, "value_raw", "value_normalized"])
-        for xi, r, n in zip(x, raw, normalized):
-            writer.writerow([repr(float(xi)), repr(float(r)), repr(float(n))])
+        writer.writerow(columns)
+        writer.writerows(zip(*fields))
+
+
+def _fields(values: np.ndarray) -> list[str]:
+    if values.dtype == bool:
+        return ["true" if v else "false" for v in values.tolist()]
+    if values.dtype.kind in "iu":
+        return [str(v) for v in values.tolist()]
+    return ["" if v != v else repr(v) for v in values.astype(float).tolist()]
 
 
 def write_pgm(path, values: np.ndarray) -> None:

@@ -7,16 +7,20 @@ difference to the shot-noise level.  NRF < 1 certifies nonclassical
 correlations and, for this source, implies entanglement.
 
 Degenerate 0/0 points return None rather than NaN so sweeps stay
-machine-readable.
+machine-readable.  sweep_columns evaluates whole grids as arrays; the
+scalar functions here and gaussian.check_separability_lossy are the
+per-point reference it is tested against.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional
 
-from .gaussian import ModeParams, check_separability_lossy
+import numpy as np
+
+from .artifacts import write_csv
+from .gaussian import ModeParams
 
 CSV_COLUMNS = ("mu_t", "mu_r", "n_pdc", "tau", "gamma", "nrf", "margin", "separable")
 
@@ -37,11 +41,6 @@ class CorrelationReport:
     separable: bool
 
 
-def _output_means(p: ModeParams):
-    s = 1.0 + p.mu_t + p.mu_r
-    return p.mu_t + p.n_pdc * s, p.mu_r + p.n_pdc * s
-
-
 def cross_covariance(p: ModeParams) -> float:
     """Photon-number cross covariance n_pdc (1 + n_pdc) (1 + mu_t + mu_r)^2."""
     s = 1.0 + p.mu_t + p.mu_r
@@ -55,7 +54,8 @@ def correlation_index(p: ModeParams) -> Optional[float]:
     thermal variances mean (mean + 1).  Returns None when either arm is in
     the vacuum (zero seed and zero gain), where the index is 0/0.
     """
-    mean_t, mean_r = _output_means(p)
+    s = 1.0 + p.mu_t + p.mu_r
+    mean_t, mean_r = p.mu_t + p.n_pdc * s, p.mu_r + p.n_pdc * s
     denom2 = mean_t * (mean_t + 1.0) * mean_r * (mean_r + 1.0)
     if denom2 == 0.0:
         return None
@@ -88,38 +88,61 @@ def noise_reduction_threshold(mu_t: float, mu_r: float) -> float:
     return (mu_t ** 2 + mu_r ** 2) / (2.0 * (1.0 + mu_t + mu_r))
 
 
+@np.errstate(over="raise")  # FloatingPointError rather than inf or NaN in a column
+def sweep_columns(mu_t, mu_r, n_pdc, tau=1.0) -> dict[str, np.ndarray]:
+    """Every diagnostic at every point, as flat arrays keyed by column name.
+
+    The inputs broadcast together (np.meshgrid(..., indexing="ij") axes give
+    a full grid, flattened in C order) and are used as given, n_pdc
+    included.  The keys are the CorrelationReport fields plus
+    min_pt_symplectic_eigenvalue; gamma and nrf are NaN where they are 0/0.
+    That eigenvalue comes from the two-mode invariants of the partially
+    transposed lossy covariance (Simon, PRL 84, 2726 (2000); Serafini et al.,
+    J. Phys. B 37, L21 (2004)): nu_-^2 = 2 det V / (D + sqrt(D^2 - 4 det V))
+    with D = a^2 + b^2 + 2 c^2 and det V = (a b - c^2)^2.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (mu_t, mu_r, n_pdc, tau)))
+    mu_t, mu_r, n, tau = (np.ravel(x) for x in arrays)
+    if not np.all((tau > 0.0) & (tau <= 1.0)):
+        raise ValueError("transmissions must be in (0, 1]")
+    s = 1.0 + mu_t + mu_r
+    mean_t, mean_r = mu_t + n * s, mu_r + n * s
+    denom2 = mean_t * (mean_t + 1.0) * mean_r * (mean_r + 1.0)
+    nrf_denom = mu_t + mu_r + 2.0 * n * s
+    big_gamma = n * (1.0 + n) * s ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = np.where(denom2 == 0.0, np.nan, big_gamma / np.sqrt(denom2))
+        nrf = np.where(nrf_denom == 0.0, np.nan, (mu_t * (1.0 + mu_t) + mu_r * (1.0 + mu_r)) / nrf_denom)
+    margin = tau ** 2 * (mu_t * mu_r - n * s)
+    # a, b, c: entries of gaussian.build_covariance after apply_loss.  a b - c^2
+    # (= sqrt(det V)) and D^2 - 4 det V = (a + b)^2 ((a - b)^2 + 4 c^2) are
+    # expanded into non-negative terms, so neither cancels near tau -> 0.
+    loss = (1.0 - tau) / 2.0
+    c2 = tau ** 2 * big_gamma
+    a_plus_b = tau * (1.0 + 2.0 * n) * s + 2.0 * loss
+    a_minus_b = tau * (mu_t - mu_r)
+    delta = (a_plus_b ** 2 + a_minus_b ** 2) / 2.0 + 2.0 * c2
+    root_det = tau ** 2 * (mu_t + 0.5) * (mu_r + 0.5) + tau * loss * (1.0 + 2.0 * n) * s + loss ** 2
+    nu_minus = np.sqrt(2.0 * root_det ** 2 / (delta + a_plus_b * np.sqrt(a_minus_b ** 2 + 4.0 * c2)))
+    return dict(
+        mu_t=mu_t, mu_r=mu_r, n_pdc=n, tau=tau, gamma=gamma, cross_covariance=big_gamma, nrf=nrf,
+        nrf_threshold=(mu_t ** 2 + mu_r ** 2) / (2.0 * s), margin=margin, separable=margin >= 0.0,
+        min_pt_symplectic_eigenvalue=nu_minus,
+    )
+
+
 def sweep(params: Iterable[ModeParams], taus: Iterable[float] = (1.0,)) -> list[CorrelationReport]:
     """Evaluate every diagnostic over a parameter grid.
 
     Row order is deterministic: parameters outer, transmissions inner.  The
     correlation diagnostics depend only on the source, not on tau; the
     embedded verdict is computed through the lossy channel and its margin
-    carries the tau^2 scaling.
+    carries the tau^2 scaling.  Undefined gamma and nrf are None.
     """
-    taus = list(taus)
-    reports = []
-    for p in params:
-        gamma = correlation_index(p)
-        nrf = noise_reduction_factor(p)
-        big_gamma = cross_covariance(p)
-        threshold = noise_reduction_threshold(p.mu_t, p.mu_r)
-        for tau in taus:
-            verdict = check_separability_lossy(p, tau)
-            reports.append(
-                CorrelationReport(
-                    p.mu_t,
-                    p.mu_r,
-                    p.n_pdc,
-                    tau,
-                    gamma,
-                    big_gamma,
-                    nrf,
-                    threshold,
-                    verdict.margin,
-                    verdict.separable,
-                )
-            )
-    return reports
+    points = np.array([(p.mu_t, p.mu_r, p.n_pdc) for p in params], dtype=float).reshape(-1, 3)
+    columns = sweep_columns(*points.T[:, :, None], np.fromiter(taus, float))
+    rows = zip(*(columns[f.name].tolist() for f in fields(CorrelationReport)))
+    return [CorrelationReport(*(None if v != v else v for v in row)) for row in rows]
 
 
 def param_grid(mu_t_values, mu_r_values, n_pdc_values, phase=0.0) -> list[ModeParams]:
@@ -135,19 +158,5 @@ def param_grid(mu_t_values, mu_r_values, n_pdc_values, phase=0.0) -> list[ModePa
 def write_sweep_csv(reports: Iterable[CorrelationReport], path) -> None:
     """Write sweep rows with a fixed header, '.' decimal separator and empty
     fields for undefined diagnostics."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in reports:
-            writer.writerow(
-                [
-                    repr(float(r.mu_t)),
-                    repr(float(r.mu_r)),
-                    repr(float(r.n_pdc)),
-                    repr(float(r.tau)),
-                    "" if r.gamma is None else repr(float(r.gamma)),
-                    "" if r.nrf is None else repr(float(r.nrf)),
-                    repr(float(r.margin)),
-                    "true" if r.separable else "false",
-                ]
-            )
+    reports = list(reports)
+    write_csv(path, {name: [getattr(r, name) for r in reports] for name in CSV_COLUMNS})

@@ -15,12 +15,13 @@ truncated weight is reported as a trace deficit, never hidden.
 
 from __future__ import annotations
 
-import csv
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv
 from .gaussian import ModeParams
 
 # Pairs of input Fock weights below this are skipped during assembly; the
@@ -110,8 +111,12 @@ class MomentSet:
     cross: float
 
 
+@functools.lru_cache
 def _log_factorials(top: int) -> np.ndarray:
-    return np.array([math.lgamma(k + 1.0) for k in range(top + 1)])
+    """ln k! for k = 0..top, built once per top and shared read-only."""
+    table = np.array([math.lgamma(k + 1.0) for k in range(top + 1)])
+    table.flags.writeable = False
+    return table
 
 
 def action_coefficient(m, n, k, l, coeffs: DisentangledCoefficients) -> complex:
@@ -162,7 +167,7 @@ def evolve_fock_pair(n, m, coeffs: DisentangledCoefficients, cutoff: int) -> np.
         amps[-j0] = math.exp(-coeffs.log_gain * (n + m + 1))
         return amps
     k_top = min(n, m)
-    lf = _log_factorials(cutoff + k_top + 1)
+    lf = _log_factorials(2 * cutoff + 1)  # covers cutoff + k_top + 1 for every input
     log_z = math.log(abs(zeta))
     theta = float(np.angle(zeta))
     k = np.arange(k_top + 1)[:, None]
@@ -306,9 +311,5 @@ def predicted_moments(p: ModeParams) -> MomentSet:
 def write_joint_distribution_csv(state: TwoModeFockState, path) -> None:
     """Dump the diagonal joint photon distribution as n_t, n_r, probability."""
     p = state.joint_distribution()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_t", "n_r", "probability"])
-        for n in range(state.cutoff + 1):
-            for m in range(state.cutoff + 1):
-                writer.writerow([n, m, repr(float(p[n, m]))])
+    n_t, n_r = np.indices(p.shape)
+    write_csv(path, {"n_t": n_t.ravel(), "n_r": n_r.ravel(), "probability": p.ravel()})

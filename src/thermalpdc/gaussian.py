@@ -54,16 +54,18 @@ class ModeParams:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.mu_t < 0 or self.mu_r < 0:
-            raise ValueError(f"seed means must be >= 0, got ({self.mu_t}, {self.mu_r})")
-        if self.coupling < 0:
-            raise ValueError(f"coupling must be >= 0, got {self.coupling}")
+        if not (0 <= self.mu_t < math.inf and 0 <= self.mu_r < math.inf):
+            raise ValueError(f"seed means must be finite and >= 0, got ({self.mu_t}, {self.mu_r})")
+        if not 0 <= self.coupling < math.inf:
+            raise ValueError(f"coupling must be finite and >= 0, got {self.coupling}")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase}")
 
     @classmethod
     def from_npdc(cls, mu_t, mu_r, n_pdc, phase=0.0) -> "ModeParams":
         """Build from the spontaneous mean photon number instead of |kappa|."""
-        if n_pdc < 0:
-            raise ValueError(f"n_pdc must be >= 0, got {n_pdc}")
+        if not 0 <= n_pdc < math.inf:
+            raise ValueError(f"n_pdc must be finite and >= 0, got {n_pdc}")
         return cls(mu_t, mu_r, math.asinh(math.sqrt(n_pdc)), phase)
 
     @property

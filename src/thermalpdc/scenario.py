@@ -14,13 +14,16 @@ Kinds and their required fields:
   ghost-diffraction    geometry, profile, object, qgrid
 
 Common optional fields: output_dir (default "out"), seed (for sampled
-diagnostics in future kinds; recorded in the manifest), workers.
+diagnostics in future kinds; recorded in the manifest).
+
+Sweeps are evaluated as arrays over the whole grid in one process, so the
+--workers option and run(workers=) are accepted but ignored.  CSV artifacts
+end their lines in CRLF.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -31,9 +34,10 @@ from pathlib import Path
 import numpy as np
 
 from . import correlations
-from .artifacts import sha256_of, write_pgm, write_xy_csv
+from .artifacts import sha256_of, write_csv, write_pgm
 from .fock import DisentangledCoefficients, evolve_thermal_pair, moments, predicted_moments
-from .gaussian import ModeParams, check_separability_lossy
+# check_separability_lossy is unused here; perfbench's tracer tests look it up in this namespace.
+from .gaussian import ModeParams, check_separability_lossy  # noqa: F401
 from .ghost import (
     CollectionOptics,
     ConstantProfile,
@@ -56,6 +60,8 @@ KINDS = (
 
 OUTPUT_DIR_ENV = "THERMALPDC_OUT"
 
+SEPARABILITY_COLUMNS = ("mu_t", "mu_r", "n_pdc", "tau", "margin", "min_pt_symplectic_eigenvalue", "separable")
+
 
 class ScenarioError(ValueError):
     """Configuration problem; the message names the offending field."""
@@ -72,19 +78,27 @@ def _require(cfg: dict, field: str, types, errors: list):
     return value
 
 
+def _finite_number(value) -> bool:
+    """A JSON number, not a bool, that converts to a finite float (NaN fails the comparison)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
 def _grid_values(spec, field, errors):
     """A grid is either an explicit list or {start, stop, count [, log]}."""
     if isinstance(spec, list):
         if not spec:
             errors.append(f"field {field}: grid must not be empty")
             return []
+        bad = [v for v in spec if not _finite_number(v)]
+        if bad:
+            errors.append(f"field {field}: grid values must be finite numbers, got {bad[0]!r}")
+            return []
         return [float(v) for v in spec]
     if isinstance(spec, dict):
-        try:
-            start, stop, count = float(spec["start"]), float(spec["stop"]), int(spec["count"])
-        except (KeyError, TypeError, ValueError):
-            errors.append(f"field {field}: grid dict needs numeric start/stop/count")
+        if not all(_finite_number(spec.get(key)) for key in ("start", "stop", "count")):
+            errors.append(f"field {field}: grid dict needs finite numeric start/stop/count")
             return []
+        start, stop, count = float(spec["start"]), float(spec["stop"]), int(spec["count"])
         if count < 1:
             errors.append(f"field {field}: count must be >= 1")
             return []
@@ -125,7 +139,7 @@ def validate_config(cfg: dict) -> list[str]:
             for field in ("mu_t", "mu_r", "n_pdc"):
                 if field not in params:
                     errors.append(f"missing field: params.{field}")
-                elif not isinstance(params[field], (int, float)) or params[field] < 0:
+                elif not _finite_number(params[field]) or params[field] < 0:
                     errors.append(f"field params.{field}: expected number >= 0")
         cutoff = _require(cfg, "cutoff", int, errors)
         if cutoff is not None and cutoff < 1:
@@ -149,7 +163,7 @@ def _validate_geometry(cfg, kind, errors):
     for field in ("wavelength", "d1", "d2", "d3", "f_r"):
         if field not in geo:
             errors.append(f"missing field: geometry.{field}")
-        elif not isinstance(geo[field], (int, float)) or geo[field] <= 0:
+        elif not _finite_number(geo[field]) or geo[field] <= 0:
             errors.append(f"field geometry.{field}: expected number > 0")
     variant = geo.get("variant", "object-plane")
     if variant not in ("object-plane", "fourier-lens"):
@@ -175,7 +189,7 @@ def _validate_profile(cfg, errors):
     else:
         errors.append(f"field profile.type: unknown type {ptype!r}")
     for field in ("mu_t", "mu_r"):
-        if field in prof and (not isinstance(prof[field], (int, float)) or prof[field] < 0):
+        if field in prof and (not _finite_number(prof[field]) or prof[field] < 0):
             errors.append(f"field profile.{field}: expected number >= 0")
 
 
@@ -212,7 +226,7 @@ def _validate_qgrid(cfg, errors):
     dq = grid.get("dq")
     if not isinstance(n_half, int) or n_half < 1:
         errors.append("field qgrid.n_half: expected integer >= 1")
-    if not isinstance(dq, (int, float)) or dq <= 0:
+    if not _finite_number(dq) or dq <= 0:
         errors.append("field qgrid.dq: expected number > 0")
 
 
@@ -263,43 +277,8 @@ def _object_grid(cfg: dict, qgrid: MomentumGrid) -> np.ndarray:
     return np.linspace(-half, half, count)
 
 
-def _sweep_rows(cfg: dict, workers: int):
-    grids = cfg["grids"]
-    errors: list[str] = []
-    mu_ts = _grid_values(grids["mu_t"], "grids.mu_t", errors)
-    mu_rs = _grid_values(grids["mu_r"], "grids.mu_r", errors)
-    n_pdcs = _grid_values(grids["n_pdc"], "grids.n_pdc", errors)
-    taus = _grid_values(grids["tau"], "grids.tau", errors) if "tau" in grids else [1.0]
-    points = [
-        (mt, mr, n, tau)
-        for mt in mu_ts
-        for mr in mu_rs
-        for n in n_pdcs
-        for tau in taus
-    ]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_point, points, chunksize=max(1, len(points) // (4 * workers))))
-    return [_sweep_point(pt) for pt in points]
-
-
-def _sweep_point(point):
-    mt, mr, n, tau = point
-    p = ModeParams.from_npdc(mt, mr, n)
-    verdict = check_separability_lossy(p, tau)
-    report = correlations.CorrelationReport(
-        mt,
-        mr,
-        n,
-        tau,
-        correlations.correlation_index(p),
-        correlations.cross_covariance(p),
-        correlations.noise_reduction_factor(p),
-        correlations.noise_reduction_threshold(mt, mr),
-        verdict.margin,
-        verdict.separable,
-    )
-    return report, verdict.min_pt_symplectic_eigenvalue
+def _write_reconstruction(path, result) -> None:
+    write_csv(path, {"x_r": result.x_r, "value_raw": result.raw, "value_normalized": result.normalized})
 
 
 def run(cfg: dict, out_dir=None, workers: int = 1) -> dict:
@@ -308,6 +287,7 @@ def run(cfg: dict, out_dir=None, workers: int = 1) -> dict:
     Identical configs byte-reproduce their CSV artifacts.  Raises
     ScenarioError on validation problems; an embedded acceptance check that
     fails (oracle-validate) marks the manifest failed instead of raising.
+    workers is accepted and ignored: sweeps are vectorized in one process.
     """
     problems = validate_config(cfg)
     if problems:
@@ -319,23 +299,15 @@ def run(cfg: dict, out_dir=None, workers: int = 1) -> dict:
     passed = True
 
     if kind in ("separability-sweep", "nrf-sweep"):
-        rows = _sweep_rows(cfg, workers)
+        grids = cfg["grids"]
+        axes = [_grid_values(grids.get(f, [1.0]), f"grids.{f}", []) for f in ("mu_t", "mu_r", "n_pdc", "tau")]
+        columns = correlations.sweep_columns(*np.meshgrid(*axes, indexing="ij"))
         if kind == "separability-sweep":
-            path = out / "separability.csv"
-            with open(path, "w", newline="") as fh:
-                fh.write("mu_t,mu_r,n_pdc,tau,margin,min_pt_symplectic_eigenvalue,separable\n")
-                for report, nu_min in rows:
-                    fh.write(
-                        f"{float(report.mu_t)!r},{float(report.mu_r)!r},"
-                        f"{float(report.n_pdc)!r},{float(report.tau)!r},"
-                        f"{float(report.margin)!r},{float(nu_min)!r},"
-                        f"{'true' if report.separable else 'false'}\n"
-                    )
-            written.append(path)
+            path, schema = out / "separability.csv", SEPARABILITY_COLUMNS
         else:
-            path = out / "correlations.csv"
-            correlations.write_sweep_csv([report for report, _ in rows], path)
-            written.append(path)
+            path, schema = out / "correlations.csv", correlations.CSV_COLUMNS
+        write_csv(path, {name: columns[name] for name in schema})
+        written.append(path)
 
     elif kind == "oracle-validate":
         params = cfg["params"]
@@ -380,7 +352,7 @@ def run(cfg: dict, out_dir=None, workers: int = 1) -> dict:
             obj = _build_object(cfg["object"], x_obj)
             pattern = ghost_diffraction(geometry, obj, profile, qgrid)
             path = out / "pattern.csv"
-            write_xy_csv(path, pattern.x_r, pattern.raw, pattern.normalized, x_label="x_r")
+            _write_reconstruction(path, pattern)
             written.append(path)
         else:
             x_t = _object_grid(cfg, qgrid)
@@ -392,7 +364,7 @@ def run(cfg: dict, out_dir=None, workers: int = 1) -> dict:
             x_r = np.linspace(-span / 2.0, span / 2.0, count)
             image = ghost_image(geometry, obj, profile, qgrid, x_r, x_t)
             path = out / "image.csv"
-            write_xy_csv(path, image.x_r, image.raw, image.normalized, x_label="x_r")
+            _write_reconstruction(path, image)
             written.append(path)
             path = out / "g2_map.pgm"
             write_pgm(path, image.g2.values)
@@ -425,7 +397,7 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute a scenario config")
     run_p.add_argument("config", help="path to the scenario JSON document")
     run_p.add_argument("--out", default=None, help="output directory (overrides config and env)")
-    run_p.add_argument("--workers", type=int, default=1, help="worker pool size for sweeps")
+    run_p.add_argument("--workers", type=int, default=1, help="accepted but ignored; sweeps are vectorized")
     val_p = sub.add_parser("validate", help="schema-check a scenario config")
     val_p.add_argument("config", help="path to the scenario JSON document")
     args = parser.parse_args(argv)
@@ -438,18 +410,13 @@ def main(argv=None) -> int:
         return 2
 
     problems = validate_config(cfg)
+    for problem in problems:
+        print(f"invalid: {problem}", file=sys.stderr)
+    if problems:
+        return 1
     if args.command == "validate":
-        if problems:
-            for problem in problems:
-                print(f"invalid: {problem}", file=sys.stderr)
-            return 1
         print("ok")
         return 0
-
-    if problems:
-        for problem in problems:
-            print(f"invalid: {problem}", file=sys.stderr)
-        return 1
     manifest = run(cfg, out_dir=args.out, workers=args.workers)
     for entry in manifest["files"]:
         print(f"wrote {entry['path']}  sha256={entry['sha256'][:12]}...")

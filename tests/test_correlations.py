@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from thermalpdc import (
     DisentangledCoefficients,
     ModeParams,
+    check_separability_lossy,
     correlation_index,
     cross_covariance,
     evolve_thermal_pair,
@@ -15,8 +18,10 @@ from thermalpdc import (
     param_grid,
     separability_margin,
     sweep,
+    sweep_columns,
     write_sweep_csv,
 )
+from thermalpdc.gaussian import BOUNDARY_BAND
 
 
 def gamma_correction_general(mu_t, mu_r, n_pdc):
@@ -219,3 +224,64 @@ class TestSweep:
         write_sweep_csv(rows, a)
         write_sweep_csv(rows, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def assert_close(got, want, tol):
+    assert abs(got - want) <= tol * max(abs(want), 1.0), (got, want)
+
+
+SEED_OR_GAIN = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+AXIS = st.lists(SEED_OR_GAIN, min_size=1, max_size=3)
+TAUS = st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=3)
+
+
+class TestSweepColumns:
+    """The array route against the per-point reference route."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(AXIS, AXIS, AXIS, TAUS)
+    def test_matches_per_point_reference(self, mu_ts, mu_rs, n_pdcs, taus):
+        columns = sweep_columns(*np.meshgrid(mu_ts, mu_rs, n_pdcs, taus, indexing="ij"))
+        points = [(mt, mr, n, tau) for mt in mu_ts for mr in mu_rs for n in n_pdcs for tau in taus]
+        assert len(columns["margin"]) == len(points)
+        for i, (mt, mr, n, tau) in enumerate(points):
+            assert (columns["mu_t"][i], columns["mu_r"][i], columns["n_pdc"][i], columns["tau"][i]) == (mt, mr, n, tau)
+            p = ModeParams.from_npdc(mt, mr, n)
+            try:
+                verdict = check_separability_lossy(p, tau)
+            except np.linalg.LinAlgError:
+                # np.linalg.eigvals sometimes fails to converge on lossy blocks
+                # near the vacuum (tau < 1, mu_t = mu_r = 0, n_pdc < ~1e-7) or at
+                # tau < ~1e-8; test_small_transmission covers the array route there.
+                reject()
+            assert_close(columns["margin"][i], verdict.margin, 1e-12)
+            assert_close(columns["min_pt_symplectic_eigenvalue"][i], verdict.min_pt_symplectic_eigenvalue, 1e-9)
+            if abs(verdict.margin) > BOUNDARY_BAND:
+                assert columns["separable"][i] == verdict.separable
+            assert_close(columns["cross_covariance"][i], cross_covariance(p), 1e-12)
+            assert_close(columns["nrf_threshold"][i], noise_reduction_threshold(mt, mr), 1e-12)
+            for name, want in (("gamma", correlation_index(p)), ("nrf", noise_reduction_factor(p))):
+                got = columns[name][i]
+                assert math.isnan(got) == (want is None), (name, got, want)
+                if want is not None:
+                    assert_close(got, want, 1e-12)
+
+    @pytest.mark.parametrize(
+        "mu, n, tau", [(0.7, 2.0, 1e-6), (0.7, 2.0, 1e-9), (0.7, 2.0, 1e-12), (0.0, 1e-8, 1e-5), (0.0, 1e-12, 0.5)]
+    )
+    def test_small_transmission(self, mu, n, tau):
+        """Equal seeds: nu_- = a - c in closed form, with a = 1/2 + tau ((1 + 2 n)(1 + 2 mu) - 1) / 2."""
+        columns = sweep_columns(mu, mu, n, tau)
+        a = 0.5 + tau * ((1.0 + 2.0 * n) * (1.0 + 2.0 * mu) - 1.0) / 2.0
+        c = tau * math.sqrt(n * (1.0 + n)) * (1.0 + 2.0 * mu)
+        assert_close(columns["min_pt_symplectic_eigenvalue"][0], a - c, 1e-15)
+        assert columns["separable"][0] == (columns["margin"][0] >= 0.0) == (a - c >= 0.5)
+
+    @pytest.mark.parametrize("tau", [0.0, -0.2, 1.0001, math.nan])
+    def test_rejects_bad_transmission(self, tau):
+        with pytest.raises(ValueError):
+            sweep_columns(1.0, 1.0, 0.5, tau)
+
+    def test_overflow_raises(self):
+        with pytest.raises(FloatingPointError):
+            sweep_columns(1e200, 1e200, 1e200)

@@ -54,6 +54,16 @@ class TestModeParams:
         with pytest.raises(ValueError):
             ModeParams.from_npdc(0, 0, -1e-9)
 
+    @pytest.mark.parametrize("bad", [(math.nan, 0, 0), (0, math.inf, 0), (0, 0, math.nan), (0, 0, 0, -math.inf)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ModeParams(*bad)
+
+    @pytest.mark.parametrize("n_pdc", [math.nan, math.inf])
+    def test_rejects_non_finite_npdc(self, n_pdc):
+        with pytest.raises(ValueError, match="finite"):
+            ModeParams.from_npdc(0, 0, n_pdc)
+
 
 class TestSymplecticForm:
     def test_antisymmetric_and_squares_to_minus_identity(self):

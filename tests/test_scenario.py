@@ -86,6 +86,22 @@ class TestValidateConfig:
         with pytest.raises(ScenarioError, match="grids"):
             run({"kind": "nrf-sweep"}, out_dir=tmp_path)
 
+    @pytest.mark.parametrize(
+        "grid",
+        ['["a", 1.0]', "[NaN]", "[1e400]", "[true]", '["2"]'],
+        ids=["string", "nan", "overflow", "bool", "numeric-string"],
+    )
+    def test_bad_grid_entries_rejected_where_they_enter(self, tmp_path, grid):
+        text = '{"kind": "separability-sweep", "grids": {"mu_t": %s, "mu_r": [1.0], "n_pdc": [0.5]}}' % grid
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        proc = run_cli(["validate", str(cfg_path)])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("invalid: field grids.mu_t")
+        assert "Traceback" not in proc.stderr
+        with pytest.raises(ScenarioError, match="grids.mu_t"):
+            run(json.loads(text), out_dir=tmp_path / "out")
+
 
 class TestRunSweeps:
     def test_nrf_sweep_outputs(self, tmp_path):
@@ -131,6 +147,15 @@ class TestRunSweeps:
         assert "np.float" not in body
         for token in body.splitlines()[1].split(",")[:-1]:
             float(token)
+
+    def test_csv_artifacts_end_lines_in_crlf(self, tmp_path):
+        separability = {"kind": "separability-sweep", "grids": {"mu_t": [0.0, 1.0], "mu_r": [1.0], "n_pdc": [0.5]}}
+        for i, cfg in enumerate((NRF_SWEEP, separability, GHOST_IMAGE, GHOST_DIFFRACTION)):
+            manifest = run(cfg, out_dir=tmp_path / str(i))
+            for entry in manifest["files"]:
+                if entry["path"].endswith(".csv"):
+                    data = (tmp_path / str(i) / entry["path"]).read_bytes()
+                    assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n"), entry["path"]
 
     def test_worker_pool_matches_serial(self, tmp_path):
         serial, pooled = tmp_path / "serial", tmp_path / "pooled"
