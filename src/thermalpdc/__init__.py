@@ -28,6 +28,7 @@ from .fock import (
     default_cutoff,
     evolve_fock_pair,
     evolve_thermal_pair,
+    input_tail_problem,
     moments,
     predicted_moments,
     write_joint_distribution_csv,

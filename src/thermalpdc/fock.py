@@ -11,6 +11,13 @@ coefficient magnitudes are therefore computed in log space.
 The output density matrix of the pair is the thermal mixture of those
 evolved pure states, truncated at a photon-number cutoff per mode.  The
 truncated weight is reported as a trace deficit, never hidden.
+
+The evolution only adds or removes photon pairs, so it never changes the
+photon-number difference d = n_T - n_R, and the output state is block
+diagonal with one block (band) per d.  The state is kept as those
+2 cutoff + 1 bands and never as the dense matrix of side (cutoff + 1)^2:
+about 16 sum_d (cutoff + 1 - |d|)^2 bytes, 2.3 MiB at cutoff 60 where the
+dense matrix takes 211 MiB.  Every diagnostic reads one band at a time.
 """
 
 from __future__ import annotations
@@ -47,8 +54,11 @@ class DisentangledCoefficients:
     def __post_init__(self):
         if self.log_gain < 0:
             raise ValueError(f"log_gain must be >= 0, got {self.log_gain}")
-        expected = math.tanh(math.acosh(math.exp(self.log_gain)))
-        if abs(abs(self.pair_amplitude) - expected) > 1e-12 * (1.0 + expected):
+        # Compare squares: tanh(arccosh(exp(g)))^2 = 1 - exp(-2 g) carries the
+        # ~1e-16 absolute rounding of g = ln cosh, which the modulus would
+        # amplify without bound at small coupling (g rounds to 0 below ~1e-8).
+        expected = -math.expm1(-2.0 * self.log_gain)
+        if abs(abs(self.pair_amplitude) ** 2 - expected) > 1e-12:
             raise ValueError(
                 "inconsistent coefficients: |pair_amplitude| must equal "
                 "tanh(arccosh(exp(log_gain)))"
@@ -68,36 +78,54 @@ class DisentangledCoefficients:
 
 @dataclass(frozen=True)
 class TwoModeFockState:
-    """Truncated two-mode density matrix with its truncation diagnostic.
+    """Truncated two-mode density matrix, stored as photon-difference bands.
 
-    matrix is indexed by the product basis |n>_T |m>_R with the Test index
-    major: flat index = n * (cutoff + 1) + m.  trace_deficit = 1 - trace
-    collects both the unseeded input tail and the evolved weight pushed
-    beyond the cutoff.
+    bands[d + cutoff] is the block of photon-number difference
+    d = n_T - n_R, for d from -cutoff to cutoff; it has side
+    cutoff + 1 - |d|, and its rung r is the product state |n_T>_T |n_R>_R
+    with (n_T, n_R) = (r + max(d, 0), r + max(-d, 0)).  Entries between
+    different bands are zero.  trace_deficit = 1 - trace collects both the
+    unseeded input tail and the evolved weight pushed beyond the cutoff.
     """
 
     cutoff: int
-    matrix: np.ndarray
+    bands: tuple[np.ndarray, ...]
     trace_deficit: float
 
     def __post_init__(self):
-        dim = (self.cutoff + 1) ** 2
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(f"matrix must be {dim}x{dim} for cutoff {self.cutoff}")
+        want = [(self.cutoff + 1 - abs(d),) * 2 for d in range(-self.cutoff, self.cutoff + 1)]
+        if [band.shape for band in self.bands] != want:
+            raise ValueError(f"bands must be squares of side cutoff + 1 - |d| for cutoff {self.cutoff}")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense matrix over the product basis |n>_T |m>_R with the Test index
+        major (flat index n * (cutoff + 1) + m), built on every access.  It
+        takes 16 (cutoff + 1)^4 bytes, so only small-cutoff checks read it."""
+        dim = self.cutoff + 1
+        dense = np.zeros((dim * dim, dim * dim), dtype=complex)
+        for d, band in zip(range(-self.cutoff, dim), self.bands):
+            n_t, n_r = _rungs(d, dim)
+            idx = n_t * dim + n_r
+            dense[np.ix_(idx, idx)] = band
+        return dense
 
     def hermiticity_defect(self) -> float:
         """Largest |rho - rho^dagger| entry; stays below 1e-10 for states
         assembled by evolve_thermal_pair."""
-        return float(np.abs(self.matrix - self.matrix.conj().T).max())
+        return max(float(np.abs(band - band.conj().T).max()) for band in self.bands)
 
     def joint_distribution(self) -> np.ndarray:
-        """P(n_T, n_R) as a (cutoff+1, cutoff+1) array from the diagonal."""
-        d = np.real(np.diagonal(self.matrix))
-        return d.reshape(self.cutoff + 1, self.cutoff + 1)
+        """P(n_T, n_R) as a (cutoff+1, cutoff+1) array from the band diagonals."""
+        dim = self.cutoff + 1
+        p = np.zeros((dim, dim))
+        for d, band in zip(range(-self.cutoff, dim), self.bands):
+            p[_rungs(d, dim)] = np.real(np.diagonal(band))
+        return p
 
     def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue; an expensive positivity check."""
-        return float(np.linalg.eigvalsh(self.matrix)[0])
+        """Smallest eigenvalue, the minimum over the bands; a positivity check."""
+        return min(float(np.linalg.eigvalsh(band)[0]) for band in self.bands)
 
 
 @dataclass(frozen=True)
@@ -207,24 +235,20 @@ def evolve_thermal_pair(
     Mixes the evolved pure states over the product of geometric input
     weights P(n) = mu^n / (1 + mu)^(n+1), restricted to indices within the
     cutoff.  Raises if the input tails beyond the cutoff exceed a tenth of
-    max_trace_deficit, or if the assembled trace deficit exceeds it.
+    max_trace_deficit (see input_tail_problem), or if the assembled trace
+    deficit exceeds it in absolute value: a negative deficit means the
+    evolved amplitudes lost precision.
     """
-    if mu_t < 0 or mu_r < 0:
-        raise ValueError("seed means must be >= 0")
-    for mu in (mu_t, mu_r):
-        tail = (mu / (1.0 + mu)) ** (cutoff + 1) if mu > 0 else 0.0
-        if tail > max_trace_deficit / 10.0:
-            raise ValueError(
-                f"cutoff {cutoff} too small: input tail {tail:.3e} exceeds "
-                f"{max_trace_deficit / 10.0:.3e}"
-            )
+    problem = input_tail_problem(mu_t, mu_r, cutoff, max_trace_deficit)
+    if problem:
+        raise ValueError(problem)
     dim = cutoff + 1
     w_t = _thermal_weights(mu_t, cutoff)
     w_r = _thermal_weights(mu_r, cutoff)
-    # One band per index difference delta = n_T - n_R; the evolution never
-    # leaves a band, and every evolved vector spans its band from the bottom
-    # rung, so bands accumulate full-size outer products.
-    bands = {d: np.zeros((dim - abs(d), dim - abs(d)), dtype=complex) for d in range(-cutoff, cutoff + 1)}
+    # The evolution never leaves the band of d = n_T - n_R, and every evolved
+    # vector spans its band from the bottom rung, so bands accumulate
+    # full-size outer products.
+    bands = tuple(np.zeros((dim - abs(d), dim - abs(d)), dtype=complex) for d in range(-cutoff, dim))
     for n in range(dim):
         if w_t[n] < _WEIGHT_FLOOR:
             continue
@@ -233,20 +257,46 @@ def evolve_thermal_pair(
             if weight < _WEIGHT_FLOOR:
                 continue
             amps = evolve_fock_pair(n, m, coeffs, cutoff)
-            bands[n - m] += weight * np.outer(amps, amps.conj())
-    matrix = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for d, band in bands.items():
-        r = np.arange(dim - abs(d))
-        idx = (r + max(d, 0)) * dim + (r + max(-d, 0))
-        matrix[np.ix_(idx, idx)] = band
-    deficit = 1.0 - float(np.real(np.trace(matrix)))
-    state = TwoModeFockState(cutoff, matrix, deficit)
+            band = bands[n - m + cutoff]
+            band += weight * np.outer(amps, amps.conj())
+    deficit = 1.0 - sum(float(np.trace(band).real) for band in bands)
     if deficit > max_trace_deficit:
         raise ValueError(
             f"trace deficit {deficit:.3e} exceeds {max_trace_deficit:.3e}; "
             "raise the cutoff"
         )
-    return state
+    if deficit < -max_trace_deficit:
+        # The alternating k-sum of evolve_fock_pair cancels catastrophically
+        # at large input photon numbers and gains, inflating the norm.
+        raise ValueError(
+            f"trace deficit {deficit:.3e} is below {-max_trace_deficit:.3e}: the "
+            "evolved amplitudes lost precision; lower the seeds or the gain"
+        )
+    return TwoModeFockState(cutoff, bands, deficit)
+
+
+def input_tail_problem(mu_t, mu_r, cutoff: int, max_trace_deficit: float) -> str | None:
+    """Why thermal seeds of means mu_t, mu_r do not fit under the cutoff, or None.
+
+    Each input tail beyond the cutoff, (mu / (1 + mu))^(cutoff + 1), must stay
+    within a tenth of max_trace_deficit.
+    """
+    if mu_t < 0 or mu_r < 0:
+        return "seed means must be >= 0"
+    for mu in (mu_t, mu_r):
+        tail = (mu / (1.0 + mu)) ** (cutoff + 1) if mu > 0 else 0.0
+        if tail > max_trace_deficit / 10.0:
+            return (
+                f"cutoff {cutoff} too small: input tail {tail:.3e} exceeds "
+                f"{max_trace_deficit / 10.0:.3e}"
+            )
+    return None
+
+
+def _rungs(d: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Photon numbers n_T and n_R of the rungs of band d, bottom rung first."""
+    r = np.arange(dim - abs(d))
+    return r + max(d, 0), r + max(-d, 0)
 
 
 def _thermal_weights(mu, cutoff):
@@ -280,13 +330,16 @@ def moments(state: TwoModeFockState) -> MomentSet:
 def cross_amplitude(state: TwoModeFockState) -> complex:
     """Anomalous moment <a_T a_R> of the truncated state.
 
-    Equals sum over (n, m) of sqrt((n+1)(m+1)) rho[(n+1, m+1), (n, m)].
+    Equals sum over (n, m) of sqrt((n+1)(m+1)) rho[(n+1, m+1), (n, m)]; in
+    each band that is the first sub-diagonal, weighted by sqrt(n_T n_R) of
+    its upper rung.
     """
     dim = state.cutoff + 1
-    rho = state.matrix.reshape(dim, dim, dim, dim)
-    n = np.arange(1, dim, dtype=float)
-    weights = np.sqrt(np.outer(n, n))
-    return complex(np.einsum("nmnm,nm->", rho[1:, 1:, :-1, :-1], weights))
+    total = 0.0j
+    for d, band in zip(range(-state.cutoff, dim), state.bands):
+        n_t, n_r = _rungs(d, dim)
+        total += np.sqrt(n_t[1:] * n_r[1:]) @ np.diagonal(band, -1)
+    return complex(total)
 
 
 def predicted_moments(p: ModeParams) -> MomentSet:

@@ -103,8 +103,12 @@ class CovarianceBlock:
         object.__setattr__(self, "matrix", m)
 
     def is_physical(self, tol: float = EIGENVALUE_TOL) -> bool:
-        """Both symplectic eigenvalues at or above the vacuum level 1/2."""
-        return symplectic_eigenvalues(self)[0] >= 0.5 - tol
+        """Both symplectic eigenvalues at or above the vacuum level 1/2; a
+        block that is not positive definite is unphysical."""
+        try:
+            return symplectic_eigenvalues(self)[0] >= 0.5 - tol
+        except ValueError:
+            return False
 
 
 @dataclass(frozen=True)
@@ -208,11 +212,18 @@ def symplectic_eigenvalues(block: CovarianceBlock) -> tuple[float, float]:
 
     The eigenvalues of SYMPLECTIC_FORM @ V come in pairs +-i*nu; the
     returned nu are their absolute values.  A physical state has both
-    >= 1/2.  Uses a dense eigensolver rather than the closed-form quartic so
-    arbitrary symmetric blocks are handled.
+    >= 1/2.  With the Cholesky factor V = L L^T, SYMPLECTIC_FORM @ V is
+    similar to the real antisymmetric L^T SYMPLECTIC_FORM L, so the nu are
+    the moduli of the eigenvalues of the Hermitian i L^T SYMPLECTIC_FORM L;
+    a Hermitian eigensolver always converges, where the general one fails
+    on some lossy blocks near the vacuum.  Raises ValueError if the block
+    is not positive definite (no physical covariance is).
     """
-    eig = np.linalg.eigvals(SYMPLECTIC_FORM @ block.matrix)
-    nu = np.sort(np.abs(eig))
+    try:
+        chol = np.linalg.cholesky(block.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("covariance block is not positive definite") from exc
+    nu = np.sort(np.abs(np.linalg.eigvalsh(1j * chol.T @ SYMPLECTIC_FORM @ chol)))
     # pairs (nu1, nu1, nu2, nu2) after taking moduli
     return float((nu[0] + nu[1]) / 2.0), float((nu[2] + nu[3]) / 2.0)
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import correlations
 from .artifacts import sha256_of, write_csv, write_pgm
-from .fock import DisentangledCoefficients, evolve_thermal_pair, moments, predicted_moments
+from .fock import DisentangledCoefficients, evolve_thermal_pair, input_tail_problem, moments, predicted_moments
 # check_separability_lossy is unused here; perfbench's tracer tests look it up in this namespace.
 from .gaussian import ModeParams, check_separability_lossy  # noqa: F401
 from .ghost import (
@@ -59,6 +59,9 @@ KINDS = (
 )
 
 OUTPUT_DIR_ENV = "THERMALPDC_OUT"
+
+# Largest |trace deficit| an oracle-validate run accepts.
+ORACLE_MAX_TRACE_DEFICIT = 1e-3
 
 SEPARABILITY_COLUMNS = ("mu_t", "mu_r", "n_pdc", "tau", "margin", "min_pt_symplectic_eigenvalue", "separable")
 
@@ -142,8 +145,12 @@ def validate_config(cfg: dict) -> list[str]:
                 elif not _finite_number(params[field]) or params[field] < 0:
                     errors.append(f"field params.{field}: expected number >= 0")
         cutoff = _require(cfg, "cutoff", int, errors)
-        if cutoff is not None and cutoff < 1:
-            errors.append("field cutoff: must be >= 1")
+        if isinstance(cutoff, bool) or (cutoff is not None and cutoff < 1):
+            errors.append("field cutoff: expected integer >= 1")
+        elif not errors:  # params and cutoff are well-formed: check the seeds fit under it
+            problem = input_tail_problem(params["mu_t"], params["mu_r"], cutoff, ORACLE_MAX_TRACE_DEFICIT)
+            if problem:
+                errors.append(f"field cutoff: {problem}")
     elif kind in ("ghost-image", "ghost-diffraction"):
         _validate_geometry(cfg, kind, errors)
         _validate_profile(cfg, errors)
@@ -285,8 +292,10 @@ def run(cfg: dict, out_dir=None, workers: int = 1) -> dict:
     """Execute a validated scenario; returns the manifest dictionary.
 
     Identical configs byte-reproduce their CSV artifacts.  Raises
-    ScenarioError on validation problems; an embedded acceptance check that
-    fails (oracle-validate) marks the manifest failed instead of raising.
+    ScenarioError on validation problems, on a sweep grid that overflows and
+    on an oracle state whose trace deficit is out of bounds; an embedded
+    acceptance check that fails (oracle-validate) marks the manifest failed
+    instead of raising.
     workers is accepted and ignored: sweeps are vectorized in one process.
     """
     problems = validate_config(cfg)
@@ -301,7 +310,10 @@ def run(cfg: dict, out_dir=None, workers: int = 1) -> dict:
     if kind in ("separability-sweep", "nrf-sweep"):
         grids = cfg["grids"]
         axes = [_grid_values(grids.get(f, [1.0]), f"grids.{f}", []) for f in ("mu_t", "mu_r", "n_pdc", "tau")]
-        columns = correlations.sweep_columns(*np.meshgrid(*axes, indexing="ij"))
+        try:
+            columns = correlations.sweep_columns(*np.meshgrid(*axes, indexing="ij"))
+        except FloatingPointError as exc:
+            raise ScenarioError(f"field grids: values too large, the sweep overflows ({exc})") from exc
         if kind == "separability-sweep":
             path, schema = out / "separability.csv", SEPARABILITY_COLUMNS
         else:
@@ -315,7 +327,12 @@ def run(cfg: dict, out_dir=None, workers: int = 1) -> dict:
             float(params["mu_t"]), float(params["mu_r"]), float(params["n_pdc"])
         )
         coeffs = DisentangledCoefficients.from_mode_params(p)
-        state = evolve_thermal_pair(p.mu_t, p.mu_r, coeffs, int(cfg["cutoff"]), max_trace_deficit=1e-3)
+        try:
+            state = evolve_thermal_pair(
+                p.mu_t, p.mu_r, coeffs, cfg["cutoff"], max_trace_deficit=ORACLE_MAX_TRACE_DEFICIT
+            )
+        except ValueError as exc:
+            raise ScenarioError(f"oracle-validate: {exc}") from exc
         got = moments(state)
         want = predicted_moments(p)
         rel = {
@@ -417,7 +434,11 @@ def main(argv=None) -> int:
     if args.command == "validate":
         print("ok")
         return 0
-    manifest = run(cfg, out_dir=args.out, workers=args.workers)
+    try:
+        manifest = run(cfg, out_dir=args.out, workers=args.workers)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for entry in manifest["files"]:
         print(f"wrote {entry['path']}  sha256={entry['sha256'][:12]}...")
     if not manifest["passed"]:

@@ -1,11 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermalpdc import (
     DisentangledCoefficients,
     ModeParams,
+    TwoModeFockState,
     action_coefficient,
     cross_amplitude,
     default_cutoff,
@@ -77,6 +81,16 @@ class TestDisentangledCoefficients:
     def test_rejects_inconsistent_pair(self):
         with pytest.raises(ValueError, match="inconsistent"):
             DisentangledCoefficients(0.9, 0.01)
+
+    @pytest.mark.parametrize("coupling", [1e-12, 1e-9, 1e-6])
+    def test_small_coupling_is_consistent(self, coupling):
+        # ln cosh rounds to 0 below ~1e-8 while tanh does not
+        c = DisentangledCoefficients.from_coupling(coupling)
+        assert abs(c.pair_amplitude) == pytest.approx(math.tanh(coupling), rel=1e-15)
+
+    def test_rejects_slightly_inconsistent_pair_at_high_gain(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            DisentangledCoefficients(math.tanh(2.0) - 1e-10, math.log(math.cosh(2.0)))
 
     def test_rejects_negative_gain(self):
         with pytest.raises(ValueError):
@@ -192,6 +206,56 @@ class TestEvolveThermalPair:
         c = DisentangledCoefficients.from_coupling(1.5)
         with pytest.raises(ValueError, match="trace deficit"):
             evolve_thermal_pair(0.0, 0.0, c, 12, max_trace_deficit=1e-12)
+
+    def test_reports_lost_precision(self):
+        # the alternating k-sum of evolve_fock_pair cancels catastrophically
+        # near n = m = 40 at this gain, so the trace grows far beyond 1
+        p = ModeParams.from_npdc(4.0, 4.0, 1.0)
+        c = DisentangledCoefficients.from_mode_params(p)
+        with pytest.raises(ValueError, match="lost precision"):
+            evolve_thermal_pair(4.0, 4.0, c, 80, max_trace_deficit=1e-3)
+
+    def test_band_layout(self):
+        c = DisentangledCoefficients.from_coupling(0.4, 0.2)
+        state = evolve_thermal_pair(0.3, 0.6, c, 7, max_trace_deficit=1e-2)
+        assert [band.shape for band in state.bands] == [(8 - abs(d),) * 2 for d in range(-7, 8)]
+        dense = state.matrix.reshape(8, 8, 8, 8)
+        # rung r of band d = 2 is (n_T, n_R) = (r + 2, r)
+        assert state.bands[7 + 2][3, 1] == dense[5, 3, 3, 1]
+        # rung r of band d = -3 is (n_T, n_R) = (r, r + 3)
+        assert state.bands[7 - 3][0, 4] == dense[0, 3, 4, 7]
+
+    def test_library_routes_never_build_the_dense_matrix(self, monkeypatch, tmp_path):
+        from thermalpdc.scenario import run
+
+        def forbidden(state):
+            raise AssertionError("dense matrix built")
+
+        monkeypatch.setattr(TwoModeFockState, "matrix", property(forbidden))
+        c = DisentangledCoefficients.from_coupling(0.5, 0.3)
+        state = evolve_thermal_pair(0.4, 0.2, c, 18)
+        moments(state)
+        cross_amplitude(state)
+        state.joint_distribution()
+        state.hermiticity_defect()
+        state.min_eigenvalue()
+        write_joint_distribution_csv(state, tmp_path / "joint.csv")
+        cfg = {"kind": "oracle-validate", "params": {"mu_t": 0.5, "mu_r": 0.5, "n_pdc": 0.3}, "cutoff": 45}
+        assert run(cfg, out_dir=tmp_path)["passed"]
+
+    def test_banded_memory_at_cutoff_60(self):
+        # the dense matrix at this cutoff alone would take 211 MiB
+        p = ModeParams.from_npdc(0.5, 0.5, 0.3)
+        c = DisentangledCoefficients.from_mode_params(p)
+        tracemalloc.start()
+        try:
+            state = evolve_thermal_pair(0.5, 0.5, c, 60)
+            moments(state)
+            cross_amplitude(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_default_cutoff_heuristic(self):
         assert default_cutoff(0, 0, 0) == 12
@@ -353,3 +417,42 @@ class TestCovarianceFromOracle:
         want = covariance_with_phase(p).matrix
         tol = 10.0 * state.cutoff ** 2 * state.trace_deficit + 1e-9
         assert np.abs(got - want).max() < tol * max(np.abs(want).max(), 1.0)
+
+
+def dense_photon_moments(state):
+    """MomentSet fields from ladder sums over the dense matrix, using
+    n^2 = a^dag^2 a^2 + a^dag a."""
+    mean_t = ladder_moment(state, (1, 1, 0, 0)).real
+    mean_r = ladder_moment(state, (0, 0, 1, 1)).real
+    var_t = ladder_moment(state, (2, 2, 0, 0)).real + mean_t - mean_t ** 2
+    var_r = ladder_moment(state, (0, 0, 2, 2)).real + mean_r - mean_r ** 2
+    cross = ladder_moment(state, (1, 1, 1, 1)).real - mean_t * mean_r
+    return (mean_t, mean_r, var_t, var_r, cross)
+
+
+class TestBandedState:
+    """Band-local diagnostics against the dense matrix they never build."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.floats(0.0, 1.5),
+        st.floats(0.0, 1.5),
+        st.floats(0.0, 1.5),
+        st.floats(-math.pi, math.pi),
+    )
+    def test_matches_dense_matrix(self, cutoff, mu_t, mu_r, n_pdc, phase):
+        p = ModeParams.from_npdc(mu_t, mu_r, n_pdc, phase)
+        # a large bound admits any truncation at these small cutoffs
+        state = evolve_thermal_pair(mu_t, mu_r, DisentangledCoefficients.from_mode_params(p), cutoff, 10.0)
+        rho = state.matrix
+        dim = cutoff + 1
+        assert np.array_equal(state.joint_distribution(), np.real(np.diagonal(rho)).reshape(dim, dim))
+        got = moments(state)
+        want = dense_photon_moments(state)
+        for name, value in zip(("mean_t", "mean_r", "var_t", "var_r", "cross"), want):
+            assert getattr(got, name) == pytest.approx(value, rel=1e-12, abs=1e-12), name
+        assert cross_amplitude(state) == pytest.approx(ladder_moment(state, (0, 1, 0, 1)), rel=1e-12, abs=1e-14)
+        assert state.hermiticity_defect() == np.abs(rho - rho.conj().T).max()
+        assert state.min_eigenvalue() == pytest.approx(np.linalg.eigvalsh(rho)[0], abs=1e-13)
+        assert state.trace_deficit == pytest.approx(1.0 - np.trace(rho).real, abs=1e-14)

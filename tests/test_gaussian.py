@@ -201,6 +201,26 @@ class TestSymplecticEigenvalues:
                 want = quartic_symplectic_spectrum(block.matrix)
                 assert got == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("n_pdc, tau", [(1e-8, 1e-6), (9.580279194254738, 1e-12)])
+    def test_lossy_near_vacuum_converges(self, n_pdc, tau):
+        # a general (non-Hermitian) eigensolver failed to converge on both
+        p = ModeParams.from_npdc(0, 0, n_pdc)
+        lossy = apply_loss(build_covariance(p), tau)
+        assert symplectic_eigenvalues(lossy) == pytest.approx((0.5, 0.5), abs=1e-9)
+        # equal seeds: nu_- of the partial transpose is a - c in closed form
+        a = 0.5 + tau * n_pdc
+        c = tau * math.sqrt(n_pdc * (1.0 + n_pdc))
+        verdict = check_separability_lossy(p, tau)
+        assert verdict.min_pt_symplectic_eigenvalue == pytest.approx(a - c, abs=1e-12)
+        assert not verdict.separable
+
+    @pytest.mark.parametrize("diagonal", [(1.0, 1.0, 1.0, -1.0), (0.0, 0.0, 0.0, 0.0)])
+    def test_rejects_block_that_is_not_positive_definite(self, diagonal):
+        block = CovarianceBlock(np.diag(diagonal))
+        with pytest.raises(ValueError, match="positive definite"):
+            symplectic_eigenvalues(block)
+        assert not block.is_physical()
+
 
 class TestSeparability:
     def test_spontaneous_downconversion_entangled(self):

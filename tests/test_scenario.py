@@ -103,6 +103,36 @@ class TestValidateConfig:
             run(json.loads(text), out_dir=tmp_path / "out")
 
 
+FAILS_AFTER_VALIDATION = {
+    "bool-cutoff": dict(ORACLE, cutoff=True),
+    "input-tail": dict(ORACLE, params={"mu_t": 3.0, "mu_r": 0.5, "n_pdc": 0.3}, cutoff=10),
+    "trace-deficit": dict(ORACLE, params={"mu_t": 0.5, "mu_r": 0.5, "n_pdc": 3.0}, cutoff=12),
+    "sweep-overflow": {"kind": "separability-sweep", "grids": {"mu_t": [1e200], "mu_r": [1e200], "n_pdc": [1e200]}},
+}
+
+
+class TestNoTracebackAfterOk:
+    @pytest.mark.parametrize("cfg", FAILS_AFTER_VALIDATION.values(), ids=FAILS_AFTER_VALIDATION.keys())
+    def test_run_exits_with_one_line(self, tmp_path, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(("invalid: field cutoff", "error: "))
+
+    def test_input_tail_rejected_by_validate(self):
+        problems = validate_config(FAILS_AFTER_VALIDATION["input-tail"])
+        assert problems == ["field cutoff: cutoff 10 too small: input tail 4.224e-02 exceeds 1.000e-04"]
+
+    @pytest.mark.parametrize("name", ["trace-deficit", "sweep-overflow"])
+    def test_run_raises_scenario_error(self, tmp_path, name):
+        assert validate_config(FAILS_AFTER_VALIDATION[name]) == []
+        with pytest.raises(ScenarioError):
+            run(FAILS_AFTER_VALIDATION[name], out_dir=tmp_path)
+
+
 class TestRunSweeps:
     def test_nrf_sweep_outputs(self, tmp_path):
         manifest = run(NRF_SWEEP, out_dir=tmp_path)
@@ -175,6 +205,11 @@ class TestRunOracle:
         cfg = dict(ORACLE, max_relative_error=1e-18)
         manifest = run(cfg, out_dir=tmp_path)
         assert not manifest["passed"]
+
+    def test_tiny_gain_passes(self, tmp_path):
+        # ln cosh of the coupling rounds to 0 here while its tanh does not
+        cfg = dict(ORACLE, params={"mu_t": 0.5, "mu_r": 0.5, "n_pdc": 1e-16}, cutoff=40)
+        assert run(cfg, out_dir=tmp_path)["passed"]
 
 
 class TestRunGhost:
