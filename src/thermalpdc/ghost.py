@@ -83,11 +83,10 @@ class GhostGeometry:
     variant: CollectionOptics = CollectionOptics.OBJECT_PLANE
 
     def __post_init__(self):
-        for name in ("wavelength", "d1", "d2", "d3", "f_r"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.f_t is not None and self.f_t <= 0:
-            raise ValueError("f_t must be > 0")
+        for name in ("wavelength", "d1", "d2", "d3", "f_r", "f_t"):
+            value = getattr(self, name)
+            if not (name == "f_t" and value is None or 0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     @property
     def magnification(self) -> float:
@@ -132,8 +131,8 @@ class MomentumGrid:
     def __post_init__(self):
         if self.n_half < 1:
             raise ValueError("n_half must be >= 1")
-        if self.dq <= 0:
-            raise ValueError("dq must be > 0")
+        if not (0 < self.dq < math.inf and math.isfinite(2.0 * math.pi / self.dq)):
+            raise ValueError(f"dq must be > 0 with a finite transform period 2 pi / dq, got {self.dq}")
 
     @property
     def values(self) -> np.ndarray:
@@ -181,6 +180,11 @@ class SincProfile(GainProfile):
     mu_t: float = 0.0
     mu_r: float = 0.0
     phase: float = 0.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.bandwidth):
+            raise ValueError(f"bandwidth must be finite, got {self.bandwidth}")
+        ModeParams(self.mu_t, self.mu_r, self.kappa0, self.phase)  # the peak coupling is kappa0
 
     def mode_params(self, q: float) -> ModeParams:
         arg = self.bandwidth * q * q

@@ -29,10 +29,10 @@ class SampledObject:
         if x.size < 2:
             raise ValueError("object grid needs at least two samples")
         dx = np.diff(x)
-        if np.abs(dx - dx[0]).max() > 1e-9 * abs(dx[0]):
-            raise ValueError("object grid must be uniform")
-        if np.abs(t).max() > 1.0 + 1e-12:
-            raise ValueError("|t| must not exceed 1")
+        if not np.abs(dx - dx[0]).max() <= 1e-9 * abs(dx[0]):  # NaN fails too
+            raise ValueError("object grid must be finite and uniform")
+        if not np.abs(t).max() <= 1.0 + 1e-12:
+            raise ValueError("|t| must be finite and not exceed 1")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "t", t)
 
@@ -55,6 +55,8 @@ class SampledObject:
 
 
 def _slit_coverage(x, width, center):
+    if not width > 0:
+        raise ValueError(f"slit width must be > 0, got {width}")
     # fraction of each pixel [x - dx/2, x + dx/2] covered by the open slit;
     # keeps the effective width equal to the nominal one regardless of how
     # the edges fall against the grid, so sampled spectra carry their zeros
@@ -84,6 +86,8 @@ def grating(x, period, duty=0.5, center=0.0) -> SampledObject:
     """Binary grating: open fraction `duty` of every period."""
     if not 0.0 < duty < 1.0:
         raise ValueError(f"duty cycle must be in (0, 1), got {duty}")
+    if not period > 0:
+        raise ValueError(f"grating period must be > 0, got {period}")
     x = np.asarray(x, dtype=float)
     frac = np.mod((x - center) / period + duty / 2.0, 1.0)
     return SampledObject(x, (frac < duty).astype(complex))
@@ -98,9 +102,9 @@ def load_object_csv(path) -> SampledObject:
                 continue
             try:
                 rows.append((float(row[0]), float(row[1]), float(row[2])))
-            except ValueError:
+            except (ValueError, IndexError):
                 if rows:
-                    raise
+                    raise ValueError(f"{path}: row {row} is not x, re(t), im(t)") from None
     if not rows:
         raise ValueError(f"no data rows in {path}")
     data = np.array(rows)

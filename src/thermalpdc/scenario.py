@@ -1,24 +1,47 @@
 """Command-line front end: JSON scenario in, CSV/PGM artifacts out.
 
-A scenario is a single JSON document selecting one experiment kind and its
+A scenario is one JSON document selecting an experiment kind and its
 parameters; running it writes deterministic artifacts plus a manifest with
-a SHA-256 digest of every file.  All physical quantities in configs are SI
-(meters); seed means, gains and transmissions are dimensionless.
+a SHA-256 digest of every file.  Configs are SI (meters); seed means, gains
+and transmissions are dimensionless.  Sweeps are evaluated as arrays in one
+process, so --workers and run(workers=) are accepted but ignored.  CSV
+artifacts end their lines in CRLF.
 
-Kinds and their required fields:
+Fields (keys not listed are rejected at every level; one without "=
+default" is required).  number: a finite JSON number, not a bool or a
+string; integer: an integral number within +-2**53; grid: a non-empty list
+of numbers, or {start, stop, count: integer >= 1, log: bool = false},
+count values from start to stop spaced evenly or (log, bounds > 0)
+geometrically.
 
-  separability-sweep   grids {mu_t, mu_r, n_pdc [, tau]}
-  nrf-sweep            grids {mu_t, mu_r, n_pdc [, tau]}
-  oracle-validate      params {mu_t, mu_r, n_pdc}, cutoff [, max_relative_error]
-  ghost-image          geometry, profile, object, qgrid [, detector]
-  ghost-diffraction    geometry, profile, object, qgrid
-
-Common optional fields: output_dir (default "out"), seed (for sampled
-diagnostics in future kinds; recorded in the manifest).
-
-Sweeps are evaluated as arrays over the whole grid in one process, so the
---workers option and run(workers=) are accepted but ignored.  CSV artifacts
-end their lines in CRLF.
+  kind: one of the five below;  output_dir = "out": string, overridden by
+  --out, then THERMALPDC_OUT;  seed = 0: integer, recorded in the manifest
+  separability-sweep, nrf-sweep (all grid combinations, tau innermost)
+    grids.mu_t, grids.mu_r, grids.n_pdc: grids of values >= 0
+    grids.tau = [1.0]: grid of values in (0, 1]
+  oracle-validate (exact Fock evolution against the closed-form moments)
+    params.mu_t, params.mu_r, params.n_pdc: numbers >= 0
+    cutoff: integer >= 1 with room for the seeds' input tails
+    max_relative_error = 1e-6: number > 0
+  ghost-image, ghost-diffraction
+    geometry.wavelength, .d1, .d2, .d3, .f_r: numbers > 0; f_r != d3 is
+      the imaging branch (ghost-image), f_r = d3 the Fourier branch
+      (ghost-diffraction); a near-focal f_r is refused
+    geometry.variant = "object-plane", or "fourier-lens" (required by
+      ghost-diffraction), which needs geometry.f_t: number > 0
+    profile.type = "constant", with n_pdc or coupling: one number >= 0;
+      or "sinc", with kappa0: number >= 0 and bandwidth: number, for a
+      coupling kappa0 |sinc(bandwidth q^2)|
+    profile.mu_t = 0, profile.mu_r = 0: numbers >= 0
+    object.type: "single-slit" (width: number > 0), "double-slit" (width,
+      separation: number >= width), "grating" (period: number > 0, duty =
+      0.5: number in (0, 1)), each with center = 0: number; or "csv" (path:
+      string, a file of x, re t, im t rows)
+    qgrid.n_half: integer >= 1 (2 n_half + 1 momenta); qgrid.dq: number > 0
+    detector.x_t_count = 512: integer >= 2; detector.x_t_span = 2 pi / dq:
+      number > 0; the Test grid, which also samples slits and gratings
+    detector.x_r_count = 512: integer >= 1; detector.x_r_span =
+      magnification times the x_t span: number > 0 (ghost-image only)
 """
 
 from __future__ import annotations
@@ -29,6 +52,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,25 +62,11 @@ from .artifacts import sha256_of, write_csv, write_pgm
 from .fock import DisentangledCoefficients, evolve_thermal_pair, input_tail_problem, moments, predicted_moments
 # check_separability_lossy is unused here; perfbench's tracer tests look it up in this namespace.
 from .gaussian import ModeParams, check_separability_lossy  # noqa: F401
-from .ghost import (
-    CollectionOptics,
-    ConstantProfile,
-    GhostGeometry,
-    MomentumGrid,
-    SincProfile,
-    g2_map,
-    ghost_diffraction,
-    ghost_image,
-)
-from .objects import double_slit, grating, load_object_csv, single_slit
+from .ghost import CollectionOptics, ConstantProfile, GainProfile, GhostGeometry, MomentumGrid, SincProfile
+from .ghost import ghost_diffraction, ghost_image
+from .objects import SampledObject, double_slit, grating, load_object_csv, single_slit
 
-KINDS = (
-    "separability-sweep",
-    "nrf-sweep",
-    "oracle-validate",
-    "ghost-image",
-    "ghost-diffraction",
-)
+KINDS = ("separability-sweep", "nrf-sweep", "oracle-validate", "ghost-image", "ghost-diffraction")
 
 OUTPUT_DIR_ENV = "THERMALPDC_OUT"
 
@@ -64,273 +74,62 @@ OUTPUT_DIR_ENV = "THERMALPDC_OUT"
 ORACLE_MAX_TRACE_DEFICIT = 1e-3
 
 SEPARABILITY_COLUMNS = ("mu_t", "mu_r", "n_pdc", "tau", "margin", "min_pt_symplectic_eigenvalue", "separable")
+SWEEP_OUTPUTS = {"separability-sweep": ("separability.csv", SEPARABILITY_COLUMNS),
+                 "nrf-sweep": ("correlations.csv", correlations.CSV_COLUMNS)}
+
+PROFILE_GAINS = {"constant": ("n_pdc", "coupling"), "sinc": ("kappa0", "bandwidth")}
+
+_REQUIRED = object()
 
 
 class ScenarioError(ValueError):
     """Configuration problem; the message names the offending field."""
 
 
-def _require(cfg: dict, field: str, types, errors: list):
-    if field not in cfg:
-        errors.append(f"missing field: {field}")
-        return None
-    value = cfg[field]
-    if not isinstance(value, types):
-        errors.append(f"field {field}: expected {types}, got {type(value).__name__}")
-        return None
-    return value
+@dataclass(frozen=True)
+class GridRange:
+    """count sweep values from start to stop, spaced evenly or (log) geometrically."""
+
+    start: float
+    stop: float
+    count: int
+    log: bool
+
+    def values(self) -> np.ndarray:
+        return (np.geomspace if self.log else np.linspace)(self.start, self.stop, self.count)
 
 
-def _finite_number(value) -> bool:
-    """A JSON number, not a bool, that converts to a finite float (NaN fails the comparison)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+@dataclass(frozen=True)
+class SweepScenario:
+    """A separability or NRF sweep; axes mu_t, mu_r, n_pdc, tau are each values or a GridRange."""
 
+    kind: str
+    axes: tuple
 
-def _grid_values(spec, field, errors):
-    """A grid is either an explicit list or {start, stop, count [, log]}."""
-    if isinstance(spec, list):
-        if not spec:
-            errors.append(f"field {field}: grid must not be empty")
-            return []
-        bad = [v for v in spec if not _finite_number(v)]
-        if bad:
-            errors.append(f"field {field}: grid values must be finite numbers, got {bad[0]!r}")
-            return []
-        return [float(v) for v in spec]
-    if isinstance(spec, dict):
-        if not all(_finite_number(spec.get(key)) for key in ("start", "stop", "count")):
-            errors.append(f"field {field}: grid dict needs finite numeric start/stop/count")
-            return []
-        start, stop, count = float(spec["start"]), float(spec["stop"]), int(spec["count"])
-        if count < 1:
-            errors.append(f"field {field}: count must be >= 1")
-            return []
-        if spec.get("log", False):
-            if start <= 0 or stop <= 0:
-                errors.append(f"field {field}: log grid needs positive bounds")
-                return []
-            return [float(v) for v in np.geomspace(start, stop, count)]
-        return [float(v) for v in np.linspace(start, stop, count)]
-    errors.append(f"field {field}: expected list or start/stop/count dict")
-    return []
-
-
-def validate_config(cfg: dict) -> list[str]:
-    """Return a list of problems; empty means the scenario can run."""
-    errors: list[str] = []
-    kind = _require(cfg, "kind", str, errors)
-    if kind is not None and kind not in KINDS:
-        errors.append(f"field kind: unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
-        return errors
-    if kind in ("separability-sweep", "nrf-sweep"):
-        grids = _require(cfg, "grids", dict, errors)
-        if grids is not None:
-            for field in ("mu_t", "mu_r", "n_pdc"):
-                if field not in grids:
-                    errors.append(f"missing field: grids.{field}")
-                else:
-                    vals = _grid_values(grids[field], f"grids.{field}", errors)
-                    if any(v < 0 for v in vals):
-                        errors.append(f"field grids.{field}: values must be >= 0")
-            if "tau" in grids:
-                for tau in _grid_values(grids["tau"], "grids.tau", errors):
-                    if not 0 < tau <= 1:
-                        errors.append("field grids.tau: values must be in (0, 1]")
-    elif kind == "oracle-validate":
-        params = _require(cfg, "params", dict, errors)
-        if params is not None:
-            for field in ("mu_t", "mu_r", "n_pdc"):
-                if field not in params:
-                    errors.append(f"missing field: params.{field}")
-                elif not _finite_number(params[field]) or params[field] < 0:
-                    errors.append(f"field params.{field}: expected number >= 0")
-        cutoff = _require(cfg, "cutoff", int, errors)
-        if isinstance(cutoff, bool) or (cutoff is not None and cutoff < 1):
-            errors.append("field cutoff: expected integer >= 1")
-        elif not errors:  # params and cutoff are well-formed: check the seeds fit under it
-            problem = input_tail_problem(params["mu_t"], params["mu_r"], cutoff, ORACLE_MAX_TRACE_DEFICIT)
-            if problem:
-                errors.append(f"field cutoff: {problem}")
-    elif kind in ("ghost-image", "ghost-diffraction"):
-        _validate_geometry(cfg, kind, errors)
-        _validate_profile(cfg, errors)
-        _validate_object(cfg, errors)
-        _validate_qgrid(cfg, errors)
-    if "output_dir" in cfg and not isinstance(cfg["output_dir"], str):
-        errors.append("field output_dir: expected string")
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
-        errors.append("field seed: expected integer")
-    return errors
-
-
-def _validate_geometry(cfg, kind, errors):
-    geo = _require(cfg, "geometry", dict, errors)
-    if geo is None:
-        return
-    for field in ("wavelength", "d1", "d2", "d3", "f_r"):
-        if field not in geo:
-            errors.append(f"missing field: geometry.{field}")
-        elif not _finite_number(geo[field]) or geo[field] <= 0:
-            errors.append(f"field geometry.{field}: expected number > 0")
-    variant = geo.get("variant", "object-plane")
-    if variant not in ("object-plane", "fourier-lens"):
-        errors.append("field geometry.variant: expected 'object-plane' or 'fourier-lens'")
-    if variant == "fourier-lens" and "f_t" not in geo:
-        errors.append("missing field: geometry.f_t (required by the fourier-lens variant)")
-    if kind == "ghost-diffraction" and variant != "fourier-lens":
-        errors.append("field geometry.variant: ghost-diffraction requires 'fourier-lens'")
-
-
-def _validate_profile(cfg, errors):
-    prof = _require(cfg, "profile", dict, errors)
-    if prof is None:
-        return
-    ptype = prof.get("type", "constant")
-    if ptype == "constant":
-        if "n_pdc" not in prof and "coupling" not in prof:
-            errors.append("field profile: constant profile needs n_pdc or coupling")
-    elif ptype == "sinc":
-        for field in ("kappa0", "bandwidth"):
-            if field not in prof:
-                errors.append(f"missing field: profile.{field}")
-    else:
-        errors.append(f"field profile.type: unknown type {ptype!r}")
-    for field in ("mu_t", "mu_r"):
-        if field in prof and (not _finite_number(prof[field]) or prof[field] < 0):
-            errors.append(f"field profile.{field}: expected number >= 0")
-
-
-def _validate_object(cfg, errors):
-    obj = _require(cfg, "object", dict, errors)
-    if obj is None:
-        return
-    otype = obj.get("type")
-    if otype == "single-slit":
-        if "width" not in obj:
-            errors.append("missing field: object.width")
-    elif otype == "double-slit":
-        for field in ("width", "separation"):
-            if field not in obj:
-                errors.append(f"missing field: object.{field}")
-    elif otype == "grating":
-        if "period" not in obj:
-            errors.append("missing field: object.period")
-    elif otype == "csv":
-        path = obj.get("path")
-        if not isinstance(path, str):
-            errors.append("field object.path: expected string")
-        elif not Path(path).exists():
-            errors.append(f"field object.path: file not found: {path}")
-    else:
-        errors.append("field object.type: expected single-slit, double-slit, grating or csv")
-
-
-def _validate_qgrid(cfg, errors):
-    grid = _require(cfg, "qgrid", dict, errors)
-    if grid is None:
-        return
-    n_half = grid.get("n_half")
-    dq = grid.get("dq")
-    if not isinstance(n_half, int) or n_half < 1:
-        errors.append("field qgrid.n_half: expected integer >= 1")
-    if not _finite_number(dq) or dq <= 0:
-        errors.append("field qgrid.dq: expected number > 0")
-
-
-def _build_geometry(geo: dict) -> GhostGeometry:
-    return GhostGeometry(
-        wavelength=float(geo["wavelength"]),
-        d1=float(geo["d1"]),
-        d2=float(geo["d2"]),
-        d3=float(geo["d3"]),
-        f_r=float(geo["f_r"]),
-        f_t=float(geo["f_t"]) if "f_t" in geo else None,
-        variant=CollectionOptics(geo.get("variant", "object-plane")),
-    )
-
-
-def _build_profile(prof: dict):
-    mu_t = float(prof.get("mu_t", 0.0))
-    mu_r = float(prof.get("mu_r", 0.0))
-    if prof.get("type", "constant") == "constant":
-        if "n_pdc" in prof:
-            params = ModeParams.from_npdc(mu_t, mu_r, float(prof["n_pdc"]))
-        else:
-            params = ModeParams(mu_t, mu_r, float(prof["coupling"]))
-        return ConstantProfile(params)
-    return SincProfile(float(prof["kappa0"]), float(prof["bandwidth"]), mu_t, mu_r)
-
-
-def _build_object(obj: dict, x: np.ndarray):
-    otype = obj["type"]
-    center = float(obj.get("center", 0.0))
-    if otype == "single-slit":
-        return single_slit(x, float(obj["width"]), center)
-    if otype == "double-slit":
-        return double_slit(x, float(obj["width"]), float(obj["separation"]), center)
-    if otype == "grating":
-        return grating(x, float(obj["period"]), float(obj.get("duty", 0.5)), center)
-    return load_object_csv(obj["path"])
-
-
-def _object_grid(cfg: dict, qgrid: MomentumGrid) -> np.ndarray:
-    det = cfg.get("detector", {})
-    count = int(det.get("x_t_count", 512))
-    if "x_t_span" in det:
-        half = float(det["x_t_span"]) / 2.0
-    else:
-        # default: one transform period of the momentum grid
-        half = math.pi / qgrid.dq
-    return np.linspace(-half, half, count)
-
-
-def _write_reconstruction(path, result) -> None:
-    write_csv(path, {"x_r": result.x_r, "value_raw": result.raw, "value_normalized": result.normalized})
-
-
-def run(cfg: dict, out_dir=None, workers: int = 1) -> dict:
-    """Execute a validated scenario; returns the manifest dictionary.
-
-    Identical configs byte-reproduce their CSV artifacts.  Raises
-    ScenarioError on validation problems, on a sweep grid that overflows and
-    on an oracle state whose trace deficit is out of bounds; an embedded
-    acceptance check that fails (oracle-validate) marks the manifest failed
-    instead of raising.
-    workers is accepted and ignored: sweeps are vectorized in one process.
-    """
-    problems = validate_config(cfg)
-    if problems:
-        raise ScenarioError("; ".join(problems))
-    out = Path(out_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.get("output_dir", "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    kind = cfg["kind"]
-    written: list[Path] = []
-    passed = True
-
-    if kind in ("separability-sweep", "nrf-sweep"):
-        grids = cfg["grids"]
-        axes = [_grid_values(grids.get(f, [1.0]), f"grids.{f}", []) for f in ("mu_t", "mu_r", "n_pdc", "tau")]
+    def _write(self, out: Path):
+        axes = [axis.values() if isinstance(axis, GridRange) else axis for axis in self.axes]
         try:
             columns = correlations.sweep_columns(*np.meshgrid(*axes, indexing="ij"))
         except FloatingPointError as exc:
             raise ScenarioError(f"field grids: values too large, the sweep overflows ({exc})") from exc
-        if kind == "separability-sweep":
-            path, schema = out / "separability.csv", SEPARABILITY_COLUMNS
-        else:
-            path, schema = out / "correlations.csv", correlations.CSV_COLUMNS
-        write_csv(path, {name: columns[name] for name in schema})
-        written.append(path)
+        name, schema = SWEEP_OUTPUTS[self.kind]
+        write_csv(out / name, {column: columns[column] for column in schema})
+        return [out / name], True
 
-    elif kind == "oracle-validate":
-        params = cfg["params"]
-        p = ModeParams.from_npdc(
-            float(params["mu_t"]), float(params["mu_r"]), float(params["n_pdc"])
-        )
+
+@dataclass(frozen=True)
+class OracleScenario:
+    """Fock-oracle check of one mode pair at a cutoff, against a relative-error threshold."""
+
+    params: ModeParams
+    cutoff: int
+    threshold: float
+
+    def _write(self, out: Path):
+        p = self.params
         coeffs = DisentangledCoefficients.from_mode_params(p)
         try:
-            state = evolve_thermal_pair(
-                p.mu_t, p.mu_r, coeffs, cfg["cutoff"], max_trace_deficit=ORACLE_MAX_TRACE_DEFICIT
-            )
+            state = evolve_thermal_pair(p.mu_t, p.mu_r, coeffs, self.cutoff, max_trace_deficit=ORACLE_MAX_TRACE_DEFICIT)
         except ValueError as exc:
             raise ScenarioError(f"oracle-validate: {exc}") from exc
         got = moments(state)
@@ -339,77 +138,269 @@ def run(cfg: dict, out_dir=None, workers: int = 1) -> dict:
             name: abs(getattr(got, name) - getattr(want, name)) / max(abs(getattr(want, name)), 1.0)
             for name in ("mean_t", "mean_r", "var_t", "var_r", "cross")
         }
-        threshold = float(cfg.get("max_relative_error", 1e-6))
-        passed = max(rel.values()) < threshold
-        path = out / "oracle_report.json"
-        with open(path, "w") as fh:
-            json.dump(
-                {
-                    "params": {"mu_t": p.mu_t, "mu_r": p.mu_r, "n_pdc": p.n_pdc},
-                    "cutoff": int(cfg["cutoff"]),
-                    "trace_deficit": state.trace_deficit,
-                    "relative_errors": rel,
-                    "max_relative_error": max(rel.values()),
-                    "threshold": threshold,
-                    "passed": passed,
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
-        written.append(path)
+        passed = max(rel.values()) < self.threshold
+        report = {"params": {"mu_t": p.mu_t, "mu_r": p.mu_r, "n_pdc": p.n_pdc}, "cutoff": self.cutoff,
+                  "trace_deficit": state.trace_deficit, "relative_errors": rel,
+                  "max_relative_error": max(rel.values()), "threshold": self.threshold, "passed": passed}
+        with open(out / "oracle_report.json", "w") as fh:
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        return [out / "oracle_report.json"], passed
 
-    else:  # ghost-image / ghost-diffraction
-        geometry = _build_geometry(cfg["geometry"])
-        profile = _build_profile(cfg["profile"])
-        qgrid = MomentumGrid(int(cfg["qgrid"]["n_half"]), float(cfg["qgrid"]["dq"]))
-        if kind == "ghost-diffraction":
-            x_obj = _object_grid(cfg, qgrid)
-            obj = _build_object(cfg["object"], x_obj)
-            pattern = ghost_diffraction(geometry, obj, profile, qgrid)
-            path = out / "pattern.csv"
-            _write_reconstruction(path, pattern)
-            written.append(path)
+
+@dataclass(frozen=True, eq=False)
+class GhostScenario:
+    """A ghost image on the (x_r, x_t) grids; with x_r None, the diffraction pattern."""
+
+    geometry: GhostGeometry
+    profile: GainProfile
+    qgrid: MomentumGrid
+    obj: SampledObject
+    x_t: np.ndarray
+    x_r: np.ndarray | None
+
+    def _write(self, out: Path):
+        if self.x_r is None:
+            result = ghost_diffraction(self.geometry, self.obj, self.profile, self.qgrid)
+            written = [out / "pattern.csv"]
         else:
-            x_t = _object_grid(cfg, qgrid)
-            obj = _build_object(cfg["object"], x_t)
-            det = cfg.get("detector", {})
-            count = int(det.get("x_r_count", 512))
-            mag = geometry.magnification
-            span = float(det.get("x_r_span", 2.0 * mag * (x_t[-1] - x_t[0]) / 2.0))
-            x_r = np.linspace(-span / 2.0, span / 2.0, count)
-            image = ghost_image(geometry, obj, profile, qgrid, x_r, x_t)
-            path = out / "image.csv"
-            _write_reconstruction(path, image)
-            written.append(path)
-            path = out / "g2_map.pgm"
-            write_pgm(path, image.g2.values)
-            written.append(path)
+            result = ghost_image(self.geometry, self.obj, self.profile, self.qgrid, self.x_r, self.x_t)
+            written = [out / "image.csv", out / "g2_map.pgm"]
+            write_pgm(written[1], result.g2.values)
+        write_csv(written[0], {"x_r": result.x_r, "value_raw": result.raw, "value_normalized": result.normalized})
+        return written, True
 
+
+def _check(test, expected: str, convert=lambda value: value):
+    """A field parser: convert(value) when test(value) holds, else a ValueError."""
+    def parse(value):
+        if not test(value):
+            raise ValueError(f"expected {expected}, got {value!r}")
+        return convert(value)
+    return parse
+
+
+# abs() <= max also fails NaN and ints too large for a float; 2**53 bounds the integers JSON carries exactly
+_number = _check(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
+                 "a finite number", float)
+_positive = _check(lambda v: _number(v) > 0, "a number > 0", float)
+_integer = _check(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= 2**53 and v == int(v),
+                  "an integer within +-2**53", int)
+_string = _check(lambda v: isinstance(v, str), "a string")
+
+
+def _count(low: int):
+    return _check(lambda v: _integer(v) >= low, f"an integer >= {low}", int)
+
+
+def _choice(*options: str):
+    return _check(lambda v: isinstance(v, str) and v in options, f"one of {', '.join(options)}")
+
+
+def _grid(ok, rule: str):
+    """A sweep axis parser; a range is checked by its bounds, which every value lies between."""
+    def parse(spec):
+        if isinstance(spec, dict):
+            if not {"start", "stop", "count"} <= set(spec) <= {"start", "stop", "count", "log"}:
+                raise ValueError(f"a range takes start, stop, count and log, got {sorted(spec)}")
+            log = _check(lambda v: isinstance(v, bool), "a bool for log")(spec.get("log", False))
+            axis = GridRange(_number(spec["start"]), _number(spec["stop"]), _count(1)(spec["count"]), log)
+            bounds = (axis.start, axis.stop)
+            if log and not min(bounds) > 0:
+                raise ValueError("a log range needs start and stop > 0")
+        elif isinstance(spec, list) and spec:
+            axis = bounds = tuple(_number(v) for v in spec)
+        else:
+            raise ValueError(f"expected a non-empty list or a {{start, stop, count [, log]}} range, got {spec!r}")
+        bad = [v for v in bounds if not ok(v)]
+        if bad:
+            raise ValueError(f"values must be {rule}, got {bad[0]!r}")
+        return axis
+    return parse
+
+
+class _Fields:
+    """One JSON object of a config.  Each read records its key, so close()
+    rejects the keys nothing read; a missing or bad field reads as None."""
+
+    def __init__(self, obj: dict, path: str, errors: list):
+        self.obj, self.path, self.errors, self.read, self.sections = obj, path, errors, set(), []
+
+    def get(self, key: str, parse, default=_REQUIRED):
+        self.read.add(key)
+        if key not in self.obj:
+            if default is _REQUIRED:
+                self.errors.append(f"missing field: {self.path}{key}")
+            return None if default is _REQUIRED else default
+        try:
+            return parse(self.obj[key])
+        except ValueError as exc:
+            self.errors.append(f"field {self.path}{key}: {exc}")
+            return None
+
+    def section(self, key: str, default=_REQUIRED) -> "_Fields":
+        obj = self.get(key, _check(lambda v: isinstance(v, dict), "an object"), default)
+        # a missing or bad section reads as empty; its one problem is already reported
+        self.sections.append(_Fields(obj or {}, f"{self.path}{key}.", self.errors if obj is not None else []))
+        return self.sections[-1]
+
+    def close(self) -> None:
+        """Report each key nothing read, here and in every section read."""
+        for key in sorted(self.obj.keys() - self.read):
+            name = key.encode("unicode_escape").decode()
+            self.errors.append(f"field {self.path}{name}: unknown field; expected one of {', '.join(sorted(self.read))}")
+        for section in self.sections:
+            section.close()
+
+
+def _make(errors: list, path: str, build, *args):
+    """build(*args), or None with its ValueError or OSError recorded against path."""
+    try:
+        return build(*args)
+    except (ValueError, OSError) as exc:
+        errors.append(f"field {path}: {exc}")
+        return None
+
+
+def parse_config(cfg) -> tuple:
+    """(SweepScenario, OracleScenario or GhostScenario, []), or (None, problems).
+
+    A problem is one line, "missing field: <path>" or "field <path>: ...".  The
+    library objects are built here, so their own checks report as problems;
+    sweep ranges are checked by their bounds and not expanded.
+    """
+    if not isinstance(cfg, dict):
+        return None, [f"field config: expected an object, got {cfg!r}"]
+    errors: list[str] = []
+    top = _Fields(cfg, "", errors)
+    kind = top.get("kind", _choice(*KINDS))
+    top.get("output_dir", _string, None)
+    top.get("seed", _integer, 0)
+    if kind is None:  # no key of an unknown kind is known to be wrong
+        top.read.update(cfg)
+    if kind in ("separability-sweep", "nrf-sweep"):
+        grids = top.section("grids")
+        axes = [grids.get(name, _grid(lambda v: v >= 0, ">= 0")) for name in ("mu_t", "mu_r", "n_pdc")]
+        axes.append(grids.get("tau", _grid(lambda v: 0 < v <= 1, "in (0, 1]"), (1.0,)))
+        scenario = SweepScenario(kind, tuple(axes))
+    elif kind == "oracle-validate":
+        fields = top.section("params")
+        seeds_gain = [fields.get(name, _number) for name in ("mu_t", "mu_r", "n_pdc")]
+        cutoff = top.get("cutoff", _count(1))
+        threshold = top.get("max_relative_error", _positive, 1e-6)
+        params = None if errors else _make(errors, "params", ModeParams.from_npdc, *seeds_gain)
+        problem = params and input_tail_problem(params.mu_t, params.mu_r, cutoff, ORACLE_MAX_TRACE_DEFICIT)
+        if problem:
+            errors.append(f"field cutoff: {problem}")
+        scenario = OracleScenario(params, cutoff, threshold)
+    elif kind is not None:
+        scenario = _parse_ghost(top, kind, errors)
+    top.close()
+    return (None, errors) if errors else (scenario, errors)
+
+
+def _parse_ghost(top: _Fields, kind: str, errors: list):
+    geo = top.section("geometry")
+    variants = ("object-plane", "fourier-lens") if kind == "ghost-image" else ("fourier-lens",)
+    variant = geo.get("variant", _choice(*variants), "object-plane" if kind == "ghost-image" else _REQUIRED)
+    lengths = [geo.get(name, _number) for name in ("wavelength", "d1", "d2", "d3", "f_r")]
+    f_t = geo.get("f_t", _number, _REQUIRED if variant == "fourier-lens" else None)
+    prof = top.section("profile")
+    ptype = prof.get("type", _choice(*PROFILE_GAINS), "constant")
+    seeds = [prof.get(name, _number, 0.0) for name in ("mu_t", "mu_r")]
+    gain = [prof.get(name, _number, None if ptype == "constant" else _REQUIRED) for name in PROFILE_GAINS.get(ptype, ())]
+    if ptype == "constant" and ("n_pdc" in prof.obj) == ("coupling" in prof.obj):
+        prof.errors.append("field profile: a constant profile takes one of n_pdc and coupling")
+    grid = top.section("qgrid")
+    n_half, dq = grid.get("n_half", _integer), grid.get("dq", _number)
+    det = top.section("detector", {})
+    x_t_count, x_t_span = det.get("x_t_count", _count(2), 512), det.get("x_t_span", _positive, None)
+    if kind == "ghost-image":
+        x_r_count, x_r_span = det.get("x_r_count", _count(1), 512), det.get("x_r_span", _positive, None)
+    obj = top.section("object")
+    # each builder's fields after the sampling grid, with their defaults, then center
+    shapes = {"single-slit": (single_slit, {"width": _REQUIRED}),
+              "double-slit": (double_slit, {"width": _REQUIRED, "separation": _REQUIRED}),
+              "grating": (grating, {"period": _REQUIRED, "duty": 0.5})}
+    otype = obj.get("type", _choice(*shapes, "csv"))
+    if otype == "csv":
+        csv_path = obj.get("path", _string)
+    elif otype is not None:
+        make, shape = shapes[otype]
+        shape_args = [obj.get(name, _number, default) for name, default in shape.items()]
+        shape_args.append(obj.get("center", _number, 0.0))
+    for fields, typed in ((prof, ptype), (obj, otype)):
+        if typed is None:  # no key of an unknown type is known to be wrong
+            fields.read.update(fields.obj)
+    if errors:
+        return None
+
+    geometry = _make(errors, "geometry", GhostGeometry, *lengths, f_t, CollectionOptics(variant))
+    branch = geometry and _make(errors, "geometry.f_r", lambda: geometry.branch)
+    if branch and branch != ("imaging" if kind == "ghost-image" else "fourier"):
+        errors.append(f"field geometry.f_r: the {branch} branch (f_r {'!=' if branch == 'imaging' else '='} d3) is not for {kind}")
+    if ptype == "sinc":
+        profile = _make(errors, "profile", SincProfile, *gain, *seeds)
+    elif gain[0] is not None:
+        profile = _make(errors, "profile", lambda: ConstantProfile(ModeParams.from_npdc(*seeds, gain[0])))
+    else:
+        profile = _make(errors, "profile", lambda: ConstantProfile(ModeParams(*seeds, gain[1])))
+    qgrid = _make(errors, "qgrid", MomentumGrid, n_half, dq)
+    if errors:
+        return None
+    # default: one transform period of the momentum grid
+    half = x_t_span / 2.0 if x_t_span is not None else math.pi / qgrid.dq
+    x_t = np.linspace(-half, half, x_t_count)
+    if otype == "csv":
+        sampled = _make(errors, "object.path", load_object_csv, csv_path)
+    else:
+        sampled = _make(errors, "object", make, x_t, *shape_args)
+    x_r = None
+    if kind == "ghost-image":
+        default_span = 2.0 * geometry.magnification * (x_t[-1] - x_t[0]) / 2.0
+        span = x_r_span if x_r_span is not None else default_span
+        x_r = np.linspace(-span / 2.0, span / 2.0, x_r_count)
+    return GhostScenario(geometry, profile, qgrid, sampled, x_t, x_r)
+
+
+def validate_config(cfg: dict) -> list[str]:
+    """Return a list of problems; empty means the scenario can run."""
+    return parse_config(cfg)[1]
+
+
+def run(cfg: dict, out_dir=None, workers: int = 1) -> dict:
+    """Execute a scenario config; returns the manifest dictionary.
+
+    Identical configs byte-reproduce their CSV artifacts.  Raises
+    ScenarioError on validation problems, on a sweep grid that overflows and
+    on an oracle state whose trace deficit is out of bounds; a failed
+    oracle-validate check marks the manifest failed instead.  workers is
+    accepted and ignored: sweeps are vectorized in one process.
+    """
+    scenario, problems = parse_config(cfg)
+    if problems:
+        raise ScenarioError("; ".join(problems))
+    return _execute(scenario, cfg, out_dir)
+
+
+def _execute(scenario, cfg: dict, out_dir) -> dict:
+    """Write a parsed scenario's artifacts and manifest; cfg gives its digest, kind, seed, output_dir."""
+    out = Path(out_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.get("output_dir", "out"))
+    out.mkdir(parents=True, exist_ok=True)
+    written, passed = scenario._write(out)
     manifest = {
-        "kind": kind,
+        "kind": cfg["kind"],
         "seed": cfg.get("seed", 0),
         "passed": passed,
-        "config_sha256": hashlib.sha256(
-            json.dumps(cfg, sort_keys=True).encode()
-        ).hexdigest(),
-        "files": [
-            {"path": p.name, "sha256": sha256_of(p), "bytes": p.stat().st_size}
-            for p in written
-        ],
+        "config_sha256": hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
+        "files": [{"path": p.name, "sha256": sha256_of(p), "bytes": p.stat().st_size} for p in written],
     }
     with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="thermalpdc",
-        description="Run or validate a thermal-seeded downconversion scenario",
-    )
+    parser = argparse.ArgumentParser(prog="thermalpdc", description="Run or validate a thermal-seeded downconversion scenario")
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="execute a scenario config")
     run_p.add_argument("config", help="path to the scenario JSON document")
@@ -422,22 +413,23 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
 
-    problems = validate_config(cfg)
-    for problem in problems:
-        print(f"invalid: {problem}", file=sys.stderr)
-    if problems:
-        return 1
-    if args.command == "validate":
-        print("ok")
-        return 0
     try:
-        manifest = run(cfg, out_dir=args.out, workers=args.workers)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        scenario, problems = parse_config(cfg)
+        for problem in problems:
+            print(f"invalid: {problem}", file=sys.stderr)
+        if problems:
+            return 1
+        if args.command == "validate":
+            print("ok")
+            return 0
+        manifest = _execute(scenario, cfg, args.out)
+    except (ValueError, OSError, MemoryError) as exc:
+        # ScenarioError, a library check at run time, the output directory, a grid too large to allocate
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     for entry in manifest["files"]:
         print(f"wrote {entry['path']}  sha256={entry['sha256'][:12]}...")

@@ -70,6 +70,16 @@ class TestSampledObject:
         with pytest.raises(ValueError, match="uniform"):
             SampledObject(x, np.ones(3))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("x", [[0.0, math.nan, 2.0], [-math.inf, 0.0, math.inf]], ids=["nan", "inf"])
+    def test_rejects_non_finite_grid(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            SampledObject(np.array(x), np.ones(3))
+
+    def test_rejects_nan_transmission(self):
+        with pytest.raises(ValueError, match="finite"):
+            SampledObject(np.linspace(-1, 1, 3), np.array([0.0, math.nan, 1.0]))
+
     def test_amplitude_zero_outside(self):
         obj = single_slit(np.linspace(-1e-4, 1e-4, 64), SLIT)
         assert obj.amplitude(np.array([5e-4, -2e-4])) == pytest.approx(0.0)
@@ -121,6 +131,13 @@ class TestGeometry:
         with pytest.raises(ValueError):
             GhostGeometry(wavelength=LAM, d1=0.0, d2=0.1, d3=0.3, f_r=0.2)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["wavelength", "d1", "d2", "d3", "f_r", "f_t"])
+    def test_rejects_non_finite_lengths(self, name, value):
+        lengths = dict(wavelength=LAM, d1=0.1, d2=0.1, d3=0.3, f_r=0.3, f_t=0.1)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GhostGeometry(**dict(lengths, **{name: value}), variant=CollectionOptics.FOURIER_LENS)
+
     def test_fourier_lens_needs_focal_length(self):
         geo = GhostGeometry(
             wavelength=LAM, d1=0.1, d2=0.1, d3=0.6, f_r=0.15,
@@ -148,6 +165,9 @@ class TestMomentumGrid:
             MomentumGrid(0, 1.0)
         with pytest.raises(ValueError):
             MomentumGrid(4, -1.0)
+        for dq in (math.nan, math.inf, 1e-320):
+            with pytest.raises(ValueError, match="finite transform period"):
+                MomentumGrid(4, dq)
 
 
 class TestCorrelationAmplitude:

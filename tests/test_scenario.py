@@ -1,13 +1,21 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from thermalpdc import correlations
 from thermalpdc.artifacts import sha256_of, write_pgm
-from thermalpdc.scenario import ScenarioError, run, validate_config
+from thermalpdc.scenario import ScenarioError, main, run, validate_config
 
 NRF_SWEEP = {
     "kind": "nrf-sweep",
@@ -299,3 +307,193 @@ class TestCli:
         cfg_path.write_text(json.dumps(dict(ORACLE, cutoff=30, max_relative_error=1e-18)))
         proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")])
         assert proc.returncode == 1
+
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+DELETE = object()
+
+
+def demo(name):
+    return json.loads((DEMO_CONFIGS / f"{name}.json").read_text())
+
+
+def mutated(cfg, changes):
+    """A deep copy of cfg with each dotted path set to its value, or removed for DELETE."""
+    cfg = json.loads(json.dumps(cfg))
+    for dotted, value in changes.items():
+        *parents, leaf = dotted.split(".")
+        node = cfg
+        for key in parents:
+            node = node[key]
+        if value is DELETE:
+            del node[leaf]
+        else:
+            node[leaf] = value
+    return cfg
+
+
+SINC = {"type": "sinc", "kappa0": 0.9, "bandwidth": 1e-10}
+RANGE = {"start": 0.0, "stop": 3.0, "count": 4}
+
+# Configs that validated ok before the typed parser, each with the head of
+# the one problem it must now report.
+REJECTED_AFTER_OK = {
+    "x_t_count-string": ("ghost_image", {"detector.x_t_count": "a"}, "field detector.x_t_count: expected an integer"),
+    "x_t_count-one": ("ghost_image", {"detector.x_t_count": 1}, "field detector.x_t_count: expected an integer >= 2"),
+    "x_r_count-zero": ("ghost_image", {"detector.x_r_count": 0}, "field detector.x_r_count: expected an integer >= 1"),
+    "x_t_span-string": ("ghost_image", {"detector.x_t_span": "x"}, "field detector.x_t_span: expected a finite number"),
+    "detector-list": ("ghost_image", {"detector": [512]}, "field detector: expected an object"),
+    "image-focal": ("ghost_image", {"geometry.f_r": 0.6}, "field geometry.f_r: the fourier branch (f_r = d3)"),
+    "image-near-focal": ("ghost_image", {"geometry.f_r": 0.6 * (1 + 1e-7)}, "field geometry.f_r: ill-conditioned"),
+    "diffraction-imaging": ("ghost_diffraction", {"geometry.f_r": 0.5}, "field geometry.f_r: the imaging branch (f_r != d3)"),
+    "f_t-string": ("ghost_diffraction", {"geometry.f_t": "a"}, "field geometry.f_t: expected a finite number"),
+    "f_t-negative": ("ghost_diffraction", {"geometry.f_t": -1}, "field geometry: f_t must be finite and > 0"),
+    "n_pdc-negative": ("ghost_image", {"profile.n_pdc": -1}, "field profile: n_pdc must be finite and >= 0"),
+    "coupling-string": (
+        "ghost_image", {"profile.n_pdc": DELETE, "profile.coupling": "a"}, "field profile.coupling: expected a finite"
+    ),
+    "kappa0-string": ("ghost_image", {"profile": dict(SINC, kappa0="a")}, "field profile.kappa0: expected a finite"),
+    "bandwidth-nan": ("ghost_image", {"profile": dict(SINC, bandwidth=math.nan)}, "field profile.bandwidth: expected"),
+    "width-string": ("ghost_image", {"object.width": "w"}, "field object.width: expected a finite number"),
+    "center-string": ("ghost_image", {"object.center": "c"}, "field object.center: expected a finite number"),
+    "slits-overlap": ("ghost_image", {"object.separation": 2e-5}, "field object: slits overlap"),
+    "duty-two": (
+        "ghost_image", {"object": {"type": "grating", "period": 1e-4, "duty": 2}}, "field object: duty cycle must be"
+    ),
+    "threshold-string": ("oracle_validate", {"max_relative_error": "x"}, "field max_relative_error: expected a finite"),
+    "f_t-nan": ("ghost_diffraction", {"geometry.f_t": math.nan}, "field geometry.f_t: expected a finite number"),
+    "width-negative": ("ghost_image", {"object.width": -4e-5}, "field object: slit width must be > 0"),
+    "period-zero": ("ghost_image", {"object": {"type": "grating", "period": 0}}, "field object: grating period must be"),
+    "n_pdc-numeric-string": ("ghost_image", {"profile.n_pdc": "1"}, "field profile.n_pdc: expected a finite number"),
+    "n_half-bool": ("ghost_image", {"qgrid.n_half": True}, "field qgrid.n_half: expected an integer"),
+    "seed-bool": ("nrf_sweep", {"seed": True}, "field seed: expected an integer"),
+    "count-fraction": ("separability_sweep", {"grids.mu_t": dict(RANGE, count=2.7)}, "field grids.mu_t: expected an"),
+    "log-string": ("separability_sweep", {"grids.mu_t": dict(RANGE, log="no")}, "field grids.mu_t: expected a bool"),
+    "range-typo": ("separability_sweep", {"grids.mu_t": dict(RANGE, lg=True)}, "field grids.mu_t: a range takes"),
+    "unknown-cutof": ("oracle_validate", {"cutof": 40}, "field cutof: unknown field"),
+    "unknown-threshold": ("oracle_validate", {"max_relative_eror": 1e-3}, "field max_relative_eror: unknown field"),
+}
+
+
+def run_main(args):
+    """main(args) in-process: (exit status, stderr lines)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        status = main(args)
+    return status, err.getvalue().splitlines()
+
+
+class TestRejectedAfterOk:
+    @pytest.mark.parametrize("base, changes, head", REJECTED_AFTER_OK.values(), ids=REJECTED_AFTER_OK.keys())
+    def test_validate_names_the_field(self, tmp_path, base, changes, head):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(mutated(demo(base), changes)))
+        status, lines = run_main(["validate", str(cfg_path)])
+        assert status == 1
+        assert len(lines) == 1 and lines[0].startswith(f"invalid: {head}"), lines
+
+    def test_demo_configs_validate(self):
+        for path in sorted(DEMO_CONFIGS.glob("*.json")):
+            assert validate_config(json.loads(path.read_text())) == [], path.name
+
+    def test_unknown_keys_are_named_once(self):
+        cfg = mutated(GHOST_IMAGE, {"profile.n_pfc": 1.0, "object.witdh": 1.0, "extra": {}})
+        assert sorted(p.split(":")[0] for p in validate_config(cfg)) == [
+            "field extra", "field object.witdh", "field profile.n_pfc",
+        ]
+
+    def test_constant_profile_takes_one_gain(self):
+        cfg = mutated(GHOST_IMAGE, {"profile.coupling": 0.5})
+        assert validate_config(cfg) == ["field profile: a constant profile takes one of n_pdc and coupling"]
+
+    def test_library_checks_report_against_their_section(self, tmp_path):
+        sinc = mutated(GHOST_IMAGE, {"profile": dict(SINC, kappa0=-1.0)})
+        assert validate_config(sinc) == ["field profile: coupling must be finite and >= 0, got -1.0"]
+        table = tmp_path / "object.csv"
+        table.write_text("x,re,im\n0.0,1.0,0.0\n1e-6,1.0\n")
+        problems = validate_config(mutated(GHOST_IMAGE, {"object": {"type": "csv", "path": str(table)}}))
+        assert problems == [f"field object.path: {table}: row ['1e-6', '1.0'] is not x, re(t), im(t)"]
+        # a subnormal dq would make the default x_t span, one transform period, infinite
+        tiny_dq = mutated(GHOST_DIFFRACTION, {"qgrid.dq": 1e-320})
+        assert validate_config(tiny_dq) == [
+            "field qgrid: dq must be > 0 with a finite transform period 2 pi / dq, got 1e-320"
+        ]
+
+
+class TestHugeGrids:
+    @pytest.mark.parametrize("count", [1e15, 10**15], ids=["float", "int"])
+    def test_validate_checks_range_bounds_only(self, count):
+        cfg = {"kind": "nrf-sweep", "grids": {"mu_t": [1.0], "mu_r": [1.0], "n_pdc": dict(RANGE, count=count)}}
+        assert validate_config(cfg) == []
+
+    def test_validate_leaves_momentum_grid_unexpanded(self):
+        assert validate_config(mutated(GHOST_DIFFRACTION, {"qgrid.n_half": 10**12})) == []
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 7.11 PiB for an array")
+
+        monkeypatch.setattr(correlations, "sweep_columns", exhausted)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(NRF_SWEEP))
+        status, lines = run_main(["run", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert status == 1
+        assert lines == ["error: Unable to allocate 7.11 PiB for an array"]
+
+
+def fuzz_seed(name):
+    """A demo config shrunk to a small, fast run."""
+    cfg = demo(name)
+    cfg.pop("output_dir")
+    if "grids" in cfg:
+        for axis, spec in cfg["grids"].items():
+            cfg["grids"][axis] = dict(spec, count=3) if isinstance(spec, dict) else spec[:3]
+    if "cutoff" in cfg:
+        cfg["cutoff"] = 12
+    if "qgrid" in cfg:
+        cfg["qgrid"]["n_half"] = 16
+        cfg["detector"] = {key: 33 if key.endswith("count") else v for key, v in cfg["detector"].items()}
+    return cfg
+
+
+FUZZ_SEEDS = [fuzz_seed(path.stem) for path in sorted(DEMO_CONFIGS.glob("*.json"))]
+MUTATIONS = {
+    "string": "a", "true": True, "false": False, "nan": math.nan, "inf": math.inf, "negative": -1.0, "zero": 0,
+    "list": [1.0], "dict": {}, "delete": DELETE, "extra": None,
+}
+
+
+def leaf_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from leaf_paths(value, prefix + (key,))
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_mutation_is_rejected_or_runs(self, data):
+        cfg = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_SEEDS))))
+        path = data.draw(st.sampled_from(sorted(leaf_paths(cfg), key=str)))
+        mutation = data.draw(st.sampled_from(sorted(MUTATIONS)))
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        if mutation == "delete":
+            del parent[path[-1]]
+        elif mutation == "extra":
+            (parent if isinstance(parent, dict) else cfg)["unexpected"] = 1.0
+        else:
+            parent[path[-1]] = MUTATIONS[mutation]
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg))
+            status, lines = run_main(["validate", str(cfg_path)])
+            if status == 1:
+                assert lines and all(line.startswith(("invalid: field ", "invalid: missing field: ")) for line in lines)
+                return
+            assert status == 0 and lines == []
+            status, lines = run_main(["run", str(cfg_path), "--out", str(Path(tmp) / "out")])
+        assert status == 0 and lines == [] or status == 1 and len(lines) == 1, lines
+        assert status == 0 or lines[0].startswith("error: ") or lines[0] == "scenario check failed"
