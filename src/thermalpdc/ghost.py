@@ -129,6 +129,9 @@ class MomentumGrid:
     dq: float
 
     def __post_init__(self):
+        # the momentum indices -n_half..n_half are int64
+        if isinstance(self.n_half, bool) or not hasattr(self.n_half, "__index__") or self.n_half >= 2**62:
+            raise ValueError(f"n_half must be an integer below 2**62, got {self.n_half!r}")
         if self.n_half < 1:
             raise ValueError("n_half must be >= 1")
         if not (0 < self.dq < math.inf and math.isfinite(2.0 * math.pi / self.dq)):
@@ -188,7 +191,8 @@ class SincProfile(GainProfile):
 
     def mode_params(self, q: float) -> ModeParams:
         arg = self.bandwidth * q * q
-        s = 1.0 if arg == 0 else math.sin(arg) / arg
+        # an overflowing argument takes the limit sin(arg) / arg -> 0, where math.sin raises
+        s = 1.0 if arg == 0 else math.sin(arg) / arg if math.isfinite(arg) else 0.0
         return ModeParams(self.mu_t, self.mu_r, self.kappa0 * abs(s), self.phase)
 
 
@@ -296,14 +300,18 @@ def transfer_reference_arm(geometry: GhostGeometry, q, x_r) -> np.ndarray:
     x_r = np.atleast_1d(np.asarray(x_r, dtype=float))
     lam = geometry.wavelength
     if geometry.branch == "imaging":
-        dd = geometry.lens_term
-        quad = np.exp(-1j * lam / (4.0 * math.pi) * (geometry.d2 + dd) * q ** 2)
-        return quad[None, :] * np.exp(-1j * np.outer(x_r, q) * (dd / geometry.d3))
+        quad = _imaging_quadratic(geometry, q)
+        return quad[None, :] * np.exp(-1j * np.outer(x_r, q) * (geometry.lens_term / geometry.d3))
     quad = np.exp(-1j * lam * geometry.d2 / (4.0 * math.pi) * q ** 2)
     dq = float(np.min(np.diff(q))) if q.size > 1 else 1.0
     target = -2.0 * math.pi * x_r / (lam * geometry.d3)
     hit = np.abs(target[:, None] - q[None, :]) <= SNAP_FRACTION * dq
     return np.where(hit, quad[None, :], 0.0)
+
+
+def _imaging_quadratic(geometry: GhostGeometry, q: np.ndarray) -> np.ndarray:
+    """exp(-i (lam/4 pi)(d2 + D) q^2), the q-only factor of the imaging h_R."""
+    return np.exp(-1j * geometry.wavelength / (4.0 * math.pi) * (geometry.d2 + geometry.lens_term) * q ** 2)
 
 
 def _check_profile_symmetry(c_q: np.ndarray) -> None:
@@ -319,14 +327,16 @@ def g2_map(
     qgrid: MomentumGrid,
     x_r,
     x_t,
-    engine: str = "direct",
 ) -> G2Map:
     """Fourth-order correlation over an (x_R, x_T) detector grid.
 
-    engine="direct" evaluates the momentum sum by dense matrix product;
-    engine="fft" evaluates it by a fast transform and requires the x_r grid
-    to be commensurate with the momentum grid (adjacent pixels one lattice
-    step apart).  Both engines agree to within rounding.
+    On the imaging branch the momentum sum is a K-point discrete transform
+    when every x_r pixel maps onto a lattice of K >= 2 n_half + 1 rows, as on
+    matched_image_grids; g2_map then runs it by FFT, provided the padded
+    (K, len(x_t)) array is no larger than the direct route's (len(x_r),
+    2 n_half + 1) matrix.  Otherwise it takes the dense product of
+    transfer_reference_arm and transfer_test_arm.  Both routes agree to
+    within rounding.
     """
     x_r = np.atleast_1d(np.asarray(x_r, dtype=float))
     x_t = np.atleast_1d(np.asarray(x_t, dtype=float))
@@ -334,55 +344,45 @@ def g2_map(
     c_q = profile.correlation_amplitudes(q)
     _check_profile_symmetry(c_q)
     ht = transfer_test_arm(geometry, obj, q, x_t)
-    if engine == "direct":
-        hr = transfer_reference_arm(geometry, q, x_r)
-        s = (hr * c_q[None, :]) @ ht
-    elif engine == "fft":
-        if geometry.branch == "fourier":
-            raise ValueError("fft engine applies to the imaging branch only")
-        s = _fft_image_sum(geometry, qgrid, c_q, ht, x_r)
+    lattice = _transform_rows(geometry, qgrid, x_r, x_t.size)
+    if lattice is None:
+        s = (transfer_reference_arm(geometry, q, x_r) * c_q[None, :]) @ ht
     else:
-        raise ValueError(f"unknown engine {engine!r}")
+        # h_R(x_r[j], -m dq) = quad(m dq) exp(-2 pi i m rows[j] / K).  ht is
+        # weighted in place and each array freed once copied, so that at most
+        # two (K or n_q, n_xt) complex arrays are alive at once
+        big_k, rows = lattice
+        ht *= (c_q * _imaging_quadratic(geometry, q))[:, None]
+        padded = np.zeros((big_k, x_t.size), dtype=complex)
+        padded[np.arange(-qgrid.n_half, qgrid.n_half + 1) % big_k] = ht
+        del ht
+        s = np.fft.fft(padded, axis=0)
+        del padded
+        s = s[rows]
     return G2Map(x_r, x_t, np.abs(s) ** 2)
 
 
-def _fft_image_sum(geometry, qgrid, c_q, ht, x_r):
-    """Momentum sum on the imaging branch via an FFT over a common lattice.
+def _transform_rows(geometry, qgrid, x_r, n_xt):
+    """(K, rows) when the imaging momentum sum at x_r is a K-point DFT, else None.
 
-    Writing r_j = dq (D/d3) x_r[j] / (2 pi), the sum at pixel j is the
-    K-point discrete transform of the weighted integrand evaluated at index
-    round(r_j K); this requires every r_j to sit on a lattice of spacing
-    1/K with K at least the number of momentum samples.
+    With r_j = dq (D/d3) x_r[j] / (2 pi), pixel j reads row r_j K, which must
+    lie within 1e-9 of an integer (a phase error below pi 1e-9); K comes
+    from the first two pixels, and K >= n_q keeps indices from aliasing.
     """
-    q = qgrid.values
-    dd = geometry.lens_term
-    lam = geometry.wavelength
-    quad = np.exp(-1j * lam / (4.0 * math.pi) * (geometry.d2 + dd) * q ** 2)
-    a = (c_q * quad)[:, None] * ht  # (nq, nxt)
-    r = qgrid.dq * (dd / geometry.d3) * x_r / (2.0 * math.pi)
-    if x_r.size < 2:
-        raise ValueError("fft engine needs at least two x_r samples")
-    dr = np.diff(r)
-    if np.abs(dr - dr[0]).max() > 1e-9 * abs(dr[0]):
-        raise ValueError("x_r grid must be uniform for the fft engine")
-    k_count = 1.0 / abs(dr[0])
-    big_k = int(round(k_count))
-    if abs(k_count - big_k) > 1e-6:
-        raise ValueError("x_r grid is not commensurate with the momentum grid")
-    if big_k < q.size:
-        raise ValueError(
-            f"lattice size {big_k} smaller than the momentum grid ({q.size}); "
-            "momentum indices would alias"
-        )
-    k_idx = r * big_k
-    k_round = np.round(k_idx)
-    if np.abs(k_idx - k_round).max() > 1e-6:
-        raise ValueError("x_r grid is not aligned with the transform lattice")
-    m = np.arange(-qgrid.n_half, qgrid.n_half + 1)
-    padded = np.zeros((big_k, a.shape[1]), dtype=complex)
-    padded[m % big_k, :] = a
-    transformed = np.fft.fft(padded, axis=0)
-    return transformed[k_round.astype(int) % big_k, :]
+    if geometry.branch != "imaging" or x_r.size < 2:
+        return None
+    n_q = 2 * qgrid.n_half + 1
+    k_max = x_r.size * n_q // max(n_xt, 1)  # (K, n_xt) no larger than (n_xr, n_q)
+    r = x_r * (qgrid.dq * geometry.lens_term / (2.0 * math.pi * geometry.d3))
+    step = abs(float(r[1] - r[0]))
+    # written so that NaN fails; a zero or subnormal step would make K infinite
+    if not step * (k_max + 1) >= 1.0:
+        return None
+    big_k = round(1.0 / step)
+    rows = np.round(r * big_k)
+    if not (n_q <= big_k <= k_max and np.abs(r * big_k - rows).max() <= 1e-9):
+        return None
+    return big_k, rows.astype(int) % big_k
 
 
 def matched_image_grids(geometry: GhostGeometry, qgrid: MomentumGrid):
@@ -393,7 +393,7 @@ def matched_image_grids(geometry: GhostGeometry, qgrid: MomentumGrid):
     is the Test lattice scaled by the pixel mapping of the imaging kernel,
     which under the thin-lens condition is the magnification.  On these
     grids the bucket-reduced object-plane reconstruction and the
-    Fourier-lens slice agree to rounding, and the fft engine applies.
+    Fourier-lens slice agree to rounding, and g2_map runs its fast transform.
     """
     count = 2 * qgrid.n_half + 1
     dx = 2.0 * math.pi / (count * qgrid.dq)
@@ -409,13 +409,13 @@ def ghost_image(
     qgrid: MomentumGrid,
     x_r,
     x_t,
-    engine: str = "direct",
 ) -> GhostImage:
     """Reconstruct the object intensity from the correlation map.
 
     Requires the imaging branch.  When the thin-lens condition holds the
     reconstruction approaches |t(-x_R / M)|^2 with M the magnification; a
     nonzero residual defocuses the image but is reported, not rejected.
+    The map comes from g2_map, which picks its route from the grids.
 
     Object-plane variant: integrates the map over the Test coordinate
     (bucket detection).  Fourier-lens variant: every Test slice already
@@ -427,7 +427,7 @@ def ghost_image(
             "focal geometry (f_r = d3) reconstructs a spectrum, not an image; "
             "use ghost_diffraction"
         )
-    g2 = g2_map(geometry, obj, profile, qgrid, x_r, x_t, engine=engine)
+    g2 = g2_map(geometry, obj, profile, qgrid, x_r, x_t)
     if geometry.variant is CollectionOptics.OBJECT_PLANE:
         raw = g2.bucket_reduce()
     else:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermalpdc import (
     CallableProfile,
@@ -57,6 +59,22 @@ def double_slit_spectrum(k, width, separation):
 
 def normalized_cross_correlation(a, b):
     return float(a @ b / math.sqrt((a @ a) * (b @ b)))
+
+
+def direct_g2(geometry, obj, profile, qgrid, x_r, x_t):
+    """The momentum sum as a dense product of the public transfer matrices."""
+    q = qgrid.values
+    c_q = profile.correlation_amplitudes(q)
+    return np.abs((transfer_reference_arm(geometry, q, x_r) * c_q) @ transfer_test_arm(geometry, obj, q, x_t)) ** 2
+
+
+def g2_and_fft_calls(*args):
+    """g2_map(*args) and the number of np.fft.fft calls it made."""
+    calls = []
+    fft = np.fft.fft
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.fft, "fft", lambda *a, **k: calls.append(a) or fft(*a, **k))
+        return g2_map(*args), len(calls)
 
 
 class TestSampledObject:
@@ -163,6 +181,10 @@ class TestMomentumGrid:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             MomentumGrid(0, 1.0)
+        for n_half in (2**62, 2.5, 16.0, True, "16", None):
+            with pytest.raises(ValueError, match="integer"):
+                MomentumGrid(n_half, 1.0)
+        assert MomentumGrid(np.int64(16), 1.0).values.size == 33
         with pytest.raises(ValueError):
             MomentumGrid(4, -1.0)
         for dq in (math.nan, math.inf, 1e-320):
@@ -185,6 +207,13 @@ class TestCorrelationAmplitude:
         q0 = math.sqrt(math.pi / 1e-10)
         assert correlation_amplitude(q0, prof) == pytest.approx(0.0, abs=1e-12)
         assert correlation_amplitude(0.0, prof) > 0.0
+
+    @pytest.mark.parametrize("bandwidth", [1.0, -1.0, 1e300])
+    def test_sinc_profile_overflowing_argument_gives_zero(self, bandwidth):
+        # bandwidth q^2 overflows to +-inf, where sin(arg) / arg -> 0
+        prof = SincProfile(kappa0=0.9, bandwidth=bandwidth)
+        assert prof.mode_params(1e200).coupling == 0.0
+        assert correlation_amplitude(1e200, prof) == 0.0
 
 
 class TestTransferFunctions:
@@ -274,21 +303,45 @@ class TestG2Map:
             g2_map(IMAGING, self.obj, lopsided, self.qgrid, self.x_r, self.x_t)
 
     def test_fft_engine_matches_direct(self):
-        direct = g2_map(IMAGING, self.obj, TWIN, self.qgrid, self.x_r, self.x_t)
-        fast = g2_map(IMAGING, self.obj, TWIN, self.qgrid, self.x_r, self.x_t, engine="fft")
-        scale = direct.values.max()
-        assert np.abs(fast.values - direct.values).max() <= 1e-10 * scale
+        # the transform needs every pixel on its lattice, not a uniform grid
+        for x_r in (self.x_r, np.concatenate([self.x_r[::-1], self.x_r[:7]])):
+            fast, fft_calls = g2_and_fft_calls(IMAGING, self.obj, TWIN, self.qgrid, x_r, self.x_t)
+            direct = direct_g2(IMAGING, self.obj, TWIN, self.qgrid, x_r, self.x_t)
+            assert fft_calls == 1
+            assert np.abs(fast.values - direct).max() <= 1e-10 * direct.max()
 
-    def test_fft_engine_rejects_fourier_branch(self):
+    def test_fourier_branch_runs_direct_sum(self):
         x = np.linspace(-1e-3, 1e-3, 65)
         obj = single_slit(x, SLIT)
-        with pytest.raises(ValueError, match="imaging"):
-            g2_map(FOURIER, obj, TWIN, MomentumGrid(32, 1e4), x, x, engine="fft")
+        args = (FOURIER, obj, TWIN, MomentumGrid(32, 1e4), x, x)
+        g, fft_calls = g2_and_fft_calls(*args)
+        assert fft_calls == 0
+        assert np.array_equal(g.values, direct_g2(*args))
 
-    def test_fft_engine_rejects_incommensurate_grid(self):
-        bad_x_r = self.x_r * 1.0001
-        with pytest.raises(ValueError, match="commensurate|aligned"):
-            g2_map(IMAGING, self.obj, TWIN, self.qgrid, bad_x_r, self.x_t, engine="fft")
+    def test_off_lattice_grid_runs_direct_sum(self):
+        pixel = self.x_r[1] - self.x_r[0]
+        # stretched by 1e-4, or by 1e-10 (2.6e-8 of a row at the edge pixel),
+        # shifted half a pixel, one repeated pixel (no lattice step)
+        for x_r in (self.x_r * (1 + 1e-4), self.x_r * (1 + 1e-10), self.x_r + pixel / 2, np.zeros_like(self.x_r)):
+            args = (IMAGING, self.obj, TWIN, self.qgrid, x_r, self.x_t)
+            g, fft_calls = g2_and_fft_calls(*args)
+            assert fft_calls == 0
+            assert np.array_equal(g.values, direct_g2(*args))
+
+    @pytest.mark.parametrize(
+        "big_k, pixels", [(4096, 3), (34, 33), (32, 32)], ids=["larger-than-direct", "one-row-over", "aliasing"]
+    )
+    def test_lattice_out_of_bounds_runs_direct_sum(self, big_k, pixels):
+        # pixels on a K-row lattice with 33 momenta: a (4096, 33) or (34, 33)
+        # transform outgrows the (3, 33) or (33, 33) Reference-arm matrix of
+        # the direct sum; K = 32 fits that bound, but 33 momenta would alias
+        qg = MomentumGrid(16, 2 * np.pi / (8 * SLIT))
+        _, x_t = matched_image_grids(IMAGING, qg)
+        pixel = 2 * np.pi * IMAGING.d3 / (qg.dq * IMAGING.lens_term * big_k)
+        args = (IMAGING, single_slit(x_t, SLIT), TWIN, qg, pixel * np.arange(-(pixels // 2), pixels - pixels // 2), x_t)
+        g, fft_calls = g2_and_fft_calls(*args)
+        assert fft_calls == 0
+        assert np.array_equal(g.values, direct_g2(*args))
 
     def test_peak_line_is_inverted_image_line(self):
         flat = SampledObject(self.x_t, np.ones_like(self.x_t))
@@ -388,9 +441,42 @@ class TestDefocusedImaging:
         qg = MomentumGrid(128, 2 * np.pi / (16 * SLIT))
         x_r, x_t = matched_image_grids(self.DEFOCUSED, qg)
         obj = single_slit(x_t, SLIT)
-        direct = g2_map(self.DEFOCUSED, obj, TWIN, qg, x_r, x_t)
-        fast = g2_map(self.DEFOCUSED, obj, TWIN, qg, x_r, x_t, engine="fft")
-        assert np.abs(fast.values - direct.values).max() <= 1e-10 * direct.values.max()
+        fast, fft_calls = g2_and_fft_calls(self.DEFOCUSED, obj, TWIN, qg, x_r, x_t)
+        direct = direct_g2(self.DEFOCUSED, obj, TWIN, qg, x_r, x_t)
+        assert fft_calls == 1
+        assert np.abs(fast.values - direct).max() <= 1e-10 * direct.max()
+
+
+class TestTransformRouteProperty:
+    """On matched grids g2_map runs the fast transform, and it must equal the
+    direct sum over in-focus and defocused imaging geometries."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(0.05, 0.3), st.floats(0.05, 0.3), st.floats(0.5, 4.0),
+        st.one_of(st.just(0.0), st.floats(-0.3, 0.3)),
+        st.booleans(), st.booleans(), st.floats(0.05, 1.0), st.integers(8, 64),
+        st.floats(4.0, 32.0), st.floats(0.02, 0.3), st.floats(-0.3, 0.3), st.booleans(),
+    )
+    def test_fft_route_matches_direct(
+        self, d1, d2, magnification, defocus, fourier_lens, sinc, strength, n_half, window, width, center, two_slits
+    ):
+        d3 = magnification * (d1 + d2)
+        f_r = (1.0 + defocus) / (1.0 / (d1 + d2) + 1.0 / d3)  # thin lens when defocus is 0
+        variant = CollectionOptics.FOURIER_LENS if fourier_lens else CollectionOptics.OBJECT_PLANE
+        geometry = GhostGeometry(wavelength=LAM, d1=d1, d2=d2, d3=d3, f_r=f_r, f_t=0.2, variant=variant)
+        qg = MomentumGrid(n_half, 2 * np.pi / (window * SLIT))
+        # sinc: first zero at a fraction `strength` of the momentum window
+        profile = (SincProfile(kappa0=0.9, bandwidth=math.pi / (strength * n_half * qg.dq) ** 2) if sinc
+                   else ConstantProfile(ModeParams.from_npdc(0.0, 0.0, 4.0 * strength)))
+        x_r, x_t = matched_image_grids(geometry, qg)
+        span = x_t[-1] - x_t[0]
+        obj = (double_slit(x_t, width * span / 3.0, width * span, center * span) if two_slits
+               else single_slit(x_t, width * span, center * span))
+        fast, fft_calls = g2_and_fft_calls(geometry, obj, profile, qg, x_r, x_t)
+        direct = direct_g2(geometry, obj, profile, qg, x_r, x_t)
+        assert fft_calls == 1
+        assert np.abs(fast.values - direct).max() <= 1e-10 * direct.max()
 
 
 class TestGhostDiffraction:

@@ -239,6 +239,14 @@ class TestRunGhost:
         best = max(float(line.split(",")[2]) for line in lines[1:])
         assert best == 1.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bandwidth", [1e300, -1e300])
+    def test_overflowing_sinc_argument_runs(self, tmp_path, bandwidth):
+        # bandwidth q^2 overflows to +-inf off q = 0; the sinc takes its limit 0 there
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(mutated(demo("ghost_image"), {"profile": dict(SINC, bandwidth=bandwidth)})))
+        assert run_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == (0, [])
+
 
 class TestPgmWriter:
     def test_dark_map(self, tmp_path):
