@@ -7,7 +7,6 @@ to the worst relative error so the agreement can be judged fairly.
 """
 
 from thermalpdc import (
-    DisentangledCoefficients,
     ModeParams,
     cross_amplitude,
     evolve_thermal_pair,
@@ -15,24 +14,22 @@ from thermalpdc import (
     predicted_moments,
 )
 
+# mu_t, mu_r, n_pdc, cutoff
 POINTS = [
-    (0.0, 0.0, 1.0),   # spontaneous twin beams
-    (0.5, 0.0, 0.3),   # one-arm seeded
-    (1.0, 1.0, 1.0 / 3.0),  # equal seeds at the separability boundary
-    (2.0, 1.0, 0.5),   # bright asymmetric seeds
+    (0.0, 0.0, 1.0, 60),   # spontaneous twin beams
+    (0.5, 0.0, 0.3, 60),   # one-arm seeded
+    (1.0, 1.0, 1.0 / 3.0, 60),  # equal seeds at the separability boundary
+    (2.0, 1.0, 0.5, 80),   # bright asymmetric seeds
+    (3.0, 3.0, 1.0, 120),  # bright equal seeds at high gain
 ]
 
 
 def main():
     print(f"{'mu_t':>5} {'mu_r':>5} {'n_pdc':>7} {'cutoff':>7} "
           f"{'deficit':>10} {'worst rel err':>14}")
-    for mu_t, mu_r, gain in POINTS:
+    for mu_t, mu_r, gain, cutoff in POINTS:
         p = ModeParams.from_npdc(mu_t, mu_r, gain)
-        cutoff = 60 if max(mu_t, mu_r) < 2 else 80
-        state = evolve_thermal_pair(
-            mu_t, mu_r, DisentangledCoefficients.from_mode_params(p), cutoff,
-            max_trace_deficit=1e-4,
-        )
+        state = evolve_thermal_pair(p, cutoff, max_trace_deficit=1e-4)
         got = moments(state)
         want = predicted_moments(p)
         worst = max(
@@ -44,9 +41,7 @@ def main():
 
     print("\nAnomalous moment <a_T a_R> equals the covariance cross entry:")
     p = ModeParams.from_npdc(0.5, 0.25, 0.4)
-    state = evolve_thermal_pair(
-        p.mu_t, p.mu_r, DisentangledCoefficients.from_mode_params(p), 45
-    )
+    state = evolve_thermal_pair(p, 45)
     got = cross_amplitude(state)
     want = p.u * p.v * (1.0 + p.mu_t + p.mu_r)
     print(f"  oracle {got.real:+.8f}{got.imag:+.1e}j   closed form {want:+.8f}")

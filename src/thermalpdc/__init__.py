@@ -20,13 +20,10 @@ from .correlations import (
     write_sweep_csv,
 )
 from .fock import (
-    DisentangledCoefficients,
     MomentSet,
     TwoModeFockState,
-    action_coefficient,
     cross_amplitude,
     default_cutoff,
-    evolve_fock_pair,
     evolve_thermal_pair,
     input_tail_problem,
     moments,

@@ -31,12 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import ModeParams
-from .fock import (
-    DisentangledCoefficients,
-    cross_amplitude,
-    evolve_thermal_pair,
-    moments,
-)
+from .fock import cross_amplitude, evolve_thermal_pair, moments
 from .objects import SampledObject
 
 # Geometry classification, relative to 1/d3: below DELTA_TOL the lens-detector
@@ -510,8 +505,7 @@ def validate_factorization(
     checks = []
     for q in q_values:
         p = profile.mode_params(float(q))
-        coeffs = DisentangledCoefficients.from_mode_params(p)
-        state = evolve_thermal_pair(p.mu_t, p.mu_r, coeffs, cutoff, max_trace_deficit=1e-3)
+        state = evolve_thermal_pair(p, cutoff, max_trace_deficit=1e-3)
         mom = moments(state)
         fourth = mom.cross + mom.mean_t * mom.mean_r
         cross = cross_amplitude(state)

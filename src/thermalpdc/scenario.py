@@ -41,7 +41,8 @@ geometrically.
     detector.x_t_count = 512: integer >= 2; detector.x_t_span = 2 pi / dq:
       number > 0; the Test grid, which also samples slits and gratings
     detector.x_r_count = 512: integer >= 1; detector.x_r_span =
-      magnification times the x_t span: number > 0 (ghost-image only)
+      magnification times the x_t span: number > 0 (ghost-image only); a
+      single Reference pixel sits at x_r = 0
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import numpy as np
 
 from . import correlations
 from .artifacts import sha256_of, write_csv, write_pgm
-from .fock import DisentangledCoefficients, evolve_thermal_pair, input_tail_problem, moments, predicted_moments
+from .fock import evolve_thermal_pair, input_tail_problem, moments, predicted_moments
 # check_separability_lossy is unused here; perfbench's tracer tests look it up in this namespace.
 from .gaussian import ModeParams, check_separability_lossy  # noqa: F401
 from .ghost import CollectionOptics, ConstantProfile, GainProfile, GhostGeometry, MomentumGrid, SincProfile
@@ -127,9 +128,8 @@ class OracleScenario:
 
     def _write(self, out: Path):
         p = self.params
-        coeffs = DisentangledCoefficients.from_mode_params(p)
         try:
-            state = evolve_thermal_pair(p.mu_t, p.mu_r, coeffs, self.cutoff, max_trace_deficit=ORACLE_MAX_TRACE_DEFICIT)
+            state = evolve_thermal_pair(p, self.cutoff, max_trace_deficit=ORACLE_MAX_TRACE_DEFICIT)
         except ValueError as exc:
             raise ScenarioError(f"oracle-validate: {exc}") from exc
         got = moments(state)
@@ -358,7 +358,7 @@ def _parse_ghost(top: _Fields, kind: str, errors: list):
     if kind == "ghost-image":
         default_span = 2.0 * geometry.magnification * (x_t[-1] - x_t[0]) / 2.0
         span = x_r_span if x_r_span is not None else default_span
-        x_r = np.linspace(-span / 2.0, span / 2.0, x_r_count)
+        x_r = np.linspace(-span / 2.0, span / 2.0, x_r_count) if x_r_count > 1 else np.zeros(1)
     return GhostScenario(geometry, profile, qgrid, sampled, x_t, x_r)
 
 

@@ -12,7 +12,6 @@ import pytest
 from thermalpdc import (
     CollectionOptics,
     ConstantProfile,
-    DisentangledCoefficients,
     GhostGeometry,
     ModeParams,
     MomentumGrid,
@@ -118,16 +117,14 @@ def test_criterion_3_oracle_vs_analytic_moments():
         for mu_r in (0.0, 0.5, 1.0):
             for gain in (0.05, 0.15, 1.0 / 3.0):
                 p = ModeParams.from_npdc(mu_t, mu_r, gain)
-                state = evolve_thermal_pair(
-                    mu_t, mu_r, DisentangledCoefficients.from_mode_params(p), cutoff
-                )
+                state = evolve_thermal_pair(p, cutoff)
                 got = moments(state)
                 want = predicted_moments(p)
                 for name in ("mean_t", "mean_r", "var_t", "var_r", "cross"):
                     denom = max(abs(getattr(want, name)), 1.0)
                     worst = max(worst, abs(getattr(got, name) - getattr(want, name)) / denom)
     weights_ok = True
-    state = evolve_thermal_pair(0.0, 0.0, DisentangledCoefficients.from_coupling(ASINH1), cutoff)
+    state = evolve_thermal_pair(ModeParams(0.0, 0.0, ASINH1), cutoff)
     joint = state.joint_distribution()
     for n in range(cutoff + 1):
         weights_ok &= abs(joint[n, n] - 0.5 ** (n + 1)) <= 1e-8

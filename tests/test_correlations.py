@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermalpdc import (
-    DisentangledCoefficients,
     ModeParams,
     check_separability_lossy,
     correlation_index,
@@ -159,8 +158,7 @@ class TestOracleCrossCheck:
     def test_gamma_and_nrf_from_fock_moments(self):
         for mu_t, mu_r, n_pdc in [(0.0, 0.0, 0.3), (0.5, 0.0, 0.2), (0.6, 0.4, 0.25)]:
             p = ModeParams.from_npdc(mu_t, mu_r, n_pdc)
-            c = DisentangledCoefficients.from_mode_params(p)
-            state = evolve_thermal_pair(mu_t, mu_r, c, 45)
+            state = evolve_thermal_pair(p, 45)
             m = moments(state)
             tol = 10.0 * state.cutoff ** 2 * state.trace_deficit + 1e-7
             got_gamma = m.cross / math.sqrt(m.var_t * m.var_r)

@@ -3,18 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermalpdc import (
-    DisentangledCoefficients,
     ModeParams,
     TwoModeFockState,
-    action_coefficient,
     cross_amplitude,
     default_cutoff,
-    evolve_fock_pair,
     evolve_thermal_pair,
+    fock,
     moments,
     predicted_moments,
     write_joint_distribution_csv,
@@ -43,8 +41,9 @@ def series_expm(m):
     return out
 
 
-def brute_force_evolved(n, m, coupling, phase, dim):
-    """Evolve |n, m> by exponentiating the bilinear generator directly.
+def brute_force_unitary(coupling, phase, dim):
+    """Exponentiate the bilinear generator directly on the dense product basis
+    |n>_T |m>_R (flat index n * dim + m).
 
     The generator phase is chosen so the induced input-output relation is
     b_T = cosh a_T + e^{i phase} sinh a_R^dagger, the convention shared by
@@ -56,127 +55,37 @@ def brute_force_evolved(n, m, coupling, phase, dim):
     a_r = np.kron(eye, a)
     kappa = coupling * np.exp(1j * (math.pi / 2.0 - phase))
     gen = kappa * a_t @ a_r + np.conj(kappa) * a_t.conj().T @ a_r.conj().T
-    u = series_expm(1j * gen)
-    src = np.zeros(dim * dim, dtype=complex)
-    src[n * dim + m] = 1.0
-    return u @ src
+    return series_expm(1j * gen)
 
 
-class TestDisentangledCoefficients:
-    def test_from_coupling(self):
-        c = DisentangledCoefficients.from_coupling(0.8)
-        assert abs(c.pair_amplitude) == pytest.approx(math.tanh(0.8), abs=1e-15)
-        assert c.log_gain == pytest.approx(math.log(math.cosh(0.8)), abs=1e-15)
-        assert abs(c.pair_amplitude) < 1.0
-
-    def test_zero_coupling(self):
-        c = DisentangledCoefficients.from_coupling(0.0)
-        assert c.pair_amplitude == 0.0
-        assert c.log_gain == 0.0
-
-    def test_phase_lands_on_amplitude(self):
-        c = DisentangledCoefficients.from_coupling(0.5, 1.1)
-        assert np.angle(c.pair_amplitude) == pytest.approx(1.1, abs=1e-12)
-
-    def test_rejects_inconsistent_pair(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            DisentangledCoefficients(0.9, 0.01)
-
-    @pytest.mark.parametrize("coupling", [1e-12, 1e-9, 1e-6])
-    def test_small_coupling_is_consistent(self, coupling):
-        # ln cosh rounds to 0 below ~1e-8 while tanh does not
-        c = DisentangledCoefficients.from_coupling(coupling)
-        assert abs(c.pair_amplitude) == pytest.approx(math.tanh(coupling), rel=1e-15)
-
-    def test_rejects_slightly_inconsistent_pair_at_high_gain(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            DisentangledCoefficients(math.tanh(2.0) - 1e-10, math.log(math.cosh(2.0)))
-
-    def test_rejects_negative_gain(self):
-        with pytest.raises(ValueError):
-            DisentangledCoefficients(0.0, -0.1)
-
-    def test_from_mode_params(self):
-        p = ModeParams(0.2, 0.1, 0.6, 0.4)
-        c = DisentangledCoefficients.from_mode_params(p)
-        assert c == DisentangledCoefficients.from_coupling(0.6, 0.4)
-
-
-class TestActionCoefficient:
-    def test_identity_when_uncoupled(self):
-        c = DisentangledCoefficients.from_coupling(0.0)
-        assert action_coefficient(0, 0, 0, 0, c) == 1.0
-        assert action_coefficient(3, 2, 0, 0, c) == 1.0
-        assert action_coefficient(3, 2, 1, 1, c) == 0.0
-
-    def test_single_pair_amplitude(self):
-        c = DisentangledCoefficients.from_coupling(0.7)
-        got = action_coefficient(0, 0, 0, 1, c)
-        assert got == pytest.approx(
-            math.exp(-c.log_gain) * c.pair_amplitude, abs=1e-15
-        )
-        assert abs(got) ** 2 == pytest.approx(
-            math.tanh(0.7) ** 2 / math.cosh(0.7) ** 2, rel=1e-12
-        )
-
-    @pytest.mark.parametrize("m,n,k,l", [(1, 1, 2, 0), (0, 0, 0, -1), (-1, 0, 0, 0)])
-    def test_rejects_bad_indices(self, m, n, k, l):
-        c = DisentangledCoefficients.from_coupling(0.3)
-        with pytest.raises(ValueError):
-            action_coefficient(m, n, k, l, c)
-
-    def test_matches_vector_evolution(self):
-        c = DisentangledCoefficients.from_coupling(0.45, 0.7)
-        cutoff = 12
-        n, m = 2, 1
-        amps = evolve_fock_pair(n, m, c, cutoff)
-        expected = np.zeros_like(amps)
-        for k in range(min(n, m) + 1):
-            for l in range(cutoff - max(n, m) + k + 1):
-                expected[l - k + min(n, m)] += action_coefficient(m, n, k, l, c)
-        assert np.abs(amps - expected).max() == 0.0
-
-
-class TestEvolveFockPair:
-    @pytest.mark.parametrize("n,m", [(0, 0), (2, 1), (3, 3), (0, 4)])
-    def test_against_matrix_exponential(self, n, m):
-        coupling, phase = 0.45, 0.7
+class TestDenseReference:
+    def test_bands_match_dense_evolution(self):
+        coupling, phase, mu_t, mu_r = 0.45, 0.7, 0.3, 0.2
         dim = 26
-        c = DisentangledCoefficients.from_coupling(coupling, phase)
-        amps = evolve_fock_pair(n, m, c, dim - 1)
-        psi = brute_force_evolved(n, m, coupling, phase, dim)
-        # the exponentiated truncated generator reflects off the cutoff
-        # edge, so compare rungs that stay at least 8 levels below it
-        for i, amp in enumerate(amps):
-            j = i - min(n, m)
-            if max(n, m) + j <= dim - 9:
-                assert abs(amp - psi[(n + j) * dim + (m + j)]) < 1e-9
-
-    def test_unitarity_slice(self):
-        # total evolved weight reaches 1 once the cutoff clears the support
-        c = DisentangledCoefficients.from_coupling(0.6)
-        for n, m in [(0, 0), (1, 1), (2, 5), (4, 4)]:
-            amps = evolve_fock_pair(n, m, c, 60)
-            assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-10)
-
-    def test_rejects_inputs_beyond_cutoff(self):
-        c = DisentangledCoefficients.from_coupling(0.2)
-        with pytest.raises(ValueError):
-            evolve_fock_pair(7, 0, c, 6)
+        state = evolve_thermal_pair(ModeParams(mu_t, mu_r, coupling, phase), dim - 1)
+        u = brute_force_unitary(coupling, phase, dim)
+        n = np.arange(dim)
+        rho_in = np.diag(np.kron(mu_t ** n / (1 + mu_t) ** (n + 1), mu_r ** n / (1 + mu_r) ** (n + 1)))
+        rho = u @ rho_in @ u.conj().T
+        # the exponentiated truncated generator reflects off the cutoff edge,
+        # so compare rungs that stay at least 8 levels below it
+        for d, band in zip(range(-dim + 9, dim - 8), state.bands[8:-8]):
+            n_t, n_r = fock._rungs(d, dim)
+            kept = np.maximum(n_t, n_r) <= dim - 9
+            idx = (n_t * dim + n_r)[kept]
+            assert np.abs(band[np.ix_(kept, kept)] - rho[np.ix_(idx, idx)]).max() < 1e-12, d
 
 
 class TestEvolveThermalPair:
     def test_double_vacuum_uncoupled(self):
-        c = DisentangledCoefficients.from_coupling(0.0)
-        state = evolve_thermal_pair(0.0, 0.0, c, 5)
+        state = evolve_thermal_pair(ModeParams(0.0, 0.0, 0.0), 5)
         expected = np.zeros((36, 36), dtype=complex)
         expected[0, 0] = 1.0
         assert np.array_equal(state.matrix, expected)
         assert state.trace_deficit == 0.0
 
     def test_squeezed_vacuum_schmidt_weights(self):
-        c = DisentangledCoefficients.from_coupling(ASINH1)
-        state = evolve_thermal_pair(0.0, 0.0, c, 40)
+        state = evolve_thermal_pair(ModeParams(0.0, 0.0, ASINH1), 40)
         p = state.joint_distribution()
         for n in range(10):
             assert p[n, n] == pytest.approx(0.5 ** (n + 1), abs=1e-12)
@@ -184,40 +93,62 @@ class TestEvolveThermalPair:
         assert np.abs(off).max() < 1e-15
 
     def test_unevolved_thermal_times_vacuum(self):
-        c = DisentangledCoefficients.from_coupling(0.0)
-        state = evolve_thermal_pair(0.5, 0.0, c, 40)
+        state = evolve_thermal_pair(ModeParams(0.5, 0.0, 0.0), 40)
         p = state.joint_distribution()
         for n in range(6):
             assert p[n, 0] == pytest.approx(0.5 ** n / 1.5 ** (n + 1), rel=1e-12)
         assert np.abs(p[:, 1:]).max() == 0.0
 
     def test_hermitian_and_positive(self):
-        c = DisentangledCoefficients.from_coupling(0.5, 0.3)
-        state = evolve_thermal_pair(0.4, 0.2, c, 18)
+        state = evolve_thermal_pair(ModeParams(0.4, 0.2, 0.5, 0.3), 18)
         assert state.hermiticity_defect() < 1e-10
         assert state.min_eigenvalue() >= -1e-9
 
     def test_reports_insufficient_cutoff(self):
-        c = DisentangledCoefficients.from_coupling(0.0)
         with pytest.raises(ValueError, match="input tail"):
-            evolve_thermal_pair(5.0, 0.0, c, 10)
+            evolve_thermal_pair(ModeParams(5.0, 0.0, 0.0), 10)
 
     def test_reports_excess_trace_deficit(self):
-        c = DisentangledCoefficients.from_coupling(1.5)
         with pytest.raises(ValueError, match="trace deficit"):
-            evolve_thermal_pair(0.0, 0.0, c, 12, max_trace_deficit=1e-12)
+            evolve_thermal_pair(ModeParams(0.0, 0.0, 1.5), 12, max_trace_deficit=1e-12)
 
-    def test_reports_lost_precision(self):
-        # the alternating k-sum of evolve_fock_pair cancels catastrophically
-        # near n = m = 40 at this gain, so the trace grows far beyond 1
+    def test_bright_seeds_only_report_truncation(self):
+        # at seeds and gain of order one the deficit is only the weight beyond the cutoff
         p = ModeParams.from_npdc(4.0, 4.0, 1.0)
-        c = DisentangledCoefficients.from_mode_params(p)
-        with pytest.raises(ValueError, match="lost precision"):
-            evolve_thermal_pair(4.0, 4.0, c, 80, max_trace_deficit=1e-3)
+        with pytest.raises(ValueError, match=r"trace deficit 3\.5\d+e-03 exceeds .*raise the cutoff"):
+            evolve_thermal_pair(p, 80, max_trace_deficit=1e-3)
+        state = evolve_thermal_pair(p, 120, max_trace_deficit=1e-3)
+        assert 0.0 < state.trace_deficit < 1e-3
+        assert state.min_eigenvalue() >= -1e-12
+
+    def test_bright_seeds_at_cutoff_150(self):
+        p = ModeParams.from_npdc(5.0, 5.0, 1.0)
+        state = evolve_thermal_pair(p, 150, max_trace_deficit=1e-3)
+        assert 0.0 < state.trace_deficit < 1e-3
+        assert state.min_eigenvalue() >= -1e-12
+        m = moments(state)
+        w = predicted_moments(p)
+        tol = moment_tolerance(state)  # as an absolute bound, about ten times the truncation error
+        for name in ("mean_t", "mean_r", "var_t", "var_r", "cross"):
+            assert getattr(m, name) == pytest.approx(getattr(w, name), abs=tol), name
+
+    def test_padding_is_converged(self, monkeypatch):
+        # the generator of each band is padded by cutoff + 1 rungs; doubling
+        # the padding moves no band entry, while halving it would
+        p = ModeParams.from_npdc(3.0, 3.0, 1.0)
+        state = evolve_thermal_pair(p, 100, 1e-3)
+        band_unitary = fock._band_unitary
+
+        def moved(scale):
+            monkeypatch.setattr(fock, "_band_unitary", lambda p, gap, side, pad: band_unitary(p, gap, side, int(scale * pad)))
+            other = evolve_thermal_pair(p, 100, 1e-3)
+            return max(float(np.abs(a - b).max()) for a, b in zip(state.bands, other.bands))
+
+        assert moved(2.0) < 1e-15
+        assert moved(0.5) > 1e-13
 
     def test_band_layout(self):
-        c = DisentangledCoefficients.from_coupling(0.4, 0.2)
-        state = evolve_thermal_pair(0.3, 0.6, c, 7, max_trace_deficit=1e-2)
+        state = evolve_thermal_pair(ModeParams(0.3, 0.6, 0.4, 0.2), 7, max_trace_deficit=1e-2)
         assert [band.shape for band in state.bands] == [(8 - abs(d),) * 2 for d in range(-7, 8)]
         dense = state.matrix.reshape(8, 8, 8, 8)
         # rung r of band d = 2 is (n_T, n_R) = (r + 2, r)
@@ -232,8 +163,7 @@ class TestEvolveThermalPair:
             raise AssertionError("dense matrix built")
 
         monkeypatch.setattr(TwoModeFockState, "matrix", property(forbidden))
-        c = DisentangledCoefficients.from_coupling(0.5, 0.3)
-        state = evolve_thermal_pair(0.4, 0.2, c, 18)
+        state = evolve_thermal_pair(ModeParams(0.4, 0.2, 0.5, 0.3), 18)
         moments(state)
         cross_amplitude(state)
         state.joint_distribution()
@@ -246,10 +176,9 @@ class TestEvolveThermalPair:
     def test_banded_memory_at_cutoff_60(self):
         # the dense matrix at this cutoff alone would take 211 MiB
         p = ModeParams.from_npdc(0.5, 0.5, 0.3)
-        c = DisentangledCoefficients.from_mode_params(p)
         tracemalloc.start()
         try:
-            state = evolve_thermal_pair(0.5, 0.5, c, 60)
+            state = evolve_thermal_pair(p, 60)
             moments(state)
             cross_amplitude(state)
             peak = tracemalloc.get_traced_memory()[1]
@@ -264,8 +193,7 @@ class TestEvolveThermalPair:
 
 class TestMoments:
     def test_squeezed_vacuum(self):
-        c = DisentangledCoefficients.from_coupling(ASINH1)
-        state = evolve_thermal_pair(0.0, 0.0, c, 50)
+        state = evolve_thermal_pair(ModeParams(0.0, 0.0, ASINH1), 50)
         m = moments(state)
         tol = moment_tolerance(state)
         assert m.mean_t == pytest.approx(1.0, rel=tol)
@@ -274,8 +202,7 @@ class TestMoments:
         assert m.cross == pytest.approx(2.0, rel=tol)
 
     def test_uncoupled_thermal_statistics(self):
-        c = DisentangledCoefficients.from_coupling(0.0)
-        state = evolve_thermal_pair(2.0, 1.0, c, 60, max_trace_deficit=1e-4)
+        state = evolve_thermal_pair(ModeParams(2.0, 1.0, 0.0), 60, max_trace_deficit=1e-4)
         m = moments(state)
         tol = moment_tolerance(state)
         assert m.mean_t == pytest.approx(2.0, rel=tol)
@@ -284,8 +211,7 @@ class TestMoments:
 
     def test_seeded_pair_closed_forms(self):
         p = ModeParams.from_npdc(2.0, 1.0, 0.5)
-        c = DisentangledCoefficients.from_mode_params(p)
-        state = evolve_thermal_pair(2.0, 1.0, c, 80, max_trace_deficit=1e-5)
+        state = evolve_thermal_pair(p, 80, max_trace_deficit=1e-5)
         m = moments(state)
         w = predicted_moments(p)
         assert w.mean_t == pytest.approx(4.0)
@@ -302,8 +228,7 @@ class TestMoments:
             for mu_r in (0.0, 0.6):
                 for n_pdc in (0.1, 0.4):
                     p = ModeParams.from_npdc(mu_t, mu_r, n_pdc)
-                    c = DisentangledCoefficients.from_mode_params(p)
-                    state = evolve_thermal_pair(mu_t, mu_r, c, 45)
+                    state = evolve_thermal_pair(p, 45)
                     m = moments(state)
                     w = predicted_moments(p)
                     tol = moment_tolerance(state)
@@ -315,8 +240,7 @@ class TestMoments:
     def test_thermal_marginals_keep_seed_statistics(self):
         for mu_t, mu_r, n_pdc in [(0.3, 0.8, 0.2), (1.0, 0.0, 0.5)]:
             p = ModeParams.from_npdc(mu_t, mu_r, n_pdc)
-            c = DisentangledCoefficients.from_mode_params(p)
-            state = evolve_thermal_pair(mu_t, mu_r, c, 45)
+            state = evolve_thermal_pair(p, 45)
             m = moments(state)
             tol = moment_tolerance(state)
             assert m.var_t == pytest.approx(m.mean_t * (m.mean_t + 1.0), rel=10 * tol)
@@ -324,8 +248,7 @@ class TestMoments:
 
     def test_cauchy_schwarz(self):
         p = ModeParams.from_npdc(0.7, 0.2, 0.6)
-        c = DisentangledCoefficients.from_mode_params(p)
-        state = evolve_thermal_pair(0.7, 0.2, c, 40)
+        state = evolve_thermal_pair(p, 40)
         m = moments(state)
         assert abs(m.cross) <= math.sqrt(m.var_t * m.var_r) + 1e-12
 
@@ -334,17 +257,33 @@ class TestCrossAmplitude:
     def test_phase_matches_heisenberg_convention(self):
         for phase in (0.0, 0.9, -1.3):
             p = ModeParams.from_npdc(0.4, 0.3, 0.35, phase)
-            c = DisentangledCoefficients.from_mode_params(p)
-            state = evolve_thermal_pair(p.mu_t, p.mu_r, c, 40)
+            state = evolve_thermal_pair(p, 40)
             got = cross_amplitude(state)
             want = p.u * p.v * (1.0 + p.mu_t + p.mu_r) * np.exp(1j * phase)
             assert got == pytest.approx(want, abs=1e-6)
 
 
+class TestSeedsGainAndPhase:
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(0.0, 3.0), st.floats(0.0, 3.0), st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+    @example(3.0, 3.0, 1.0, 0.4)  # the brightest corner, where the evolution is hardest to keep exact
+    def test_state_matches_closed_forms(self, mu_t, mu_r, n_pdc, phase):
+        p = ModeParams.from_npdc(mu_t, mu_r, n_pdc, phase)
+        state = evolve_thermal_pair(p, default_cutoff(mu_t, mu_r, n_pdc), max_trace_deficit=1e-3)
+        assert state.hermiticity_defect() <= 1e-12
+        assert state.min_eigenvalue() >= -1e-12
+        m = moments(state)
+        w = predicted_moments(p)
+        tol = moment_tolerance(state)  # as an absolute bound, about ten times the truncation error
+        for name in ("mean_t", "mean_r", "var_t", "var_r", "cross"):
+            assert getattr(m, name) == pytest.approx(getattr(w, name), abs=tol), name
+        want = np.exp(1j * phase) * p.u * p.v * (1.0 + mu_t + mu_r)
+        assert cross_amplitude(state) == pytest.approx(want, abs=tol)
+
+
 class TestJointDistributionDump:
     def test_csv_contents(self, tmp_path):
-        c = DisentangledCoefficients.from_coupling(ASINH1)
-        state = evolve_thermal_pair(0.0, 0.0, c, 8, max_trace_deficit=1e-2)
+        state = evolve_thermal_pair(ModeParams(0.0, 0.0, ASINH1), 8, max_trace_deficit=1e-2)
         path = tmp_path / "joint.csv"
         write_joint_distribution_csv(state, path)
         lines = path.read_text().strip().splitlines()
@@ -394,9 +333,7 @@ class TestCovarianceFromOracle:
         from thermalpdc import covariance_with_phase
 
         p = ModeParams.from_npdc(0.5, 0.3, 0.4, phase)
-        state = evolve_thermal_pair(
-            p.mu_t, p.mu_r, DisentangledCoefficients.from_mode_params(p), 35
-        )
+        state = evolve_thermal_pair(p, 35)
         n_t = ladder_moment(state, (1, 1, 0, 0)).real
         n_r = ladder_moment(state, (0, 0, 1, 1)).real
         sq_t = ladder_moment(state, (0, 2, 0, 0))
@@ -444,7 +381,7 @@ class TestBandedState:
     def test_matches_dense_matrix(self, cutoff, mu_t, mu_r, n_pdc, phase):
         p = ModeParams.from_npdc(mu_t, mu_r, n_pdc, phase)
         # a large bound admits any truncation at these small cutoffs
-        state = evolve_thermal_pair(mu_t, mu_r, DisentangledCoefficients.from_mode_params(p), cutoff, 10.0)
+        state = evolve_thermal_pair(p, cutoff, 10.0)
         rho = state.matrix
         dim = cutoff + 1
         assert np.array_equal(state.joint_distribution(), np.real(np.diagonal(rho)).reshape(dim, dim))

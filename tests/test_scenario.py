@@ -219,6 +219,15 @@ class TestRunOracle:
         cfg = dict(ORACLE, params={"mu_t": 0.5, "mu_r": 0.5, "n_pdc": 1e-16}, cutoff=40)
         assert run(cfg, out_dir=tmp_path)["passed"]
 
+    def test_bright_seeds_run(self, tmp_path):
+        cfg = {"kind": "oracle-validate", "params": {"mu_t": 3, "mu_r": 3, "n_pdc": 1}, "cutoff": 120,
+               "max_relative_error": 0.01}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == (0, [])
+        report = json.loads((tmp_path / "o" / "oracle_report.json").read_text())
+        assert report["passed"] and 0.0 < report["trace_deficit"] < 1e-3
+
 
 class TestRunGhost:
     def test_image_artifacts(self, tmp_path):
@@ -230,6 +239,14 @@ class TestRunGhost:
         lines = (tmp_path / "image.csv").read_text().splitlines()
         assert lines[0] == "x_r,value_raw,value_normalized"
         assert len(lines) == 129
+
+    def test_single_reference_pixel_sits_on_the_axis(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(mutated(demo("ghost_image"), {"detector.x_r_count": 1})))
+        assert run_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == (0, [])
+        lines = (tmp_path / "o" / "image.csv").read_text().splitlines()
+        assert len(lines) == 2
+        assert float(lines[1].split(",")[0]) == 0.0
 
     def test_diffraction_artifacts(self, tmp_path):
         run(GHOST_DIFFRACTION, out_dir=tmp_path)
