@@ -4,9 +4,10 @@ This is the brute-force reference implementation used to validate the
 Gaussian-level results.  The pair generator
 kappa (e^{i phase} a_T^dag a_R^dag - h.c.) only adds or removes photon
 pairs, so it never changes the photon-number difference d = n_T - n_R and
-acts on each band of fixed d as a tridiagonal matrix.  Each band is evolved
-by one unitary, built from one symmetric eigendecomposition of that matrix,
-and the thermal mixture of inputs on the band is U diag(w) U^dag.
+acts on each band of fixed d as a tridiagonal matrix that only couples
+even rungs to odd ones.  Each band is evolved by one unitary, built from one
+SVD of that even-odd coupling, and the thermal mixture of inputs on the band
+is U diag(w) U^dag.
 
 The output density matrix is truncated at a photon-number cutoff per mode.
 The truncated weight is reported as a trace deficit, never hidden.
@@ -135,17 +136,29 @@ def _band_unitary(p: ModeParams, gap: int, side: int, pad: int) -> np.ndarray:
     """Pair evolution among the bottom side rungs of the bands d = +-gap.
 
     The generator couples rung r to r + 1 with sqrt((r + 1)(r + 1 + gap));
-    it is built on side + pad rungs.  Conjugated by
+    it is built on 2 h >= side + pad rungs.  Conjugated by
     D = diag(e^{i r (phase + pi/2)}) it becomes -i kappa S with S real
-    symmetric, so U = D (1 + V (e^{-i kappa Lambda} - 1) V^T) D^dag from
-    S = V Lambda V^T.  Written as identity plus correction, an uncoupled
-    pair stays exactly unevolved.
+    symmetric, and S only couples even rungs to odd ones: in that order
+    S = [[0, B], [B^T, 0]] with B square of side h.  From the SVD
+    B = P Sigma Q^T, e^{-i kappa S} has even block P cos(kappa Sigma) P^T,
+    odd block Q cos(kappa Sigma) Q^T and even-odd block
+    -i P sin(kappa Sigma) Q^T, so one SVD of side h replaces an
+    eigendecomposition of side 2 h.  The diagonal blocks are written as
+    identity plus correction, so an uncoupled pair stays exactly unevolved.
     """
-    r = np.arange(side + pad - 1)
+    h = (side + pad + 1) // 2
+    r = np.arange(2 * h - 1)
     off = np.sqrt((r + 1.0) * (r + 1.0 + gap))
-    lam, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    vec = vec[:side]
-    u = np.eye(side) + (vec * np.expm1(-1j * p.coupling * lam)) @ vec.T
+    # B[j, j] couples rung 2 j to 2 j + 1, B[j + 1, j] couples 2 j + 1 to 2 j + 2
+    p_even, sigma, q_t = np.linalg.svd(np.diag(off[::2]) + np.diag(off[1::2], -1))
+    p_even = p_even[: (side + 1) // 2]
+    q_odd = q_t[:, : side // 2].T
+    cos_m1 = -2.0 * np.sin(0.5 * p.coupling * sigma) ** 2
+    u = np.empty((side, side), dtype=complex)
+    u[::2, ::2] = np.eye(len(p_even)) + (p_even * cos_m1) @ p_even.T
+    u[1::2, 1::2] = np.eye(len(q_odd)) + (q_odd * cos_m1) @ q_odd.T
+    u[::2, 1::2] = -1j * ((p_even * np.sin(p.coupling * sigma)) @ q_odd.T)
+    u[1::2, ::2] = u[::2, 1::2].T
     rotation = np.exp(1j * (p.phase + math.pi / 2.0) * np.arange(side))
     return rotation[:, None] * u * rotation.conj()
 

@@ -122,15 +122,25 @@ class TestEvolveThermalPair:
         assert state.min_eigenvalue() >= -1e-12
 
     def test_bright_seeds_at_cutoff_150(self):
-        p = ModeParams.from_npdc(5.0, 5.0, 1.0)
+        p = ModeParams.from_npdc(5.0, 5.0, 1.0, 0.4)
         state = evolve_thermal_pair(p, 150, max_trace_deficit=1e-3)
         assert 0.0 < state.trace_deficit < 1e-3
         assert state.min_eigenvalue() >= -1e-12
         m = moments(state)
         w = predicted_moments(p)
-        tol = moment_tolerance(state)  # as an absolute bound, about ten times the truncation error
-        for name in ("mean_t", "mean_r", "var_t", "var_r", "cross"):
-            assert getattr(m, name) == pytest.approx(getattr(w, name), abs=tol), name
+        # the weight beyond this cutoff (1.6e-4) costs the means and <a_T a_R>
+        # 1.6e-3 of their value and the second moments 1.3e-2
+        for name, rel in (("mean_t", 5e-3), ("mean_r", 5e-3), ("var_t", 3e-2), ("var_r", 3e-2), ("cross", 3e-2)):
+            assert getattr(m, name) == pytest.approx(getattr(w, name), rel=rel), name
+        want = np.exp(0.4j) * p.u * p.v * (1.0 + p.mu_t + p.mu_r)
+        assert cross_amplitude(state) == pytest.approx(want, rel=5e-3)
+
+    def test_reports_inflated_trace(self, monkeypatch):
+        # a band evolution that gains weight shows as a negative deficit
+        band_unitary = fock._band_unitary
+        monkeypatch.setattr(fock, "_band_unitary", lambda *args: 1.01 * band_unitary(*args))
+        with pytest.raises(ValueError, match=r"trace deficit -2\.\d+e-02 exceeds .* in magnitude"):
+            evolve_thermal_pair(ModeParams.from_npdc(0.5, 0.5, 0.3), 40)
 
     def test_padding_is_converged(self, monkeypatch):
         # the generator of each band is padded by cutoff + 1 rungs; doubling
@@ -274,11 +284,15 @@ class TestSeedsGainAndPhase:
         assert state.min_eigenvalue() >= -1e-12
         m = moments(state)
         w = predicted_moments(p)
-        tol = moment_tolerance(state)  # as an absolute bound, about ten times the truncation error
+        # at the default cutoff truncation costs at most 8e-4 of any moment on
+        # this domain (second moments at the bright corner; the means 7e-5);
+        # the lost weight also biases the cross covariance by about
+        # mean_t mean_r times it, which shows only where the closed form is 0
+        floor = 10.0 * (1.0 + w.mean_t) * (1.0 + w.mean_r) * abs(state.trace_deficit) + 1e-12
         for name in ("mean_t", "mean_r", "var_t", "var_r", "cross"):
-            assert getattr(m, name) == pytest.approx(getattr(w, name), abs=tol), name
+            assert getattr(m, name) == pytest.approx(getattr(w, name), rel=5e-3, abs=floor), name
         want = np.exp(1j * phase) * p.u * p.v * (1.0 + mu_t + mu_r)
-        assert cross_amplitude(state) == pytest.approx(want, abs=tol)
+        assert cross_amplitude(state) == pytest.approx(want, rel=5e-3, abs=1e-12)
 
 
 class TestJointDistributionDump:
