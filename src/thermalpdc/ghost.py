@@ -13,12 +13,20 @@ two-dimensional case is the tensor product of identical kernels.
 
 Geometry: the object sits a distance d1 from the source in the Test arm;
 the Reference arm propagates d2 to a lens of focal length f_r and then d3
-to the scanning detector.  With f_r != d3 (imaging branch) and the
-back-propagating thin-lens condition 1/(d1+d2) + 1/d3 = 1/f_r, the
-bucket-integrated correlation reproduces the object intensity inverted and
-magnified by M = d3/(d1+d2); with f_r = d3 (Fourier branch) and a
-collection lens in the Test arm the correlation at x_T = 0 samples the
-squared object spectrum.
+to the scanning detector.  With f_r != d3 (imaging branch), D = 1/(1/d3 -
+1/f_r) and the detector on the object plane, the sum factors into the
+object and a one-dimensional kernel (Gatti et al., PRL 93, 093602 (2004);
+Brambilla et al., PRA 69, 023802 (2004)):
+
+    S(x_R, x_T) = t(x_T) F(x_T - (D/d3) x_R),
+    F(u) = sum_q C_q exp(-i lam (d1 + d2 + D) q^2 / 4 pi) exp(i q u),
+
+so G2 = |t(x_T)|^2 |F(x_T - (D/d3) x_R)|^2.  Under the back-propagating
+thin-lens condition 1/(d1+d2) + 1/d3 = 1/f_r the quadratic phase vanishes
+and the bucket-integrated correlation reproduces the object intensity
+inverted and magnified by M = d3/(d1+d2).  With f_r = d3 (Fourier branch)
+and a collection lens in the Test arm the correlation at x_T = 0 samples
+the squared object spectrum.
 """
 
 from __future__ import annotations
@@ -45,6 +53,10 @@ ILL_CONDITIONED_TOL = 1e-6
 SNAP_FRACTION = 1e-6
 
 _PROFILE_SYMMETRY_RTOL = 1e-12
+
+# Largest phase error, in radians, that snapping a grid onto a uniform
+# lattice, or a phase step onto 2 pi / K, may make in any term of a sum.
+_MAX_PHASE_SNAP = 1e-9 * math.pi
 
 
 class GeometryError(ValueError):
@@ -183,12 +195,24 @@ class SincProfile(GainProfile):
         if not math.isfinite(self.bandwidth):
             raise ValueError(f"bandwidth must be finite, got {self.bandwidth}")
         ModeParams(self.mu_t, self.mu_r, self.kappa0, self.phase)  # the peak coupling is kappa0
+        if not np.isfinite(self.correlation_amplitudes(np.zeros(1))[0]):
+            raise ValueError(f"kappa0 {self.kappa0} is too large: the peak correlation amplitude overflows")
 
     def mode_params(self, q: float) -> ModeParams:
         arg = self.bandwidth * q * q
         # an overflowing argument takes the limit sin(arg) / arg -> 0, where math.sin raises
         s = 1.0 if arg == 0 else math.sin(arg) / arg if math.isfinite(arg) else 0.0
         return ModeParams(self.mu_t, self.mu_r, self.kappa0 * abs(s), self.phase)
+
+    def correlation_amplitudes(self, q: np.ndarray) -> np.ndarray:
+        """Array form of correlation_amplitude: 1/2 sinh(2 kappa(q)) (1 + mu_t + mu_r)."""
+        q = np.asarray(q, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            arg = self.bandwidth * q * q
+            s = np.sin(arg) / arg
+            # the limits of mode_params: 1 at arg = 0, and 0 where arg overflows
+            s = np.where(arg == 0, 1.0, np.where(np.isfinite(arg), s, 0.0))
+            return 0.5 * np.sinh(2.0 * self.kappa0 * np.abs(s)) * (1.0 + self.mu_t + self.mu_r)
 
 
 @dataclass(frozen=True)
@@ -295,18 +319,13 @@ def transfer_reference_arm(geometry: GhostGeometry, q, x_r) -> np.ndarray:
     x_r = np.atleast_1d(np.asarray(x_r, dtype=float))
     lam = geometry.wavelength
     if geometry.branch == "imaging":
-        quad = _imaging_quadratic(geometry, q)
+        quad = np.exp(-1j * lam / (4.0 * math.pi) * (geometry.d2 + geometry.lens_term) * q ** 2)
         return quad[None, :] * np.exp(-1j * np.outer(x_r, q) * (geometry.lens_term / geometry.d3))
     quad = np.exp(-1j * lam * geometry.d2 / (4.0 * math.pi) * q ** 2)
     dq = float(np.min(np.diff(q))) if q.size > 1 else 1.0
     target = -2.0 * math.pi * x_r / (lam * geometry.d3)
     hit = np.abs(target[:, None] - q[None, :]) <= SNAP_FRACTION * dq
     return np.where(hit, quad[None, :], 0.0)
-
-
-def _imaging_quadratic(geometry: GhostGeometry, q: np.ndarray) -> np.ndarray:
-    """exp(-i (lam/4 pi)(d2 + D) q^2), the q-only factor of the imaging h_R."""
-    return np.exp(-1j * geometry.wavelength / (4.0 * math.pi) * (geometry.d2 + geometry.lens_term) * q ** 2)
 
 
 def _check_profile_symmetry(c_q: np.ndarray) -> None:
@@ -325,59 +344,97 @@ def g2_map(
 ) -> G2Map:
     """Fourth-order correlation over an (x_R, x_T) detector grid.
 
-    On the imaging branch the momentum sum is a K-point discrete transform
-    when every x_r pixel maps onto a lattice of K >= 2 n_half + 1 rows, as on
-    matched_image_grids; g2_map then runs it by FFT, provided the padded
-    (K, len(x_t)) array is no larger than the direct route's (len(x_r),
-    2 n_half + 1) matrix.  Otherwise it takes the dense product of
-    transfer_reference_arm and transfer_test_arm.  Both routes agree to
-    within rounding.
+    On the imaging branch with object-plane collection the map is
+    |t(x_T)|^2 |F(x_T - (D/d3) x_R)|^2 (see the module docstring).  When x_t
+    is uniform with step h and (D/d3) x_r steps by an integer multiple k h
+    of it, with |k| <= len(x_t), u = x_T - (D/d3) x_R takes only the
+    len(x_t) + |k| (len(x_r) - 1) values u0 + m h.  When dq h is also
+    2 pi / K (as on matched_image_grids), g2_map evaluates F once on them by
+    a K-point FFT and reads each row of the map as a window of |F|^2.
+    Fourier-lens collection, the Fourier branch and grids without this
+    structure take the dense product of transfer_reference_arm and
+    transfer_test_arm.  Both routes agree to within rounding.
     """
     x_r = np.atleast_1d(np.asarray(x_r, dtype=float))
     x_t = np.atleast_1d(np.asarray(x_t, dtype=float))
     q = qgrid.values
     c_q = profile.correlation_amplitudes(q)
     _check_profile_symmetry(c_q)
-    ht = transfer_test_arm(geometry, obj, q, x_t)
-    lattice = _transform_rows(geometry, qgrid, x_r, x_t.size)
-    if lattice is None:
-        s = (transfer_reference_arm(geometry, q, x_r) * c_q[None, :]) @ ht
+    lattice = _kernel_lattice(geometry, qgrid, x_r, x_t)
+    kernel = None
+    if lattice is not None:
+        h, k, u0 = lattice
+        n_xr, n_xt = x_r.size, x_t.size
+        # u[i, j] = u0 + m h with m = j - k i, from m0 on
+        m0 = min(0, -k * (n_xr - 1))
+        focus = geometry.wavelength * (geometry.d1 + geometry.d2 + geometry.lens_term) / (4.0 * math.pi)
+        weights = c_q * np.exp(-1j * (focus * q ** 2 - u0 * q))
+        kernel = _phase_sum(weights, -qgrid.n_half, m0, n_xt + abs(k) * (n_xr - 1), qgrid.dq * h)
+    if kernel is None:
+        s = (transfer_reference_arm(geometry, q, x_r) * c_q[None, :]) @ transfer_test_arm(geometry, obj, q, x_t)
+        return G2Map(x_r, x_t, np.abs(s) ** 2)
+    power = np.abs(kernel) ** 2
+    if k == 0:
+        rows = np.broadcast_to(power, (n_xr, n_xt))
     else:
-        # h_R(x_r[j], -m dq) = quad(m dq) exp(-2 pi i m rows[j] / K).  ht is
-        # weighted in place and each array freed once copied, so that at most
-        # two (K or n_q, n_xt) complex arrays are alive at once
-        big_k, rows = lattice
-        ht *= (c_q * _imaging_quadratic(geometry, q))[:, None]
-        padded = np.zeros((big_k, x_t.size), dtype=complex)
-        padded[np.arange(-qgrid.n_half, qgrid.n_half + 1) % big_k] = ht
-        del ht
-        s = np.fft.fft(padded, axis=0)
-        del padded
-        s = s[rows]
-    return G2Map(x_r, x_t, np.abs(s) ** 2)
+        # row i starts at m = -k i: |k| samples after row i - 1 when k < 0, before it when k > 0
+        rows = np.lib.stride_tricks.sliding_window_view(power, n_xt)[:: abs(k)]
+        rows = rows[::-1] if k > 0 else rows
+    return G2Map(x_r, x_t, rows * np.abs(obj.amplitude(x_t)) ** 2)
 
 
-def _transform_rows(geometry, qgrid, x_r, n_xt):
-    """(K, rows) when the imaging momentum sum at x_r is a K-point DFT, else None.
+def _kernel_lattice(geometry, qgrid, x_r, x_t):
+    """(h, k, u0) when g2_map's momentum sum is a kernel on the lattice u0 + m h, else None.
 
-    With r_j = dq (D/d3) x_r[j] / (2 pi), pixel j reads row r_j K, which must
-    lie within 1e-9 of an integer (a phase error below pi 1e-9); K comes
-    from the first two pixels, and K >= n_q keeps indices from aliasing.
+    Needs object-plane collection on the imaging branch, x_t on x_t[0] + j h
+    and (D/d3) x_r on its first value + k h i with integer |k| <= len(x_t),
+    so that every kernel sample lands in the map.  Snapping both grids onto
+    these lattices may move no phase q u by more than _MAX_PHASE_SNAP.
     """
-    if geometry.branch != "imaging" or x_r.size < 2:
+    if geometry.variant is not CollectionOptics.OBJECT_PLANE or geometry.branch != "imaging":
         return None
-    n_q = 2 * qgrid.n_half + 1
-    k_max = x_r.size * n_q // max(n_xt, 1)  # (K, n_xt) no larger than (n_xr, n_q)
-    r = x_r * (qgrid.dq * geometry.lens_term / (2.0 * math.pi * geometry.d3))
-    step = abs(float(r[1] - r[0]))
-    # written so that NaN fails; a zero or subnormal step would make K infinite
-    if not step * (k_max + 1) >= 1.0:
+    if x_t.size < 2 or x_r.size == 0:
         return None
-    big_k = round(1.0 / step)
-    rows = np.round(r * big_k)
-    if not (n_q <= big_k <= k_max and np.abs(r * big_k - rows).max() <= 1e-9):
+    r = x_r * (geometry.lens_term / geometry.d3)
+    h = float(x_t[-1] - x_t[0]) / (x_t.size - 1)
+    span = float(r[-1] - r[0])
+    # written so that NaN and inf fail, and the quotient below stays within len(x_t)
+    if not (h != 0 and math.isfinite(h) and abs(span) <= abs(h) * x_t.size * (x_r.size - 1)):
         return None
-    return big_k, rows.astype(int) % big_k
+    k = round(span / (h * (x_r.size - 1))) if x_r.size > 1 else 0
+    snap = _uniform_deviation(x_t, h) + _uniform_deviation(r, k * h)
+    if not snap * qgrid.n_half * qgrid.dq <= _MAX_PHASE_SNAP:
+        return None
+    return h, k, float(x_t[0] - r[0])
+
+
+def _uniform_deviation(x: np.ndarray, step: float) -> float:
+    """Largest distance of x from the uniform grid x[0] + i step."""
+    return float(np.abs(x - (x[0] + step * np.arange(x.size))).max())
+
+
+def _phase_sum(c: np.ndarray, a0: int, b0: int, n_b: int, theta: float) -> Optional[np.ndarray]:
+    """sum_i c[i] exp(i theta (a0 + i) b) for b = b0, ..., b0 + n_b - 1, or None.
+
+    A K-point FFT of the coefficients folded mod K, where aliasing is exact,
+    when replacing |theta| by 2 pi / K moves no phase theta a b by more than
+    _MAX_PHASE_SNAP and K is no larger than the len(c) n_b terms of the sum,
+    so that the transform never outgrows the callers' dense route.  None
+    otherwise: the callers then take their transfer matrices.
+    """
+    terms = c.size * n_b
+    # written so that NaN fails; a zero or subnormal theta would make K infinite
+    if not abs(theta) * (terms + 1) >= 2.0 * math.pi:
+        return None
+    big_k = round(2.0 * math.pi / abs(theta))
+    reach = max(abs(a0), abs(a0 + c.size - 1)) * max(abs(b0), abs(b0 + n_b - 1))
+    if not (1 <= big_k <= terms and abs(abs(theta) - 2.0 * math.pi / big_k) * reach <= _MAX_PHASE_SNAP):
+        return None
+    # exp(i theta a b) = exp(-2 pi i (s a) b / K) with s = -sign(theta)
+    a = np.arange(a0, a0 + c.size)
+    folded = np.zeros(big_k, dtype=complex)
+    np.add.at(folded, (-a if theta > 0 else a) % big_k, c)
+    return np.fft.fft(folded)[np.arange(b0, b0 + n_b) % big_k]
 
 
 def matched_image_grids(geometry: GhostGeometry, qgrid: MomentumGrid):
@@ -388,7 +445,8 @@ def matched_image_grids(geometry: GhostGeometry, qgrid: MomentumGrid):
     is the Test lattice scaled by the pixel mapping of the imaging kernel,
     which under the thin-lens condition is the magnification.  On these
     grids the bucket-reduced object-plane reconstruction and the
-    Fourier-lens slice agree to rounding, and g2_map runs its fast transform.
+    Fourier-lens slice agree to rounding, and g2_map evaluates its kernel
+    with a (2 n_half + 1)-point FFT.
     """
     count = 2 * qgrid.n_half + 1
     dx = 2.0 * math.pi / (count * qgrid.dq)
@@ -444,7 +502,9 @@ def ghost_diffraction(
     pixels are placed exactly on the momenta selected by the focal
     Reference arm, x_R = -q lam d3 / (2 pi), and the Test plane is sampled
     at x_T = 0.  The pattern is |ttilde(-2 pi x_R / (lam d3))|^2 times the
-    squared correlation amplitude.
+    squared correlation amplitude.  When the object grid is uniform and
+    dq dx is 2 pi / K, ttilde comes from the K-point FFT that g2_map's
+    kernel uses; otherwise from transfer_test_arm at x_T = 0.
     """
     if geometry.branch != "fourier":
         raise GeometryError(
@@ -459,8 +519,16 @@ def ghost_diffraction(
     q = qgrid.values
     c_q = profile.correlation_amplitudes(q)
     _check_profile_symmetry(c_q)
-    ht = transfer_test_arm(geometry, obj, q, np.array([0.0]))[:, 0]
-    raw = np.abs(c_q * ht) ** 2
+    step = float(obj.x[-1] - obj.x[0]) / (obj.x.size - 1)
+    # h_T(0, q_n) is ttilde(q_n) = dx exp(i q_n x_0) sum_j t_j exp(i dq step n j) times the
+    # Test-arm quadratic phase; neither phase factor changes the modulus
+    on_lattice = _uniform_deviation(obj.x, step) * qgrid.n_half * qgrid.dq <= _MAX_PHASE_SNAP
+    spectrum = _phase_sum(obj.t, 0, -qgrid.n_half, q.size, qgrid.dq * step) if on_lattice else None
+    if spectrum is None:
+        spectrum = transfer_test_arm(geometry, obj, q, np.array([0.0]))[:, 0]
+    else:
+        spectrum = obj.dx * spectrum
+    raw = np.abs(c_q * spectrum) ** 2
     x_r = -q * geometry.wavelength * geometry.d3 / (2.0 * math.pi)
     order = np.argsort(x_r)
     x_r, q, raw = x_r[order], q[order], raw[order]

@@ -59,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from . import correlations
-from .artifacts import sha256_of, write_csv, write_pgm
+from .artifacts import write_bytes, write_csv, write_pgm
 from .fock import evolve_thermal_pair, input_tail_problem, moments, predicted_moments
 # check_separability_lossy is unused here; perfbench's tracer tests look it up in this namespace.
 from .gaussian import ModeParams, check_separability_lossy  # noqa: F401
@@ -114,8 +114,7 @@ class SweepScenario:
         except FloatingPointError as exc:
             raise ScenarioError(f"field grids: values too large, the sweep overflows ({exc})") from exc
         name, schema = SWEEP_OUTPUTS[self.kind]
-        write_csv(out / name, {column: columns[column] for column in schema})
-        return [out / name], True
+        return {out / name: write_csv(out / name, {column: columns[column] for column in schema})}, True
 
 
 @dataclass(frozen=True)
@@ -142,9 +141,8 @@ class OracleScenario:
         report = {"params": {"mu_t": p.mu_t, "mu_r": p.mu_r, "n_pdc": p.n_pdc}, "cutoff": self.cutoff,
                   "trace_deficit": state.trace_deficit, "relative_errors": rel,
                   "max_relative_error": max(rel.values()), "threshold": self.threshold, "passed": passed}
-        with open(out / "oracle_report.json", "w") as fh:
-            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        return [out / "oracle_report.json"], passed
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return {out / "oracle_report.json": write_bytes(out / "oracle_report.json", [text.encode()])}, passed
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,12 +159,13 @@ class GhostScenario:
     def _write(self, out: Path):
         if self.x_r is None:
             result = ghost_diffraction(self.geometry, self.obj, self.profile, self.qgrid)
-            written = [out / "pattern.csv"]
+            table = out / "pattern.csv"
         else:
             result = ghost_image(self.geometry, self.obj, self.profile, self.qgrid, self.x_r, self.x_t)
-            written = [out / "image.csv", out / "g2_map.pgm"]
-            write_pgm(written[1], result.g2.values)
-        write_csv(written[0], {"x_r": result.x_r, "value_raw": result.raw, "value_normalized": result.normalized})
+            table = out / "image.csv"
+        written = {table: write_csv(table, {"x_r": result.x_r, "value_raw": result.raw, "value_normalized": result.normalized})}
+        if self.x_r is not None:
+            written[out / "g2_map.pgm"] = write_pgm(out / "g2_map.pgm", result.g2.values)
         return written, True
 
 
@@ -392,7 +391,7 @@ def _execute(scenario, cfg: dict, out_dir) -> dict:
         "seed": cfg.get("seed", 0),
         "passed": passed,
         "config_sha256": hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
-        "files": [{"path": p.name, "sha256": sha256_of(p), "bytes": p.stat().st_size} for p in written],
+        "files": [{"path": p.name, "sha256": digest, "bytes": p.stat().st_size} for p, digest in written.items()],
     }
     with open(out / "manifest.json", "w") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

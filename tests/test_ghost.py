@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermalpdc import (
@@ -28,6 +29,7 @@ from thermalpdc import (
     transfer_test_arm,
     validate_factorization,
 )
+from thermalpdc import ghost
 
 ASINH1 = math.asinh(1.0)
 LAM = 0.7e-6
@@ -68,13 +70,19 @@ def direct_g2(geometry, obj, profile, qgrid, x_r, x_t):
     return np.abs((transfer_reference_arm(geometry, q, x_r) * c_q) @ transfer_test_arm(geometry, obj, q, x_t)) ** 2
 
 
-def g2_and_fft_calls(*args):
-    """g2_map(*args) and the number of np.fft.fft calls it made."""
-    calls = []
-    fft = np.fft.fft
+def route_calls(fn, *args):
+    """fn(*args), and the number of calls it made to the 1-D momentum sum and to np.fft.fft."""
+    kernel_calls, fft_calls = [], []
+    phase_sum, fft = ghost._phase_sum, np.fft.fft
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.fft, "fft", lambda *a, **k: calls.append(a) or fft(*a, **k))
-        return g2_map(*args), len(calls)
+        mp.setattr(ghost, "_phase_sum", lambda *a: kernel_calls.append(a) or phase_sum(*a))
+        mp.setattr(np.fft, "fft", lambda *a, **k: fft_calls.append(a) or fft(*a, **k))
+        return fn(*args), len(kernel_calls), len(fft_calls)
+
+
+def diffraction_by_transfer_matrix(obj, profile, q):
+    """|C_q h_T(0, q)|^2 from the public Test-arm transfer matrix."""
+    return np.abs(profile.correlation_amplitudes(q) * transfer_test_arm(FOURIER, obj, q, [0.0])[:, 0]) ** 2
 
 
 class TestSampledObject:
@@ -216,6 +224,40 @@ class TestCorrelationAmplitude:
         assert correlation_amplitude(1e200, prof) == 0.0
 
 
+class TestSincAmplitudes:
+    """The array form of SincProfile.correlation_amplitudes against the scalar
+    correlation_amplitude route through mode_params."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.0, 5.0), st.one_of(st.floats(-1e-8, 1e-8), st.floats(-1e300, 1e300)),
+        st.floats(0.0, 10.0), st.floats(0.0, 10.0),
+        st.lists(st.floats(-1e7, 1e7), min_size=1, max_size=20),
+    )
+    def test_matches_scalar_route(self, kappa0, bandwidth, mu_t, mu_r, q):
+        prof = SincProfile(kappa0=kappa0, bandwidth=bandwidth, mu_t=mu_t, mu_r=mu_r)
+        q = np.array(q)
+        want = np.array([correlation_amplitude(float(qi), prof) for qi in q])
+        got = prof.correlation_amplitudes(q)
+        # relative, down to the subnormal range, where values carry fewer digits
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want) + np.finfo(float).tiny)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_argument_gives_zero(self):
+        prof = SincProfile(kappa0=0.9, bandwidth=1e300)
+        q = [-1e200, -1.0, 0.0, 1e-200, 1e200]
+        got = prof.correlation_amplitudes(np.array(q))
+        want = np.array([correlation_amplitude(qi, prof) for qi in q])
+        assert got[[0, 4]].tolist() == want[[0, 4]].tolist() == [0.0, 0.0]
+        assert np.abs(got - want).max() <= 1e-14 * want.max() and want[2] > 0.0
+
+    def test_overflowing_peak_rejected(self):
+        # 1/2 sinh(2 kappa0) overflows above kappa0 ~ 355, where the scalar route raises or gives inf
+        with pytest.raises(ValueError, match="kappa0 400.0 is too large"):
+            SincProfile(kappa0=400.0, bandwidth=1e-12)
+        assert np.isfinite(SincProfile(kappa0=300.0, bandwidth=1e-12).correlation_amplitudes(np.zeros(1))).all()
+
+
 class TestTransferFunctions:
     def test_object_plane_short_propagation_is_plane_wave(self):
         geo = GhostGeometry(wavelength=LAM, d1=1e-12, d2=0.1, d3=0.6, f_r=0.15)
@@ -303,44 +345,75 @@ class TestG2Map:
             g2_map(IMAGING, self.obj, lopsided, self.qgrid, self.x_r, self.x_t)
 
     def test_fft_engine_matches_direct(self):
-        # the transform needs every pixel on its lattice, not a uniform grid
-        for x_r in (self.x_r, np.concatenate([self.x_r[::-1], self.x_r[:7]])):
-            fast, fft_calls = g2_and_fft_calls(IMAGING, self.obj, TWIN, self.qgrid, x_r, self.x_t)
-            direct = direct_g2(IMAGING, self.obj, TWIN, self.qgrid, x_r, self.x_t)
-            assert fft_calls == 1
+        # (D/d3) x_r steps by k x_t steps: k = -1 on the matched grids, +1 reversed, +-2 on every
+        # other pixel, 0 for a lone pixel or a repeated one; a half-pixel shift only moves u0
+        x_r = self.x_r
+        pixel = x_r[1] - x_r[0]
+        for grid in (x_r, x_r[::-1], x_r[::2], x_r[::-2], x_r[250:251], np.zeros(5), x_r + pixel / 2):
+            fast, kernel_calls, fft_calls = route_calls(g2_map, IMAGING, self.obj, TWIN, self.qgrid, grid, self.x_t)
+            direct = direct_g2(IMAGING, self.obj, TWIN, self.qgrid, grid, self.x_t)
+            assert (kernel_calls, fft_calls) == (1, 1)
+            assert fast.values.shape == direct.shape
             assert np.abs(fast.values - direct).max() <= 1e-10 * direct.max()
 
     def test_fourier_branch_runs_direct_sum(self):
         x = np.linspace(-1e-3, 1e-3, 65)
         obj = single_slit(x, SLIT)
         args = (FOURIER, obj, TWIN, MomentumGrid(32, 1e4), x, x)
-        g, fft_calls = g2_and_fft_calls(*args)
-        assert fft_calls == 0
+        g, kernel_calls, fft_calls = route_calls(g2_map, *args)
+        assert (kernel_calls, fft_calls) == (0, 0)
         assert np.array_equal(g.values, direct_g2(*args))
 
     def test_off_lattice_grid_runs_direct_sum(self):
         pixel = self.x_r[1] - self.x_r[0]
-        # stretched by 1e-4, or by 1e-10 (2.6e-8 of a row at the edge pixel),
-        # shifted half a pixel, one repeated pixel (no lattice step)
-        for x_r in (self.x_r * (1 + 1e-4), self.x_r * (1 + 1e-10), self.x_r + pixel / 2, np.zeros_like(self.x_r)):
-            args = (IMAGING, self.obj, TWIN, self.qgrid, x_r, self.x_t)
-            g, fft_calls = g2_and_fft_calls(*args)
-            assert fft_calls == 0
+        # the largest shift of one x_t pixel that keeps every phase q u within pi 1e-9
+        bound = math.pi * 1e-9 / (self.qgrid.n_half * self.qgrid.dq)
+        x_t_bent = self.x_t.copy()
+        x_t_bent[300] += 4 * bound
+        # x_r stretched by 1e-4, or by 1e-10 (1.6e-7 rad at the far edge), an uneven x_r on the
+        # transform lattice, x_t bent beyond the phase bound, and Fourier-lens collection
+        cases = [(IMAGING, self.x_r * (1 + 1e-4), self.x_t), (IMAGING, self.x_r * (1 + 1e-10), self.x_t),
+                 (IMAGING, np.concatenate([self.x_r[::-1], self.x_r[:7]]), self.x_t),
+                 (IMAGING, self.x_r, x_t_bent), (IMAGING_B, self.x_r, self.x_t)]
+        for geometry, x_r, x_t in cases:
+            args = (geometry, self.obj, TWIN, self.qgrid, x_r, x_t)
+            g, kernel_calls, fft_calls = route_calls(g2_map, *args)
+            assert (kernel_calls, fft_calls) == (0, 0)
             assert np.array_equal(g.values, direct_g2(*args))
+        # within the bound x_t still takes the kernel
+        x_t_bent[300] = self.x_t[300] + bound / 4
+        _, kernel_calls, _ = route_calls(g2_map, IMAGING, self.obj, TWIN, self.qgrid, self.x_r, x_t_bent)
+        assert kernel_calls == 1
+
+    @pytest.mark.parametrize("big_k", [2**24, 10.5], ids=["tiny-step", "off-lattice-step"])
+    def test_uniform_grid_off_the_transform_takes_dense_product(self, big_k):
+        # the kernel lattice holds (x_t uniform, one Reference pixel), but dq h = 2 pi / 2**24 would
+        # need a 2**24-point transform (256 MiB) for 33 x 9 terms, and 2 pi / 10.5 is on no lattice
+        qg = MomentumGrid(16, 2 * np.pi / (8 * SLIT))
+        x_t = np.arange(-4, 5) * (2 * np.pi / (qg.dq * big_k))
+        args = (IMAGING, SampledObject(x_t, np.ones(9)), TWIN, qg, np.array([0.0]), x_t)
+        tracemalloc.start()
+        try:
+            g, kernel_calls, fft_calls = route_calls(g2_map, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (kernel_calls, fft_calls) == (1, 0)
+        assert peak < 2**20
+        assert np.array_equal(g.values, direct_g2(*args))
 
     @pytest.mark.parametrize(
         "big_k, pixels", [(4096, 3), (34, 33), (32, 32)], ids=["larger-than-direct", "one-row-over", "aliasing"]
     )
     def test_lattice_out_of_bounds_runs_direct_sum(self, big_k, pixels):
-        # pixels on a K-row lattice with 33 momenta: a (4096, 33) or (34, 33)
-        # transform outgrows the (3, 33) or (33, 33) Reference-arm matrix of
-        # the direct sum; K = 32 fits that bound, but 33 momenta would alias
+        # pixels on a K-row lattice with 33 momenta and 33 Test pixels: (D/d3) x_r
+        # steps by 33/K of a Test pixel, which is no whole number of them
         qg = MomentumGrid(16, 2 * np.pi / (8 * SLIT))
         _, x_t = matched_image_grids(IMAGING, qg)
         pixel = 2 * np.pi * IMAGING.d3 / (qg.dq * IMAGING.lens_term * big_k)
         args = (IMAGING, single_slit(x_t, SLIT), TWIN, qg, pixel * np.arange(-(pixels // 2), pixels - pixels // 2), x_t)
-        g, fft_calls = g2_and_fft_calls(*args)
-        assert fft_calls == 0
+        g, kernel_calls, fft_calls = route_calls(g2_map, *args)
+        assert (kernel_calls, fft_calls) == (0, 0)
         assert np.array_equal(g.values, direct_g2(*args))
 
     def test_peak_line_is_inverted_image_line(self):
@@ -441,15 +514,17 @@ class TestDefocusedImaging:
         qg = MomentumGrid(128, 2 * np.pi / (16 * SLIT))
         x_r, x_t = matched_image_grids(self.DEFOCUSED, qg)
         obj = single_slit(x_t, SLIT)
-        fast, fft_calls = g2_and_fft_calls(self.DEFOCUSED, obj, TWIN, qg, x_r, x_t)
+        fast, kernel_calls, fft_calls = route_calls(g2_map, self.DEFOCUSED, obj, TWIN, qg, x_r, x_t)
         direct = direct_g2(self.DEFOCUSED, obj, TWIN, qg, x_r, x_t)
-        assert fft_calls == 1
+        assert (kernel_calls, fft_calls) == (1, 1)
         assert np.abs(fast.values - direct).max() <= 1e-10 * direct.max()
 
 
 class TestTransformRouteProperty:
-    """On matched grids g2_map runs the fast transform, and it must equal the
-    direct sum over in-focus and defocused imaging geometries."""
+    """On matched grids, and every |k|-th pixel of them, object-plane g2_map
+    evaluates its kernel by FFT and must equal the direct sum over in-focus and
+    defocused imaging geometries; Fourier-lens collection takes the dense
+    product, which is the direct sum."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -457,9 +532,11 @@ class TestTransformRouteProperty:
         st.one_of(st.just(0.0), st.floats(-0.3, 0.3)),
         st.booleans(), st.booleans(), st.floats(0.05, 1.0), st.integers(8, 64),
         st.floats(4.0, 32.0), st.floats(0.02, 0.3), st.floats(-0.3, 0.3), st.booleans(),
+        st.sampled_from([1, -1, 2, -2, 3]),
     )
     def test_fft_route_matches_direct(
-        self, d1, d2, magnification, defocus, fourier_lens, sinc, strength, n_half, window, width, center, two_slits
+        self, d1, d2, magnification, defocus, fourier_lens, sinc, strength, n_half, window, width, center, two_slits,
+        stride,
     ):
         d3 = magnification * (d1 + d2)
         f_r = (1.0 + defocus) / (1.0 / (d1 + d2) + 1.0 / d3)  # thin lens when defocus is 0
@@ -469,14 +546,54 @@ class TestTransformRouteProperty:
         # sinc: first zero at a fraction `strength` of the momentum window
         profile = (SincProfile(kappa0=0.9, bandwidth=math.pi / (strength * n_half * qg.dq) ** 2) if sinc
                    else ConstantProfile(ModeParams.from_npdc(0.0, 0.0, 4.0 * strength)))
-        x_r, x_t = matched_image_grids(geometry, qg)
+        matched_x_r, x_t = matched_image_grids(geometry, qg)
+        x_r = matched_x_r[::stride]
         span = x_t[-1] - x_t[0]
         obj = (double_slit(x_t, width * span / 3.0, width * span, center * span) if two_slits
                else single_slit(x_t, width * span, center * span))
-        fast, fft_calls = g2_and_fft_calls(geometry, obj, profile, qg, x_r, x_t)
+        fast, kernel_calls, fft_calls = route_calls(g2_map, geometry, obj, profile, qg, x_r, x_t)
         direct = direct_g2(geometry, obj, profile, qg, x_r, x_t)
-        assert fft_calls == 1
-        assert np.abs(fast.values - direct).max() <= 1e-10 * direct.max()
+        if fourier_lens:
+            assert (kernel_calls, fft_calls) == (0, 0)
+            assert np.array_equal(fast.values, direct)
+        else:
+            # every |k|-th row can miss the image, so the error is held to the matched map's peak
+            peak = direct_g2(geometry, obj, profile, qg, matched_x_r, x_t).max()
+            assert (kernel_calls, fft_calls) == (1, 1)
+            assert np.abs(fast.values - direct).max() <= 1e-10 * peak
+
+
+class TestPhaseSum:
+    """The 1-D sum behind the kernel and the diffraction spectrum, against its definition."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 40), st.integers(-30, 30), st.integers(-60, 60), st.integers(1, 50),
+        st.integers(1, 80), st.booleans(), st.integers(0, 2**32 - 1),
+    )
+    @example(15, 0, 0, 5, 75, False, 0)  # K = n_a n_b, where (2 pi / 75) 75 < 2 pi in floating point
+    @example(4, 0, 0, 4, 17, True, 0)  # K = n_a n_b + 1, one point more than the sum has terms
+    def test_transform_matches_definition(self, n_a, a0, b0, n_b, big_k, negative, seed):
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=n_a) + 1j * rng.normal(size=n_a)
+        theta = (-1 if negative else 1) * 2 * np.pi / big_k
+        a, b = np.arange(a0, a0 + n_a), np.arange(b0, b0 + n_b)
+        phases = theta * np.outer(b, a)
+        want = np.exp(1j * phases) @ c
+        got, _, fft_calls = route_calls(ghost._phase_sum, c, a0, b0, n_b, theta)
+        # K <= n_a n_b takes the transform, where K < n_a folds the coefficients; a larger K is refused
+        assert fft_calls == (big_k <= n_a * n_b)
+        if big_k > n_a * n_b:
+            assert got is None
+            return
+        # the reference's phases carry a rounding error in proportion to their size
+        assert np.abs(got - want).max() <= 1e-14 * (1.0 + np.abs(phases).max()) * np.abs(c).sum()
+
+    @pytest.mark.parametrize("theta", [2 * np.pi / 10 * (1 + 1e-6), 0.0, 1e-320, np.nan, np.inf])
+    def test_step_off_every_lattice_gives_none(self, theta):
+        c = np.ones(7, dtype=complex)
+        got, _, fft_calls = route_calls(ghost._phase_sum, c, -3, 0, 12, theta)
+        assert got is None and fft_calls == 0
 
 
 class TestGhostDiffraction:
@@ -515,6 +632,28 @@ class TestGhostDiffraction:
         center = np.argmin(np.abs(pattern.x_r))
         first_dark = np.argmin(pattern.normalized[center : center + 10])
         assert pattern.x_r[center + first_dark] == pytest.approx(fringe / 2.0, abs=float(np.diff(pattern.x_r)[0]))
+
+    @pytest.mark.parametrize("right, fft_calls", [(640e-6, 1), (600e-6, 0)], ids=["on-lattice", "off-lattice"])
+    def test_spectrum_matches_transfer_matrix(self, right, fft_calls):
+        # dq dx = 2 pi / 1024 on the 1025-point grid to 640 um; to 600 um, dq dx = 2 pi / 1057.03,
+        # on no transform lattice, so the spectrum comes from the transfer matrix itself
+        obj = double_slit(np.linspace(-640e-6, right, 1025), SLIT, 160e-6)
+        pattern, kernel_calls, fft = route_calls(ghost_diffraction, FOURIER, obj, TWIN, self.qgrid)
+        assert (kernel_calls, fft) == (1, fft_calls)
+        want = diffraction_by_transfer_matrix(obj, TWIN, pattern.q)
+        assert np.abs(pattern.raw - want).max() <= 1e-12 * want.max()
+        assert fft_calls or np.array_equal(pattern.raw, want)
+
+    def test_bent_object_grid_takes_transfer_matrix(self):
+        # steps 1 +- 5e-10 of dx pass the object's uniformity check, but bend the grid by
+        # 3.2e-13 m at its middle, 8e-7 rad at the largest momentum
+        dx = 1.25e-6
+        steps = np.where(np.arange(1024) < 512, 1 + 5e-10, 1 - 5e-10) * dx
+        x = -640e-6 + np.concatenate([[0.0], np.cumsum(steps)])
+        obj = single_slit(x, SLIT)
+        pattern, kernel_calls, _ = route_calls(ghost_diffraction, FOURIER, obj, TWIN, self.qgrid)
+        assert kernel_calls == 0
+        assert np.array_equal(pattern.raw, diffraction_by_transfer_matrix(obj, TWIN, pattern.q))
 
     def test_object_plane_collection_rejected(self):
         geo = GhostGeometry(wavelength=LAM, d1=0.1, d2=0.1, d3=0.3, f_r=0.3)

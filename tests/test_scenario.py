@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermalpdc import correlations
-from thermalpdc.artifacts import sha256_of, write_pgm
+from thermalpdc.artifacts import sha256_of, write_csv, write_pgm
 from thermalpdc.scenario import ScenarioError, main, run, validate_config
 
 NRF_SWEEP = {
@@ -277,6 +278,31 @@ class TestPgmWriter:
         with pytest.raises(ValueError):
             write_pgm(tmp_path / "x.pgm", np.zeros(5))
 
+    def test_any_memory_order_writes_row_major(self, tmp_path):
+        m = np.random.default_rng(3).random((5, 8)).T
+        assert not m.flags.c_contiguous
+        digests = [write_pgm(tmp_path / "f.pgm", m), write_pgm(tmp_path / "c.pgm", np.ascontiguousarray(m))]
+        assert (tmp_path / "f.pgm").read_bytes() == (tmp_path / "c.pgm").read_bytes()
+        assert digests == [sha256_of(tmp_path / "c.pgm")] * 2
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 1000])
+    def test_chunks_make_one_csv(self, tmp_path, rows):
+        # the rows go out in chunks of 256; the file must be what one csv.writer pass gives
+        rng = np.random.default_rng(rows)
+        a, b, c = rng.normal(size=rows), rng.integers(-9, 9, rows), rng.random(rows) < 0.5
+        a[::7] = np.nan
+        path = tmp_path / "t.csv"
+        digest = write_csv(path, {"a": a, "b": b, "c": c})
+        text = io.StringIO(newline="")
+        writer = csv.writer(text)
+        writer.writerow(["a", "b", "c"])
+        writer.writerows(("" if x != x else repr(x), str(y), "true" if z else "false")
+                         for x, y, z in zip(a.tolist(), b.tolist(), c.tolist()))
+        assert path.read_bytes() == text.getvalue().encode()
+        assert digest == sha256_of(path)
+
 
 def run_cli(args, env_extra=None, cwd=None):
     env = dict(os.environ)
@@ -493,6 +519,17 @@ def leaf_paths(node, prefix=()):
     for key, value in items:
         yield prefix + (key,)
         yield from leaf_paths(value, prefix + (key,))
+
+
+class TestManifestDigests:
+    @pytest.mark.parametrize("cfg", FUZZ_SEEDS, ids=[path.stem for path in sorted(DEMO_CONFIGS.glob("*.json"))])
+    def test_recorded_digests_match_the_files(self, tmp_path, cfg):
+        # the writers hash the bytes as they write them; reading the files back must agree
+        manifest = run(cfg, out_dir=tmp_path)
+        for entry in manifest["files"]:
+            path = tmp_path / entry["path"]
+            assert entry["sha256"] == sha256_of(path)
+            assert entry["bytes"] == path.stat().st_size
 
 
 class TestFuzz:
