@@ -1,9 +1,14 @@
-"""Output writers shared by the command-line scenarios and the demos."""
+"""Output writers shared by the command-line scenarios and the demos.
+
+Each writer streams its file through `write_bytes` in pieces of bounded
+size, hashing as it writes: CSV rows go out 256 at a time, PGM rows about
+32k values at a time through one reused buffer.
+"""
 
 from __future__ import annotations
 
-import csv
 import hashlib
+import itertools
 
 import numpy as np
 
@@ -14,32 +19,29 @@ def write_csv(path, columns) -> str:
     `columns` maps each name to a sequence; all must have the same length.
     Bool columns are written true/false and integer columns as str; any
     other column is read as float and written as repr(float), with NaN (or
-    None) as an empty field.  Lines end in CRLF, the csv module's default.
-    Returns the SHA-256 of the bytes written.
+    None) as an empty field.  No field is quoted, so a column name holding
+    a comma, double quote, CR or LF raises ValueError.  Lines end in CRLF,
+    and the bytes are those the csv module writes.  Returns the SHA-256 of
+    the bytes written.
     """
+    header = list(columns)
+    for name in header:
+        if any(c in name for c in ',"\r\n'):
+            raise ValueError(f"CSV column name {name!r} would need quoting")
     fields = [_fields(np.asarray(values)) for values in columns.values()]
     if len({len(f) for f in fields}) > 1:
         raise ValueError("CSV columns must have equal lengths")
-    return write_bytes(path, _csv_chunks(list(columns), zip(*fields)))
+    return write_bytes(path, _csv_chunks(header, zip(*fields)))
 
 
 def _csv_chunks(header, rows, size: int = 256):
-    """The encoded CSV text of the header and then the rows, `size` rows at a time."""
-    import itertools
-
-    lines = _Lines()
-    writer = csv.writer(lines)
-    writer.writerow(header)
-    while lines:
-        yield "".join(lines).encode()
-        lines.clear()
-        writer.writerows(itertools.islice(rows, size))
-
-
-class _Lines(list):
-    """A list that csv.writer can write its lines to."""
-
-    write = list.append
+    """The encoded CSV text of the header and then the rows, `size` lines at a time."""
+    lines = map(",".join, itertools.chain([header], rows))
+    if len(header) == 1:
+        # csv quotes a row of one empty field, which would otherwise be a blank line
+        lines = (line or '""' for line in lines)
+    while chunk := list(itertools.islice(lines, size)):
+        yield ("\r\n".join(chunk) + "\r\n").encode()
 
 
 def _fields(values: np.ndarray) -> list[str]:
@@ -47,7 +49,11 @@ def _fields(values: np.ndarray) -> list[str]:
         return ["true" if v else "false" for v in values.tolist()]
     if values.dtype.kind in "iu":
         return [str(v) for v in values.tolist()]
-    return ["" if v != v else repr(v) for v in values.astype(float).tolist()]
+    # repr each distinct bit pattern once (so -0.0 and 0.0 stay apart), then gather
+    v = values.astype(float).ravel()
+    distinct, inverse = np.unique(v.view(np.int64), return_inverse=True)
+    text = np.array(["" if x != x else repr(x) for x in distinct.view(float).tolist()], dtype=object)
+    return text[inverse.ravel()].tolist()
 
 
 def write_pgm(path, values: np.ndarray) -> str:
@@ -58,13 +64,30 @@ def write_pgm(path, values: np.ndarray) -> str:
     v = np.asarray(values, dtype=float)
     if v.ndim != 2:
         raise ValueError("PGM output needs a 2-D array")
-    peak = v.max()
-    s = v / peak if peak > 0 else np.zeros_like(v)
-    s *= 255.0
-    np.round(s, out=s)
+    peak = v.max()  # before the file is opened: an empty map raises here
     header = f"P5\n{v.shape[1]} {v.shape[0]}\n255\n".encode("ascii")
-    # row-major whatever the input's memory order: hashlib and write need C-contiguous bytes
-    return write_bytes(path, (header, s.astype(np.uint8, order="C")))
+    return write_bytes(path, itertools.chain([header], _pgm_blocks(v, peak)))
+
+
+def _pgm_blocks(v: np.ndarray, peak, size: int = 32768):
+    """round(v / peak * 255) as uint8 (0 where peak > 0 fails), a block of whole
+    rows of about `size` values at a time, row-major for any memory order.
+
+    Every block is a view of one reused buffer: consume it before the next.
+    """
+    rows = max(1, size // v.shape[1])
+    scaled = np.empty((rows, v.shape[1]))
+    pixels = np.zeros((rows, v.shape[1]), dtype=np.uint8)
+    for start in range(0, v.shape[0], rows):
+        block = v[start:start + rows]
+        out = pixels[:len(block)]
+        if peak > 0:
+            buf = scaled[:len(block)]
+            np.divide(block, peak, out=buf)
+            buf *= 255.0
+            np.round(buf, out=buf)
+            np.copyto(out, buf, casting="unsafe")
+        yield out
 
 
 def write_bytes(path, chunks) -> str:

@@ -170,6 +170,17 @@ class ConstantProfile(GainProfile):
 
     params: ModeParams
 
+    def __post_init__(self):
+        try:
+            amplitude = correlation_amplitude(0.0, self)
+        except OverflowError:  # math.cosh or math.sinh of the coupling
+            amplitude = math.inf
+        if not math.isfinite(amplitude):
+            p = self.params
+            raise ValueError(
+                f"the peak correlation amplitude overflows at coupling {p.coupling}, mu_t {p.mu_t}, mu_r {p.mu_r}"
+            )
+
     def mode_params(self, q: float) -> ModeParams:
         return self.params
 

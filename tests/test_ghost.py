@@ -223,6 +223,14 @@ class TestCorrelationAmplitude:
         assert prof.mode_params(1e200).coupling == 0.0
         assert correlation_amplitude(1e200, prof) == 0.0
 
+    @pytest.mark.parametrize("params", [ModeParams(0.0, 0.0, 800.0), ModeParams(1e10, 0.0, 355.0)],
+                             ids=["cosh-overflows", "product-overflows"])
+    def test_constant_profile_rejects_overflowing_peak(self, params):
+        # math.cosh(800) raises OverflowError; at 355 u v is finite and the seed factor overflows it
+        with pytest.raises(ValueError, match="peak correlation amplitude overflows"):
+            ConstantProfile(params)
+        assert math.isfinite(correlation_amplitude(0.0, ConstantProfile(ModeParams(0.0, 0.0, 354.0))))
+
 
 class TestSincAmplitudes:
     """The array form of SincProfile.correlation_amplitudes against the scalar

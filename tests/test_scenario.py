@@ -7,11 +7,12 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermalpdc import correlations
@@ -266,6 +267,14 @@ class TestRunGhost:
         assert run_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == (0, [])
 
 
+def pgm_reference(m) -> bytes:
+    """The whole-array PGM: round(m / peak * 255) as uint8, dark where peak > 0 fails."""
+    peak = m.max()
+    with np.errstate(invalid="ignore"):
+        pixels = np.round(m / peak * 255).astype(np.uint8) if peak > 0 else np.zeros(m.shape, np.uint8)
+    return f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode() + pixels.tobytes()
+
+
 class TestPgmWriter:
     def test_dark_map(self, tmp_path):
         path = tmp_path / "dark.pgm"
@@ -278,12 +287,83 @@ class TestPgmWriter:
         with pytest.raises(ValueError):
             write_pgm(tmp_path / "x.pgm", np.zeros(5))
 
+    def test_empty_map_raises_before_the_file_is_opened(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_pgm(tmp_path / "x.pgm", np.zeros((0, 3)))
+        assert not (tmp_path / "x.pgm").exists()
+
     def test_any_memory_order_writes_row_major(self, tmp_path):
         m = np.random.default_rng(3).random((5, 8)).T
         assert not m.flags.c_contiguous
         digests = [write_pgm(tmp_path / "f.pgm", m), write_pgm(tmp_path / "c.pgm", np.ascontiguousarray(m))]
         assert (tmp_path / "f.pgm").read_bytes() == (tmp_path / "c.pgm").read_bytes()
         assert digests == [sha256_of(tmp_path / "c.pgm")] * 2
+
+    @pytest.mark.parametrize(
+        "shape, order, fill",
+        [
+            ((300, 257), "C", None),  # 127 rows a block: 300 is no whole number of blocks
+            ((1025, 1025), "C", None),
+            ((3, 40000), "C", None),  # one row is wider than a block
+            ((200, 300), "F", None),
+            ((7, 9), "C", 0.0),  # zero peak
+            ((130, 300), "C", math.nan),  # a NaN peak
+        ],
+        ids=["partial-block", "ghost-map", "wide-row", "fortran", "zero-peak", "nan"],
+    )
+    def test_matches_whole_array_reference(self, tmp_path, shape, order, fill):
+        m = np.asarray(np.random.default_rng(shape[0]).random(shape) * 7.0, order=order)
+        if fill is not None:
+            m[(0, -1) if math.isnan(fill) else ...] = fill
+        path = tmp_path / "m.pgm"
+        digest = write_pgm(path, m)
+        assert path.read_bytes() == pgm_reference(m)
+        assert digest == sha256_of(path)
+
+    def test_peak_memory_is_bounded(self, tmp_path):
+        # the map is scaled a block of rows at a time: no full-size float or uint8 copy
+        m = np.random.default_rng(5).random((1025, 1025))
+        tracemalloc.start()
+        try:
+            write_pgm(tmp_path / "m.pgm", m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+
+def csv_reference(columns) -> bytes:
+    """The CSV that one csv.writer pass gives for the fields write_csv documents."""
+    def fields(values):
+        values = np.asarray(values)
+        if values.dtype == bool:
+            return ["true" if v else "false" for v in values.tolist()]
+        if values.dtype.kind in "iu":
+            return [str(v) for v in values.tolist()]
+        return ["" if v != v else repr(v) for v in values.astype(float).tolist()]
+
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(list(columns))
+    writer.writerows(zip(*(fields(v) for v in columns.values())))
+    return text.getvalue().encode()
+
+
+# few distinct values, so that rows repeat, and the ones with their own repr or bit pattern
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072e-308, 1.5, 1e16, 0.1]
+FLOAT_POOL = st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), min_size=1, max_size=12)
+INT_POOL = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=12)
+BOOL_POOL = st.lists(st.booleans(), min_size=1, max_size=4)
+COLUMN_NAMES = st.text(st.sampled_from("ab_ -.1é\t'"), max_size=4)
+
+
+@st.composite
+def csv_columns(draw):
+    """1 to 3 columns of float, int or bool, each a drawn pool of values repeated to the row count."""
+    rows = draw(st.one_of(st.sampled_from([0, 1, 255, 256, 257, 600]), st.integers(0, 20)))
+    pools = draw(st.lists(st.one_of(FLOAT_POOL, INT_POOL, BOOL_POOL), min_size=1, max_size=3))
+    names = draw(st.lists(COLUMN_NAMES, min_size=len(pools), max_size=len(pools), unique=True))
+    return {name: np.resize(np.array(pool), rows) for name, pool in zip(names, pools)}
 
 
 class TestCsvWriter:
@@ -302,6 +382,25 @@ class TestCsvWriter:
                          for x, y, z in zip(a.tolist(), b.tolist(), c.tolist()))
         assert path.read_bytes() == text.getvalue().encode()
         assert digest == sha256_of(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_columns())
+    @example({"x": np.full(3, math.nan)})  # each row is one empty field, which csv writes ""
+    @example({"": np.zeros(0)})  # so is the header
+    @example({"a": np.array([0.0, -0.0, 0.0, math.nan, -0.0]), "b": np.array([1, 1, 2, 1, 2])})
+    @example({"t": np.resize(np.array([1.5, math.inf, -math.inf, 5e-324]), 257), "f": np.resize([True, False], 257)})
+    def test_matches_csv_module(self, columns):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            digest = write_csv(path, columns)
+            assert path.read_bytes() == csv_reference(columns)
+            assert digest == sha256_of(path)
+
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\rb", "a\nb"])
+    def test_rejects_a_name_that_needs_quoting(self, tmp_path, name):
+        with pytest.raises(ValueError, match="would need quoting"):
+            write_csv(tmp_path / "t.csv", {"ok": [1.0], name: [2.0]})
+        assert not (tmp_path / "t.csv").exists()
 
 
 def run_cli(args, env_extra=None, cwd=None):
@@ -352,6 +451,17 @@ class TestCli:
         proc = run_cli(["run", str(cfg_path)], env_extra={"THERMALPDC_OUT": str(out)})
         assert proc.returncode == 0, proc.stderr
         assert (out / "manifest.json").exists()
+
+    def test_overflowing_constant_coupling_is_invalid(self, tmp_path):
+        # math.cosh(800) overflows: run ended in an OverflowError traceback after validate said ok
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(mutated(demo("ghost_image"), {"profile": {"type": "constant", "coupling": 800}})))
+        head = "invalid: field profile: the peak correlation amplitude overflows at coupling 800.0"
+        for args in (["validate", str(cfg_path)], ["run", str(cfg_path), "--out", str(tmp_path / "o")]):
+            proc = run_cli(args)
+            assert proc.returncode == 1
+            assert proc.stderr.startswith(head) and len(proc.stderr.splitlines()) == 1
+            assert "Traceback" not in proc.stderr
 
     def test_failing_scenario_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
