@@ -9,17 +9,14 @@ from the fourth-order correlation of the two arms.
 """
 
 from .correlations import (
-    CorrelationReport,
     correlation_index,
     cross_covariance,
     noise_reduction_factor,
     noise_reduction_threshold,
-    param_grid,
-    sweep,
     sweep_columns,
-    write_sweep_csv,
 )
 from .fock import (
+    FactorizationCheck,
     MomentSet,
     TwoModeFockState,
     cross_amplitude,
@@ -28,7 +25,7 @@ from .fock import (
     input_tail_problem,
     moments,
     predicted_moments,
-    write_joint_distribution_csv,
+    validate_factorization,
 )
 from .gaussian import (
     SYMPLECTIC_FORM,
@@ -50,7 +47,6 @@ from .ghost import (
     CollectionOptics,
     ConstantProfile,
     DiffractionPattern,
-    FactorizationCheck,
     G2Map,
     GainProfile,
     GeometryError,
@@ -65,7 +61,6 @@ from .ghost import (
     matched_image_grids,
     transfer_reference_arm,
     transfer_test_arm,
-    validate_factorization,
 )
 from .objects import SampledObject, double_slit, grating, load_object_csv, single_slit
 

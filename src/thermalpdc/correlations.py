@@ -6,39 +6,20 @@ noise reduction factor (NRF) compares the variance of the photon-number
 difference to the shot-noise level.  NRF < 1 certifies nonclassical
 correlations and, for this source, implies entanglement.
 
-Degenerate 0/0 points return None rather than NaN so sweeps stay
-machine-readable.  sweep_columns evaluates whole grids as arrays; the
-scalar functions here and gaussian.check_separability_lossy are the
-per-point reference it is tested against.
+Degenerate 0/0 points return None from the scalar functions and NaN from
+sweep_columns, which evaluates whole grids as arrays and is the one grid
+route.  The scalar functions here and gaussian.check_separability_lossy
+are the per-point reference it is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Iterable, Optional
+import math
+from typing import Optional
 
 import numpy as np
 
-from .artifacts import write_csv
 from .gaussian import ModeParams
-
-CSV_COLUMNS = ("mu_t", "mu_r", "n_pdc", "tau", "gamma", "nrf", "margin", "separable")
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    """One sweep point: correlation diagnostics plus the separability verdict."""
-
-    mu_t: float
-    mu_r: float
-    n_pdc: float
-    tau: float
-    gamma: Optional[float]
-    cross_covariance: float
-    nrf: Optional[float]
-    nrf_threshold: float
-    margin: float
-    separable: bool
 
 
 def cross_covariance(p: ModeParams) -> float:
@@ -83,8 +64,8 @@ def noise_reduction_threshold(mu_t: float, mu_r: float) -> float:
     (2 (1 + mu_t + mu_r)).  For equal seeds this coincides with the
     separability boundary; otherwise it lies strictly above it.
     """
-    if mu_t < 0 or mu_r < 0:
-        raise ValueError("seed means must be >= 0")
+    if not (0 <= mu_t < math.inf and 0 <= mu_r < math.inf):
+        raise ValueError(f"seed means must be finite and >= 0, got ({mu_t}, {mu_r})")
     return (mu_t ** 2 + mu_r ** 2) / (2.0 * (1.0 + mu_t + mu_r))
 
 
@@ -94,8 +75,11 @@ def sweep_columns(mu_t, mu_r, n_pdc, tau=1.0) -> dict[str, np.ndarray]:
 
     The inputs broadcast together (np.meshgrid(..., indexing="ij") axes give
     a full grid, flattened in C order) and are used as given, n_pdc
-    included.  The keys are the CorrelationReport fields plus
-    min_pt_symplectic_eigenvalue; gamma and nrf are NaN where they are 0/0.
+    included.  The keys are the four inputs mu_t, mu_r, n_pdc and tau, then
+    gamma, cross_covariance, nrf, nrf_threshold, margin, separable (bool)
+    and min_pt_symplectic_eigenvalue; gamma and nrf are NaN where they are
+    0/0, and margin, separable and the eigenvalue are taken after the loss
+    tau.  The CSV schemas of the sweep scenarios are subsets of these keys.
     That eigenvalue comes from the two-mode invariants of the partially
     transposed lossy covariance (Simon, PRL 84, 2726 (2000); Serafini et al.,
     J. Phys. B 37, L21 (2004)): nu_-^2 = 2 det V / (D + sqrt(D^2 - 4 det V))
@@ -130,33 +114,3 @@ def sweep_columns(mu_t, mu_r, n_pdc, tau=1.0) -> dict[str, np.ndarray]:
         min_pt_symplectic_eigenvalue=nu_minus,
     )
 
-
-def sweep(params: Iterable[ModeParams], taus: Iterable[float] = (1.0,)) -> list[CorrelationReport]:
-    """Evaluate every diagnostic over a parameter grid.
-
-    Row order is deterministic: parameters outer, transmissions inner.  The
-    correlation diagnostics depend only on the source, not on tau; the
-    embedded verdict is computed through the lossy channel and its margin
-    carries the tau^2 scaling.  Undefined gamma and nrf are None.
-    """
-    points = np.array([(p.mu_t, p.mu_r, p.n_pdc) for p in params], dtype=float).reshape(-1, 3)
-    columns = sweep_columns(*points.T[:, :, None], np.fromiter(taus, float))
-    rows = zip(*(columns[f.name].tolist() for f in fields(CorrelationReport)))
-    return [CorrelationReport(*(None if v != v else v for v in row)) for row in rows]
-
-
-def param_grid(mu_t_values, mu_r_values, n_pdc_values, phase=0.0) -> list[ModeParams]:
-    """Cartesian product of seed means and gains, in row-major order."""
-    return [
-        ModeParams.from_npdc(mt, mr, n, phase)
-        for mt in mu_t_values
-        for mr in mu_r_values
-        for n in n_pdc_values
-    ]
-
-
-def write_sweep_csv(reports: Iterable[CorrelationReport], path) -> None:
-    """Write sweep rows with a fixed header, '.' decimal separator and empty
-    fields for undefined diagnostics."""
-    reports = list(reports)
-    write_csv(path, {name: [getattr(r, name) for r in reports] for name in CSV_COLUMNS})

@@ -17,17 +17,23 @@ as those 2 cutoff + 1 bands and never as the dense matrix of side
 (cutoff + 1)^2: about 16 sum_d (cutoff + 1 - |d|)^2 bytes, 2.3 MiB at cutoff
 60 where the dense matrix takes 211 MiB.  Every diagnostic reads one band
 at a time.
+
+validate_factorization checks the Gaussian moment factorization behind the
+ghost correlation map against this evolution, one mode pair at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .artifacts import write_csv
-from .gaussian import ModeParams
+from .gaussian import ModeParams, build_covariance
+
+# Floating-point floor added to 10x the trace deficit in validate_factorization.
+FACTORIZATION_TOL_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -169,8 +175,8 @@ def input_tail_problem(mu_t, mu_r, cutoff: int, max_trace_deficit: float) -> str
     Each input tail beyond the cutoff, (mu / (1 + mu))^(cutoff + 1), must stay
     within a tenth of max_trace_deficit.
     """
-    if mu_t < 0 or mu_r < 0:
-        return "seed means must be >= 0"
+    if not (0 <= mu_t < math.inf and 0 <= mu_r < math.inf):
+        return f"seed means must be finite and >= 0, got ({mu_t}, {mu_r})"
     for mu in (mu_t, mu_r):
         tail = (mu / (1.0 + mu)) ** (cutoff + 1) if mu > 0 else 0.0
         if tail > max_trace_deficit / 10.0:
@@ -249,8 +255,61 @@ def predicted_moments(p: ModeParams) -> MomentSet:
     )
 
 
-def write_joint_distribution_csv(state: TwoModeFockState, path) -> None:
-    """Dump the diagonal joint photon distribution as n_t, n_r, probability."""
-    p = state.joint_distribution()
-    n_t, n_r = np.indices(p.shape)
-    write_csv(path, {"n_t": n_t.ravel(), "n_r": n_r.ravel(), "probability": p.ravel()})
+
+@dataclass(frozen=True)
+class FactorizationCheck:
+    """One mode pair of the Gaussian moment-factorization validation."""
+
+    params: ModeParams
+    cutoff: int
+    trace_deficit: float
+    fourth_moment: float
+    factorized: float
+    moment_error: float
+    cross_value: complex
+    cross_expected: complex
+    cross_error: float
+    tolerance: float
+    passed: bool
+
+
+def validate_factorization(params: Iterable[ModeParams], cutoff: int = 40) -> list[FactorizationCheck]:
+    """Check the moment factorization behind the ghost correlation map.
+
+    For each mode pair (a gain profile's, say: [profile.mode_params(q) for q
+    in qs]) the exact Fock evolution must satisfy
+
+        <n_T n_R> = <n_T> <n_R> + |<b_T b_R>|^2
+
+    and the anomalous moment must equal exp(i phase) times the covariance
+    cross entry C = u v (1 + mu_t + mu_r) of gaussian.build_covariance.
+    Errors are compared against 10x the trace deficit plus
+    FACTORIZATION_TOL_FLOOR.
+    """
+    checks = []
+    for p in params:
+        state = evolve_thermal_pair(p, cutoff, max_trace_deficit=1e-3)
+        mom = moments(state)
+        fourth = mom.cross + mom.mean_t * mom.mean_r
+        cross = cross_amplitude(state)
+        factorized = mom.mean_t * mom.mean_r + abs(cross) ** 2
+        moment_error = abs(fourth - factorized) / max(abs(fourth), 1.0)
+        expected = build_covariance(p).matrix[0, 2] * np.exp(1j * p.phase)
+        cross_error = abs(cross - expected) / max(abs(expected), 1.0)
+        tol = 10.0 * state.trace_deficit + FACTORIZATION_TOL_FLOOR
+        checks.append(
+            FactorizationCheck(
+                p,
+                cutoff,
+                state.trace_deficit,
+                float(fourth),
+                float(factorized),
+                float(moment_error),
+                complex(cross),
+                complex(expected),
+                float(cross_error),
+                float(tol),
+                bool(moment_error <= tol and cross_error <= tol),
+            )
+        )
+    return checks

@@ -39,7 +39,6 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import ModeParams
-from .fock import cross_amplitude, evolve_thermal_pair, moments
 from .objects import SampledObject
 
 # Geometry classification, relative to 1/d3: below DELTA_TOL the lens-detector
@@ -466,6 +465,7 @@ def matched_image_grids(geometry: GhostGeometry, qgrid: MomentumGrid):
     return scale * lattice, lattice
 
 
+@np.errstate(over="raise")  # FloatingPointError rather than inf or NaN in the result
 def ghost_image(
     geometry: GhostGeometry,
     obj: SampledObject,
@@ -484,7 +484,8 @@ def ghost_image(
     Object-plane variant: integrates the map over the Test coordinate
     (bucket detection).  Fourier-lens variant: every Test slice already
     carries the image, so the slice nearest x_T = 0 is returned without
-    bucket integration.
+    bucket integration.  Raises FloatingPointError when the map or its
+    reduction overflows.
     """
     if geometry.branch != "imaging":
         raise GeometryError(
@@ -501,6 +502,7 @@ def ghost_image(
     return GhostImage(g2.x_r, raw, normalized, g2)
 
 
+@np.errstate(over="raise")  # FloatingPointError rather than inf or NaN in the result
 def ghost_diffraction(
     geometry: GhostGeometry,
     obj: SampledObject,
@@ -515,7 +517,8 @@ def ghost_diffraction(
     at x_T = 0.  The pattern is |ttilde(-2 pi x_R / (lam d3))|^2 times the
     squared correlation amplitude.  When the object grid is uniform and
     dq dx is 2 pi / K, ttilde comes from the K-point FFT that g2_map's
-    kernel uses; otherwise from transfer_test_arm at x_T = 0.
+    kernel uses; otherwise from transfer_test_arm at x_T = 0.  Raises
+    FloatingPointError when the pattern overflows.
     """
     if geometry.branch != "fourier":
         raise GeometryError(
@@ -547,66 +550,3 @@ def ghost_diffraction(
     normalized = raw / peak if peak > 0 else raw.copy()
     return DiffractionPattern(x_r, q, raw, normalized)
 
-
-@dataclass(frozen=True)
-class FactorizationCheck:
-    """One momentum pair of the Gaussian moment-factorization validation."""
-
-    params: ModeParams
-    cutoff: int
-    trace_deficit: float
-    fourth_moment: float
-    factorized: float
-    moment_error: float
-    cross_value: complex
-    cross_expected: complex
-    cross_error: float
-    tolerance: float
-    passed: bool
-
-
-def validate_factorization(
-    profile: GainProfile,
-    q_values,
-    cutoff: int = 40,
-    tolerance_floor: float = 1e-8,
-) -> list[FactorizationCheck]:
-    """Check the moment factorization behind the correlation map.
-
-    For each sampled momentum the exact Fock evolution must satisfy
-
-        <n_T n_R> = <n_T> <n_R> + |<b_T b_R>|^2
-
-    and the anomalous moment must equal exp(i phase) times the correlation
-    amplitude.  Errors are compared against 10x the trace deficit plus a
-    floating-point floor.
-    """
-    checks = []
-    for q in q_values:
-        p = profile.mode_params(float(q))
-        state = evolve_thermal_pair(p, cutoff, max_trace_deficit=1e-3)
-        mom = moments(state)
-        fourth = mom.cross + mom.mean_t * mom.mean_r
-        cross = cross_amplitude(state)
-        factorized = mom.mean_t * mom.mean_r + abs(cross) ** 2
-        scale = max(abs(fourth), 1.0)
-        moment_error = abs(fourth - factorized) / scale
-        expected = correlation_amplitude(float(q), profile) * np.exp(1j * p.phase)
-        cross_error = abs(cross - expected) / max(abs(expected), 1.0)
-        tol = 10.0 * state.trace_deficit + tolerance_floor
-        checks.append(
-            FactorizationCheck(
-                p,
-                cutoff,
-                state.trace_deficit,
-                float(fourth),
-                float(factorized),
-                float(moment_error),
-                complex(cross),
-                complex(expected),
-                float(cross_error),
-                float(tol),
-                bool(moment_error <= tol and cross_error <= tol),
-            )
-        )
-    return checks

@@ -4,8 +4,7 @@ A scenario is one JSON document selecting an experiment kind and its
 parameters; running it writes deterministic artifacts plus a manifest with
 a SHA-256 digest of every file.  Configs are SI (meters); seed means, gains
 and transmissions are dimensionless.  Sweeps are evaluated as arrays in one
-process, so --workers and run(workers=) are accepted but ignored.  CSV
-artifacts end their lines in CRLF.
+process.  CSV artifacts end their lines in CRLF.
 
 Fields (keys not listed are rejected at every level; one without "=
 default" is required).  number: a finite JSON number, not a bool or a
@@ -75,8 +74,9 @@ OUTPUT_DIR_ENV = "THERMALPDC_OUT"
 ORACLE_MAX_TRACE_DEFICIT = 1e-3
 
 SEPARABILITY_COLUMNS = ("mu_t", "mu_r", "n_pdc", "tau", "margin", "min_pt_symplectic_eigenvalue", "separable")
+NRF_COLUMNS = ("mu_t", "mu_r", "n_pdc", "tau", "gamma", "nrf", "margin", "separable")
 SWEEP_OUTPUTS = {"separability-sweep": ("separability.csv", SEPARABILITY_COLUMNS),
-                 "nrf-sweep": ("correlations.csv", correlations.CSV_COLUMNS)}
+                 "nrf-sweep": ("correlations.csv", NRF_COLUMNS)}
 
 PROFILE_GAINS = {"constant": ("n_pdc", "coupling"), "sinc": ("kappa0", "bandwidth")}
 
@@ -157,12 +157,14 @@ class GhostScenario:
     x_r: np.ndarray | None
 
     def _write(self, out: Path):
-        if self.x_r is None:
-            result = ghost_diffraction(self.geometry, self.obj, self.profile, self.qgrid)
-            table = out / "pattern.csv"
-        else:
-            result = ghost_image(self.geometry, self.obj, self.profile, self.qgrid, self.x_r, self.x_t)
-            table = out / "image.csv"
+        try:
+            if self.x_r is None:
+                result = ghost_diffraction(self.geometry, self.obj, self.profile, self.qgrid)
+            else:
+                result = ghost_image(self.geometry, self.obj, self.profile, self.qgrid, self.x_r, self.x_t)
+        except FloatingPointError as exc:
+            raise ScenarioError(f"field profile: the ghost correlation overflows ({exc})") from exc
+        table = out / ("pattern.csv" if self.x_r is None else "image.csv")
         written = {table: write_csv(table, {"x_r": result.x_r, "value_raw": result.raw, "value_normalized": result.normalized})}
         if self.x_r is not None:
             written[out / "g2_map.pgm"] = write_pgm(out / "g2_map.pgm", result.g2.values)
@@ -370,10 +372,11 @@ def run(cfg: dict, out_dir=None, workers: int = 1) -> dict:
     """Execute a scenario config; returns the manifest dictionary.
 
     Identical configs byte-reproduce their CSV artifacts.  Raises
-    ScenarioError on validation problems, on a sweep grid that overflows and
-    on an oracle state whose trace deficit is out of bounds; a failed
-    oracle-validate check marks the manifest failed instead.  workers is
-    accepted and ignored: sweeps are vectorized in one process.
+    ScenarioError on validation problems, on a sweep grid or ghost
+    correlation that overflows and on an oracle state whose trace deficit is
+    out of bounds; a failed oracle-validate check marks the manifest failed
+    instead.  workers is accepted and ignored: sweeps are vectorized in one
+    process.
     """
     scenario, problems = parse_config(cfg)
     if problems:
@@ -404,7 +407,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute a scenario config")
     run_p.add_argument("config", help="path to the scenario JSON document")
     run_p.add_argument("--out", default=None, help="output directory (overrides config and env)")
-    run_p.add_argument("--workers", type=int, default=1, help="accepted but ignored; sweeps are vectorized")
     val_p = sub.add_parser("validate", help="schema-check a scenario config")
     val_p.add_argument("config", help="path to the scenario JSON document")
     args = parser.parse_args(argv)

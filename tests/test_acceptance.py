@@ -245,11 +245,8 @@ def test_criterion_7_ghost_diffraction_and_bucketless_imaging():
 
 
 def test_criterion_8_fourth_moment_factorization():
-    checks = []
-    for mu_t, mu_r, gain in ((0.0, 0.0, 0.8), (0.3, 0.0, 0.25), (0.25, 0.15, 0.2)):
-        checks += validate_factorization(
-            ConstantProfile(ModeParams.from_npdc(mu_t, mu_r, gain)), [0.0], cutoff=40
-        )
+    pairs = [ModeParams.from_npdc(*point) for point in ((0.0, 0.0, 0.8), (0.3, 0.0, 0.25), (0.25, 0.15, 0.2))]
+    checks = validate_factorization(pairs, cutoff=40)
     ok = all(c.passed for c in checks)
     worst = max(max(c.moment_error, c.cross_error) for c in checks)
     bound = min(c.tolerance for c in checks)

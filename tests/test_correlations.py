@@ -14,13 +14,12 @@ from thermalpdc import (
     moments,
     noise_reduction_factor,
     noise_reduction_threshold,
-    param_grid,
     separability_margin,
-    sweep,
     sweep_columns,
-    write_sweep_csv,
 )
+from thermalpdc.artifacts import write_csv
 from thermalpdc.gaussian import BOUNDARY_BAND
+from thermalpdc.scenario import NRF_COLUMNS
 
 
 def gamma_correction_general(mu_t, mu_r, n_pdc):
@@ -132,6 +131,12 @@ class TestNoiseReductionThreshold:
         with pytest.raises(ValueError):
             noise_reduction_threshold(-1, 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_seeds_that_are_not_finite_and_non_negative(self, bad):
+        for seeds in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                noise_reduction_threshold(*seeds)
+
     def test_crossing_matches_nrf(self):
         for mu_t, mu_r in [(0.5, 2.0), (3.0, 3.0), (0.0, 4.0)]:
             star = noise_reduction_threshold(mu_t, mu_r)
@@ -167,20 +172,26 @@ class TestOracleCrossCheck:
             assert got_nrf == pytest.approx(noise_reduction_factor(p), rel=tol, abs=tol)
 
 
+def grid_columns(mu_t, mu_r, n_pdc, tau=(1.0,)):
+    """sweep_columns over the full grid of the four axes, tau innermost."""
+    return sweep_columns(*np.meshgrid(mu_t, mu_r, n_pdc, tau, indexing="ij"))
+
+
+def write_nrf_csv(columns, path):
+    write_csv(path, {name: columns[name] for name in NRF_COLUMNS})
+
+
 class TestSweep:
     def test_fig2_style_shapes(self):
         gains = np.geomspace(0.01, 10, 60)
-        rows = sweep(param_grid([0.0], [2.0], gains))
-        gammas = [r.gamma for r in rows]
-        nrfs = [r.nrf for r in rows]
-        assert all(b > a for a, b in zip(gammas, gammas[1:]))
-        assert all(b < a for a, b in zip(nrfs, nrfs[1:]))
+        cols = grid_columns([0.0], [2.0], gains)
+        gammas, nrfs = cols["gamma"], cols["nrf"]
+        assert np.all(np.diff(gammas) > 0)
+        assert np.all(np.diff(nrfs) < 0)
         assert gammas[-1] > 0.99
         crossing = noise_reduction_threshold(0.0, 2.0)
         assert crossing == pytest.approx(2.0 / 3.0)
-        below = [r.n_pdc for r in rows if r.nrf > 1.0]
-        above = [r.n_pdc for r in rows if r.nrf < 1.0]
-        assert max(below) < crossing < min(above)
+        assert cols["n_pdc"][nrfs > 1.0].max() < crossing < cols["n_pdc"][nrfs < 1.0].min()
 
     def test_equal_seed_crossing_matches_margin_zero(self):
         mu = 1.7
@@ -189,26 +200,26 @@ class TestSweep:
         assert abs(margin_at_star) < 1e-9
 
     def test_loss_does_not_change_verdict(self):
-        rows = sweep(param_grid([1.0], [1.0], [0.5]), taus=[1.0, 0.5])
-        assert rows[0].separable == rows[1].separable is False
-        assert rows[1].margin == pytest.approx(0.25 * rows[0].margin, rel=1e-12)
+        cols = grid_columns([1.0], [1.0], [0.5], [1.0, 0.5])
+        assert cols["separable"].tolist() == [False, False]
+        assert cols["margin"][1] == pytest.approx(0.25 * cols["margin"][0], rel=1e-12)
 
     def test_row_order_deterministic(self):
-        grid = param_grid([0.0, 1.0], [0.5], [0.1, 0.2])
-        rows = sweep(grid, taus=[1.0, 0.7])
-        keys = [(r.mu_t, r.n_pdc, r.tau) for r in rows]
+        cols = grid_columns([0.0, 1.0], [0.5], [0.1, 0.2], [1.0, 0.7])
+        keys = list(zip(cols["mu_t"], cols["n_pdc"], cols["tau"]))
         expected = [
             (0.0, 0.1, 1.0), (0.0, 0.1, 0.7), (0.0, 0.2, 1.0), (0.0, 0.2, 0.7),
             (1.0, 0.1, 1.0), (1.0, 0.1, 0.7), (1.0, 0.2, 1.0), (1.0, 0.2, 0.7),
         ]
+        assert len(keys) == len(expected)
         for got, want in zip(keys, expected):
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_undefined_points_propagate_as_empty_fields(self, tmp_path):
-        rows = sweep(param_grid([0.0], [0.0], [0.0, 0.5]))
-        assert rows[0].gamma is None and rows[0].nrf is None
+        cols = grid_columns([0.0], [0.0], [0.0, 0.5])
+        assert np.isnan(cols["gamma"][0]) and np.isnan(cols["nrf"][0])
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(rows, path)
+        write_nrf_csv(cols, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "mu_t,mu_r,n_pdc,tau,gamma,nrf,margin,separable"
         first = lines[1].split(",")
@@ -217,10 +228,9 @@ class TestSweep:
         assert "," in lines[1] and "." in lines[2]
 
     def test_csv_is_byte_deterministic(self, tmp_path):
-        rows = sweep(param_grid([0.3, 1.1], [0.2], np.geomspace(0.01, 2, 7)))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(rows, a)
-        write_sweep_csv(rows, b)
+        write_nrf_csv(grid_columns([0.3, 1.1], [0.2], np.geomspace(0.01, 2, 7)), a)
+        write_nrf_csv(grid_columns([0.3, 1.1], [0.2], np.geomspace(0.01, 2, 7)), b)
         assert a.read_bytes() == b.read_bytes()
 
 

@@ -15,7 +15,6 @@ from thermalpdc import (
     fock,
     moments,
     predicted_moments,
-    write_joint_distribution_csv,
 )
 
 ASINH1 = math.asinh(1.0)
@@ -179,7 +178,6 @@ class TestEvolveThermalPair:
         state.joint_distribution()
         state.hermiticity_defect()
         state.min_eigenvalue()
-        write_joint_distribution_csv(state, tmp_path / "joint.csv")
         cfg = {"kind": "oracle-validate", "params": {"mu_t": 0.5, "mu_r": 0.5, "n_pdc": 0.3}, "cutoff": 45}
         assert run(cfg, out_dir=tmp_path)["passed"]
 
@@ -300,16 +298,23 @@ class TestSeedsGainAndPhase:
         assert cross_amplitude(state) == pytest.approx(want, rel=5e-3, abs=1e-12)
 
 
-class TestJointDistributionDump:
-    def test_csv_contents(self, tmp_path):
+class TestJointDistribution:
+    def test_sums_to_one_minus_trace_deficit(self):
         state = evolve_thermal_pair(ModeParams(0.0, 0.0, ASINH1), 8, max_trace_deficit=1e-2)
-        path = tmp_path / "joint.csv"
-        write_joint_distribution_csv(state, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "n_t,n_r,probability"
-        assert len(lines) == 1 + 9 * 9
-        total = sum(float(line.split(",")[2]) for line in lines[1:])
-        assert total == pytest.approx(1.0 - state.trace_deficit, abs=1e-12)
+        p = state.joint_distribution()
+        assert p.shape == (9, 9)
+        assert state.trace_deficit > 1e-4
+        assert p.sum() == pytest.approx(1.0 - state.trace_deficit, abs=1e-12)
+
+
+class TestInputTailProblem:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_seeds_that_are_not_finite_and_non_negative(self, bad):
+        for seeds in ((bad, 0.5), (0.5, bad)):
+            assert "finite and >= 0" in fock.input_tail_problem(*seeds, 20, 1e-3)
+
+    def test_fitting_seeds_have_no_problem(self):
+        assert fock.input_tail_problem(0.5, 0.0, 60, 1e-3) is None
 
 
 def ladder_moment(state, powers):

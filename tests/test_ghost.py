@@ -680,27 +680,23 @@ class TestValidateFactorization:
         # output means stay well below cutoff/12 so the truncation bias on
         # the quadratic moments sits under the floating-point floor of the
         # 10x-deficit bound
-        checks = validate_factorization(
-            ConstantProfile(ModeParams.from_npdc(0.0, 0.0, 0.8)), [0.0], cutoff=30
-        )
-        checks += validate_factorization(
-            ConstantProfile(ModeParams.from_npdc(0.3, 0.0, 0.25)), [0.0], cutoff=30
-        )
-        checks += validate_factorization(
-            ConstantProfile(ModeParams.from_npdc(0.25, 0.15, 0.2)), [0.0], cutoff=30
-        )
+        pairs = [ModeParams.from_npdc(0.0, 0.0, 0.8), ModeParams.from_npdc(0.3, 0.0, 0.25),
+                 ModeParams.from_npdc(0.25, 0.15, 0.2)]
+        checks = validate_factorization(pairs, cutoff=30)
+        assert [c.params for c in checks] == pairs
         for check in checks:
             assert check.passed, (check.params, check.moment_error, check.cross_error)
 
     def test_uncoupled_source_factorizes_trivially(self):
-        checks = validate_factorization(
-            ConstantProfile(ModeParams(0.7, 0.4, 0.0)), [0.0], cutoff=25
-        )
+        checks = validate_factorization([ModeParams(0.7, 0.4, 0.0)], cutoff=25)
         assert checks[0].cross_value == 0.0
         assert checks[0].moment_error <= checks[0].tolerance
 
     def test_profile_sampling_at_multiple_momenta(self):
         prof = SincProfile(kappa0=0.5, bandwidth=1e-10, mu_t=0.2, mu_r=0.1)
-        checks = validate_factorization(prof, [0.0, 5e4, 9e4], cutoff=25)
+        checks = validate_factorization([prof.mode_params(q) for q in (0.0, 5e4, 9e4)], cutoff=25)
         assert len(checks) == 3
         assert all(c.passed for c in checks)
+        # the anomalous moment follows the profile's correlation amplitude
+        for q, c in zip((0.0, 5e4, 9e4), checks):
+            assert c.cross_expected == pytest.approx(correlation_amplitude(q, prof), rel=1e-14)

@@ -463,6 +463,22 @@ class TestCli:
             assert proc.stderr.startswith(head) and len(proc.stderr.splitlines()) == 1
             assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("base, coupling", [("ghost_image", 300), ("ghost_image", 354), ("ghost_diffraction", 300)])
+    def test_overflowing_ghost_correlation_is_one_error_line(self, tmp_path, base, coupling):
+        # the peak amplitude is finite, but |F|^2 (or, at 354, the FFT) overflows; run used to
+        # exit 0 with empty value fields, or end in a traceback under -W error
+        cfg = mutated(demo(base), {"profile": {"type": "constant", "coupling": coupling}})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        strict = {"PYTHONWARNINGS": "error"}
+        assert run_cli(["validate", str(cfg_path)], strict).stdout == "ok\n"
+        proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")], strict)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: field profile: the ghost correlation overflows")
+        assert len(proc.stderr.splitlines()) == 1
+        with pytest.raises(ScenarioError, match="overflows"):
+            run(cfg, out_dir=tmp_path / "lib")
+
     def test_failing_scenario_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(dict(ORACLE, cutoff=30, max_relative_error=1e-18)))
