@@ -75,9 +75,11 @@ def sweep_columns(mu_t, mu_r, n_pdc, tau=1.0) -> dict[str, np.ndarray]:
 
     The inputs broadcast together (np.meshgrid(..., indexing="ij") axes give
     a full grid, flattened in C order) and are used as given, n_pdc
-    included.  The keys are the four inputs mu_t, mu_r, n_pdc and tau, then
-    gamma, cross_covariance, nrf, nrf_threshold, margin, separable (bool)
-    and min_pt_symplectic_eigenvalue; gamma and nrf are NaN where they are
+    included; ValueError is raised unless every seed mean and gain is
+    finite and >= 0 and every tau is in (0, 1].  The keys are the four
+    inputs mu_t, mu_r, n_pdc and tau, then gamma, cross_covariance, nrf,
+    nrf_threshold, margin, separable (bool) and
+    min_pt_symplectic_eigenvalue; gamma and nrf are NaN where they are
     0/0, and margin, separable and the eigenvalue are taken after the loss
     tau.  The CSV schemas of the sweep scenarios are subsets of these keys.
     That eigenvalue comes from the two-mode invariants of the partially
@@ -89,6 +91,8 @@ def sweep_columns(mu_t, mu_r, n_pdc, tau=1.0) -> dict[str, np.ndarray]:
     mu_t, mu_r, n, tau = (np.ravel(x) for x in arrays)
     if not np.all((tau > 0.0) & (tau <= 1.0)):
         raise ValueError("transmissions must be in (0, 1]")
+    if not all(np.all((x >= 0.0) & (x < np.inf)) for x in (mu_t, mu_r, n)):
+        raise ValueError("seed means and gains must be finite and >= 0")
     s = 1.0 + mu_t + mu_r
     mean_t, mean_r = mu_t + n * s, mu_r + n * s
     denom2 = mean_t * (mean_t + 1.0) * mean_r * (mean_r + 1.0)

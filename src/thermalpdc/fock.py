@@ -9,6 +9,14 @@ even rungs to odd ones.  Each band is evolved by one unitary, built from one
 SVD of that even-odd coupling, and the thermal mixture of inputs on the band
 is U diag(w) U^dag.
 
+The generator is padded beyond the band's rungs so that its truncation
+edge does not reflect weight back into them.  The padding starts at
+FIRST_PAD rungs and doubles, up to cutoff + 1, until the thermally weighted
+amplitude that the padded evolution carries to its last two rungs is at
+most EDGE_TOLERANCE; each band starts from the previous band's padding.
+Dim seeds keep a few rungs of padding; bright seeds, where that check does
+not pass, are padded by cutoff + 1 rungs.
+
 The output density matrix is truncated at a photon-number cutoff per mode.
 The truncated weight is reported as a trace deficit, never hidden.
 
@@ -24,7 +32,9 @@ ghost correlation map against this evolution, one mode pair at a time.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -34,6 +44,11 @@ from .gaussian import ModeParams, build_covariance
 
 # Floating-point floor added to 10x the trace deficit in validate_factorization.
 FACTORIZATION_TOL_FLOOR = 1e-8
+# Largest weighted amplitude a padded band evolution may carry into the last
+# two rungs of its generator (see _edge_amplitudes), and the padding, in
+# rungs, that the first band tries.
+EDGE_TOLERANCE = 1e-15
+FIRST_PAD = 8
 
 
 @dataclass(frozen=True)
@@ -112,9 +127,10 @@ def evolve_thermal_pair(p: ModeParams, cutoff: int, max_trace_deficit: float = 1
 
     Band d is U diag(w) U^dag, with w the product of geometric input weights
     P(n) = mu^n / (1 + mu)^(n+1) of its rungs within the cutoff and U the
-    pair evolution on those rungs.  Raises if the input tails beyond the
-    cutoff exceed a tenth of max_trace_deficit (see input_tail_problem), or
-    if the trace deficit exceeds it in magnitude.
+    pair evolution on those rungs.  Raises ValueError for a cutoff or
+    max_trace_deficit out of range or if the input tails beyond the cutoff
+    exceed a tenth of max_trace_deficit (see input_tail_problem), and if the
+    trace deficit exceeds max_trace_deficit in magnitude.
     """
     problem = input_tail_problem(p.mu_t, p.mu_r, cutoff, max_trace_deficit)
     if problem:
@@ -123,13 +139,23 @@ def evolve_thermal_pair(p: ModeParams, cutoff: int, max_trace_deficit: float = 1
     w_t = _thermal_weights(p.mu_t, cutoff)
     w_r = _thermal_weights(p.mu_r, cutoff)
     bands = [None] * (2 * cutoff + 1)
+    pad = min(FIRST_PAD, dim)
     for gap in range(dim):
-        # bands d and -d share their generator; padding it by another cutoff + 1
-        # rungs keeps its edge from reflecting weight back below the cutoff
-        u = _band_unitary(p, gap, dim - gap, dim)
+        side = dim - gap
+        weights = {}
         for d in {gap, -gap}:
             n_t, n_r = _rungs(d, dim)
-            bands[d + cutoff] = (u * (w_t[n_t] * w_r[n_r])) @ u.conj().T
+            weights[d] = w_t[n_t] * w_r[n_r]
+        # bands d and -d share their generator; its padding grows from the last
+        # band's until the weight its evolution carries to the edge, from
+        # either band, is within EDGE_TOLERANCE (a NaN weight fails the check);
+        # at cutoff + 1 it stops growing
+        top = np.maximum(weights[gap], weights[-gap])
+        while pad < dim and not _edge_amplitudes(p, gap, side, pad) @ top <= EDGE_TOLERANCE:
+            pad = min(2 * pad, dim)
+        u = _band_unitary(p, gap, side, pad)
+        for d, w in weights.items():
+            bands[d + cutoff] = (u * w) @ u.conj().T
     deficit = 1.0 - sum(float(np.trace(band).real) for band in bands)
     if abs(deficit) > max_trace_deficit:
         raise ValueError(
@@ -138,11 +164,28 @@ def evolve_thermal_pair(p: ModeParams, cutoff: int, max_trace_deficit: float = 1
     return TwoModeFockState(cutoff, tuple(bands), deficit)
 
 
+@functools.lru_cache(maxsize=1)
+def _band_svd(gap: int, h: int):
+    """SVD B = P Sigma Q^T of the even-odd coupling of the bands d = +-gap on 2 h rungs.
+
+    B[j, j] couples rung 2 j to 2 j + 1 and B[j + 1, j] couples 2 j + 1 to
+    2 j + 2, with sqrt((r + 1)(r + 1 + gap)) between rungs r and r + 1.  The
+    last result is kept (read-only), so a band's edge check and its unitary
+    share one SVD.
+    """
+    r = np.arange(2 * h - 1)
+    off = np.sqrt((r + 1.0) * (r + 1.0 + gap))
+    factors = np.linalg.svd(np.diag(off[::2]) + np.diag(off[1::2], -1))
+    for a in factors:
+        a.flags.writeable = False
+    return factors
+
+
 def _band_unitary(p: ModeParams, gap: int, side: int, pad: int) -> np.ndarray:
     """Pair evolution among the bottom side rungs of the bands d = +-gap.
 
-    The generator couples rung r to r + 1 with sqrt((r + 1)(r + 1 + gap));
-    it is built on 2 h >= side + pad rungs.  Conjugated by
+    The generator is built on 2 h = 2 ((side + pad + 1) // 2) rungs, that is
+    padded by pad or pad + 1 rungs beyond the band.  Conjugated by
     D = diag(e^{i r (phase + pi/2)}) it becomes -i kappa S with S real
     symmetric, and S only couples even rungs to odd ones: in that order
     S = [[0, B], [B^T, 0]] with B square of side h.  From the SVD
@@ -152,11 +195,7 @@ def _band_unitary(p: ModeParams, gap: int, side: int, pad: int) -> np.ndarray:
     eigendecomposition of side 2 h.  The diagonal blocks are written as
     identity plus correction, so an uncoupled pair stays exactly unevolved.
     """
-    h = (side + pad + 1) // 2
-    r = np.arange(2 * h - 1)
-    off = np.sqrt((r + 1.0) * (r + 1.0 + gap))
-    # B[j, j] couples rung 2 j to 2 j + 1, B[j + 1, j] couples 2 j + 1 to 2 j + 2
-    p_even, sigma, q_t = np.linalg.svd(np.diag(off[::2]) + np.diag(off[1::2], -1))
+    p_even, sigma, q_t = _band_svd(gap, (side + pad + 1) // 2)
     p_even = p_even[: (side + 1) // 2]
     q_odd = q_t[:, : side // 2].T
     cos_m1 = -2.0 * np.sin(0.5 * p.coupling * sigma) ** 2
@@ -169,12 +208,39 @@ def _band_unitary(p: ModeParams, gap: int, side: int, pad: int) -> np.ndarray:
     return rotation[:, None] * u * rotation.conj()
 
 
+def _edge_amplitudes(p: ModeParams, gap: int, side: int, pad: int) -> np.ndarray:
+    """|U[2 h - 2, k]| + |U[2 h - 1, k]| for each rung k < side, from the
+    SVD behind _band_unitary(p, gap, side, pad).
+
+    U is e^{-i kappa S} on all 2 h rungs of the padded generator, so these are
+    the amplitudes each kept input rung carries into its last two rungs,
+    where the truncated coupling to rung 2 h would start to reflect weight
+    back.  D only changes phases.  With pad >= 2 both rungs lie above the
+    band, so no identity term enters.
+    """
+    p_even, sigma, q_t = _band_svd(gap, (side + pad + 1) // 2)
+    cos_m1 = -2.0 * np.sin(0.5 * p.coupling * sigma) ** 2
+    sin = np.sin(p.coupling * sigma)
+    p_kept = p_even[: (side + 1) // 2]
+    q_kept = q_t[:, : side // 2].T
+    p_last, q_last = p_even[-1], q_t[:, -1]
+    edge = np.empty(side)
+    edge[::2] = np.abs(p_kept @ (p_last * cos_m1)) + np.abs(p_kept @ (q_last * sin))
+    edge[1::2] = np.abs(q_kept @ (p_last * sin)) + np.abs(q_kept @ (q_last * cos_m1))
+    return edge
+
+
 def input_tail_problem(mu_t, mu_r, cutoff: int, max_trace_deficit: float) -> str | None:
     """Why thermal seeds of means mu_t, mu_r do not fit under the cutoff, or None.
 
     Each input tail beyond the cutoff, (mu / (1 + mu))^(cutoff + 1), must stay
-    within a tenth of max_trace_deficit.
+    within a tenth of max_trace_deficit.  Raises ValueError unless cutoff is
+    an integer >= 1 (not a bool) and max_trace_deficit a finite number > 0.
     """
+    if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Integral) or cutoff < 1:
+        raise ValueError(f"cutoff must be an integer >= 1, got {cutoff!r}")
+    if not isinstance(max_trace_deficit, numbers.Real) or not 0.0 < max_trace_deficit < math.inf:
+        raise ValueError(f"max_trace_deficit must be finite and > 0, got {max_trace_deficit!r}")
     if not (0 <= mu_t < math.inf and 0 <= mu_r < math.inf):
         return f"seed means must be finite and >= 0, got ({mu_t}, {mu_r})"
     for mu in (mu_t, mu_r):

@@ -284,6 +284,15 @@ class TestSweepColumns:
         with pytest.raises(ValueError):
             sweep_columns(1.0, 1.0, 0.5, tau)
 
+    @pytest.mark.parametrize(
+        "point",
+        [(1.0, 1.0, -0.5), (-1.0, 1.0, 0.5), (math.nan, 1.0, 0.5), (1.0, math.inf, 0.5), (1.0, 1.0, math.nan),
+         ([0.0, -1e-300], 1.0, 0.5)],
+    )
+    def test_rejects_seeds_and_gains_that_are_not_finite_and_non_negative(self, point):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            sweep_columns(*point)
+
     def test_overflow_raises(self):
         with pytest.raises(FloatingPointError):
             sweep_columns(1e200, 1e200, 1e200)

@@ -1,5 +1,8 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from thermalpdc import (
 )
 
 ASINH1 = math.asinh(1.0)
+DEMO_ORACLE = Path(__file__).resolve().parents[1] / "demos" / "configs" / "oracle_validate.json"
 
 
 def moment_tolerance(state):
@@ -55,6 +59,27 @@ def brute_force_unitary(coupling, phase, dim):
     kappa = coupling * np.exp(1j * (math.pi / 2.0 - phase))
     gen = kappa * a_t @ a_r + np.conj(kappa) * a_t.conj().T @ a_r.conj().T
     return series_expm(1j * gen)
+
+
+def fixed_pad_bands(p, cutoff, pad):
+    """Every band evolved with its generator padded by the same pad rungs,
+    bypassing the edge check of evolve_thermal_pair."""
+    dim = cutoff + 1
+    w_t = fock._thermal_weights(p.mu_t, cutoff)
+    w_r = fock._thermal_weights(p.mu_r, cutoff)
+    bands = {}
+    for gap in range(dim):
+        u = fock._band_unitary(p, gap, dim - gap, pad)
+        for d in {gap, -gap}:
+            n_t, n_r = fock._rungs(d, dim)
+            bands[d] = (u * (w_t[n_t] * w_r[n_r])) @ u.conj().T
+    return [bands[d] for d in range(-cutoff, dim)]
+
+
+def spy_pads(pads):
+    """A stand-in for fock._band_unitary that records the pad of each call."""
+    band_unitary = fock._band_unitary
+    return lambda p, gap, side, pad: pads.append(pad) or band_unitary(p, gap, side, pad)
 
 
 class TestDenseReference:
@@ -142,8 +167,9 @@ class TestEvolveThermalPair:
             evolve_thermal_pair(ModeParams.from_npdc(0.5, 0.5, 0.3), 40)
 
     def test_padding_is_converged(self, monkeypatch):
-        # the generator of each band is padded by cutoff + 1 rungs; doubling
-        # the padding moves no band entry, while halving it would
+        # these seeds pad every band by cutoff + 1 rungs (the cap, see
+        # test_bright_seeds_pad_to_the_cap); doubling the padding moves no
+        # band entry, while halving it would
         p = ModeParams.from_npdc(3.0, 3.0, 1.0)
         state = evolve_thermal_pair(p, 100, 1e-3)
         band_unitary = fock._band_unitary
@@ -155,6 +181,55 @@ class TestEvolveThermalPair:
 
         assert moved(2.0) < 1e-15
         assert moved(0.5) > 1e-13
+
+    def test_bright_seeds_pad_to_the_cap(self, monkeypatch):
+        # the edge check never passes here, so every band is padded by
+        # cutoff + 1 rungs and equals a fixed padding of cutoff + 1 bit for bit
+        p = ModeParams.from_npdc(3.0, 3.0, 1.0)
+        pads = []
+        monkeypatch.setattr(fock, "_band_unitary", spy_pads(pads))
+        state = evolve_thermal_pair(p, 100, 1e-3)
+        monkeypatch.undo()
+        assert pads == [101] * 101
+        for band, want in zip(state.bands, fixed_pad_bands(p, 100, 101)):
+            assert band.tobytes() == want.tobytes()
+
+    def test_demo_oracle_pads_below_the_cap(self, monkeypatch):
+        from thermalpdc.scenario import ORACLE_MAX_TRACE_DEFICIT
+
+        cfg = json.loads(DEMO_ORACLE.read_text())
+        pads = []
+        monkeypatch.setattr(fock, "_band_unitary", spy_pads(pads))
+        evolve_thermal_pair(ModeParams.from_npdc(**cfg["params"]), cfg["cutoff"], ORACLE_MAX_TRACE_DEFICIT)
+        assert len(pads) == cfg["cutoff"] + 1
+        assert max(pads) < cfg["cutoff"] + 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(0.0, 5.0),
+        st.floats(0.0, 5.0),
+        st.floats(0.0, 2.0),
+        st.floats(-math.pi, math.pi),
+        st.integers(1, 40),
+    )
+    @example(0.5, 0.5, 0.3, 0.0, 40)
+    @example(0.0, 0.0, 0.5, 1.0, 40)
+    @example(5.0, 5.0, 1.0, 0.4, 40)
+    def test_bound_chosen_pads_match_double_padding(self, mu_t, mu_r, n_pdc, phase, cutoff):
+        # below the cap a band matches one padded by 2 (cutoff + 1) rungs; at
+        # the cap it is the band padded by cutoff + 1, whose own truncation
+        # error shows in the trace deficit
+        p = ModeParams.from_npdc(mu_t, mu_r, n_pdc, phase)
+        pads = []
+        with mock.patch.object(fock, "_band_unitary", spy_pads(pads)):
+            state = evolve_thermal_pair(p, cutoff, 10.0)
+        at_cap = fixed_pad_bands(p, cutoff, cutoff + 1)
+        doubled = fixed_pad_bands(p, cutoff, 2 * (cutoff + 1))
+        for d, band in zip(range(-cutoff, cutoff + 1), state.bands):
+            if pads[abs(d)] == cutoff + 1:
+                assert band.tobytes() == at_cap[d + cutoff].tobytes(), d
+            else:
+                assert np.abs(band - doubled[d + cutoff]).max() < 1e-14, d
 
     def test_band_layout(self):
         state = evolve_thermal_pair(ModeParams(0.3, 0.6, 0.4, 0.2), 7, max_trace_deficit=1e-2)
@@ -315,6 +390,28 @@ class TestInputTailProblem:
 
     def test_fitting_seeds_have_no_problem(self):
         assert fock.input_tail_problem(0.5, 0.0, 60, 1e-3) is None
+
+    @pytest.mark.parametrize("cutoff", [-1, 0, 2.5, np.float64(20.0), True, "20", None])
+    def test_rejects_cutoffs_that_are_not_integers_from_one(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be an integer >= 1"):
+            fock.input_tail_problem(0.5, 0.5, cutoff, 1e-3)
+        with pytest.raises(ValueError, match="cutoff must be an integer >= 1"):
+            evolve_thermal_pair(ModeParams(0.0, 0.0, 0.3), cutoff)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, 0.0, -1e-3, "1e-3", None])
+    def test_rejects_trace_bounds_that_are_not_finite_and_positive(self, bound):
+        with pytest.raises(ValueError, match="max_trace_deficit must be finite and > 0"):
+            fock.input_tail_problem(0.5, 0.5, 20, bound)
+        # a NaN bound would otherwise pass a trace deficit of 0.34 here
+        with pytest.raises(ValueError, match="max_trace_deficit must be finite and > 0"):
+            evolve_thermal_pair(ModeParams.from_npdc(5.0, 5.0, 1.0), 20, bound)
+
+    def test_numpy_integer_cutoff(self):
+        p = ModeParams.from_npdc(0.5, 0.5, 0.3)
+        state = evolve_thermal_pair(p, np.int64(40))
+        want = evolve_thermal_pair(p, 40)
+        assert fock.input_tail_problem(0.5, 0.5, np.int64(40), np.float64(1e-6)) is None
+        assert all(np.array_equal(a, b) for a, b in zip(state.bands, want.bands))
 
 
 def ladder_moment(state, powers):
