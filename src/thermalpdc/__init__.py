@@ -20,7 +20,6 @@ from .fock import (
     MomentSet,
     TwoModeFockState,
     cross_amplitude,
-    default_cutoff,
     evolve_thermal_pair,
     input_tail_problem,
     moments,
@@ -37,13 +36,11 @@ from .gaussian import (
     check_separability,
     check_separability_lossy,
     covariance_with_phase,
-    local_rotation,
     partial_transpose,
     separability_margin,
     symplectic_eigenvalues,
 )
 from .ghost import (
-    CallableProfile,
     CollectionOptics,
     ConstantProfile,
     DiffractionPattern,

@@ -32,7 +32,6 @@ ghost correlation map against this evolution, one mode pair at a time.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -114,14 +113,6 @@ class MomentSet:
     cross: float
 
 
-def default_cutoff(mu_t, mu_r, n_pdc) -> int:
-    """Heuristic per-mode cutoff: thermal tails decay geometrically, so a
-    dozen times the largest output mean keeps the truncated weight small
-    while the assembly cost grows only polynomially."""
-    top = max(mu_t, mu_r) + n_pdc * (1.0 + mu_t + mu_r)
-    return math.ceil(12.0 * (1.0 + top))
-
-
 def evolve_thermal_pair(p: ModeParams, cutoff: int, max_trace_deficit: float = 1e-6) -> TwoModeFockState:
     """Output state for thermal seeds of means p.mu_t and p.mu_r.
 
@@ -151,9 +142,12 @@ def evolve_thermal_pair(p: ModeParams, cutoff: int, max_trace_deficit: float = 1
         # either band, is within EDGE_TOLERANCE (a NaN weight fails the check);
         # at cutoff + 1 it stops growing
         top = np.maximum(weights[gap], weights[-gap])
-        while pad < dim and not _edge_amplitudes(p, gap, side, pad) @ top <= EDGE_TOLERANCE:
+        factors = _band_svd(gap, (side + pad + 1) // 2)
+        while pad < dim and not _edge_amplitudes(p, factors, side) @ top <= EDGE_TOLERANCE:
             pad = min(2 * pad, dim)
-        u = _band_unitary(p, gap, side, pad)
+            if (side + pad + 1) // 2 != len(factors[1]):  # else the padded generator is unchanged
+                factors = _band_svd(gap, (side + pad + 1) // 2)
+        u = _band_unitary(p, factors, side)
         for d, w in weights.items():
             bands[d + cutoff] = (u * w) @ u.conj().T
     deficit = 1.0 - sum(float(np.trace(band).real) for band in bands)
@@ -164,30 +158,26 @@ def evolve_thermal_pair(p: ModeParams, cutoff: int, max_trace_deficit: float = 1
     return TwoModeFockState(cutoff, tuple(bands), deficit)
 
 
-@functools.lru_cache(maxsize=1)
 def _band_svd(gap: int, h: int):
     """SVD B = P Sigma Q^T of the even-odd coupling of the bands d = +-gap on 2 h rungs.
 
     B[j, j] couples rung 2 j to 2 j + 1 and B[j + 1, j] couples 2 j + 1 to
-    2 j + 2, with sqrt((r + 1)(r + 1 + gap)) between rungs r and r + 1.  The
-    last result is kept (read-only), so a band's edge check and its unitary
-    share one SVD.
+    2 j + 2, with sqrt((r + 1)(r + 1 + gap)) between rungs r and r + 1.
+    evolve_thermal_pair takes h = (side + pad + 1) // 2, so the generator is
+    padded by pad or pad + 1 rungs beyond the band's side rungs.
     """
     r = np.arange(2 * h - 1)
     off = np.sqrt((r + 1.0) * (r + 1.0 + gap))
-    factors = np.linalg.svd(np.diag(off[::2]) + np.diag(off[1::2], -1))
-    for a in factors:
-        a.flags.writeable = False
-    return factors
+    return np.linalg.svd(np.diag(off[::2]) + np.diag(off[1::2], -1))
 
 
-def _band_unitary(p: ModeParams, gap: int, side: int, pad: int) -> np.ndarray:
+def _band_unitary(p: ModeParams, factors, side: int) -> np.ndarray:
     """Pair evolution among the bottom side rungs of the bands d = +-gap.
 
-    The generator is built on 2 h = 2 ((side + pad + 1) // 2) rungs, that is
-    padded by pad or pad + 1 rungs beyond the band.  Conjugated by
-    D = diag(e^{i r (phase + pi/2)}) it becomes -i kappa S with S real
-    symmetric, and S only couples even rungs to odd ones: in that order
+    factors is _band_svd(gap, h), from the generator on 2 h >= side rungs.
+    Conjugated by D = diag(e^{i r (phase + pi/2)}) the generator becomes
+    -i kappa S with S real symmetric, and S only couples even rungs to odd
+    ones: in that order
     S = [[0, B], [B^T, 0]] with B square of side h.  From the SVD
     B = P Sigma Q^T, e^{-i kappa S} has even block P cos(kappa Sigma) P^T,
     odd block Q cos(kappa Sigma) Q^T and even-odd block
@@ -195,7 +185,7 @@ def _band_unitary(p: ModeParams, gap: int, side: int, pad: int) -> np.ndarray:
     eigendecomposition of side 2 h.  The diagonal blocks are written as
     identity plus correction, so an uncoupled pair stays exactly unevolved.
     """
-    p_even, sigma, q_t = _band_svd(gap, (side + pad + 1) // 2)
+    p_even, sigma, q_t = factors
     p_even = p_even[: (side + 1) // 2]
     q_odd = q_t[:, : side // 2].T
     cos_m1 = -2.0 * np.sin(0.5 * p.coupling * sigma) ** 2
@@ -208,17 +198,17 @@ def _band_unitary(p: ModeParams, gap: int, side: int, pad: int) -> np.ndarray:
     return rotation[:, None] * u * rotation.conj()
 
 
-def _edge_amplitudes(p: ModeParams, gap: int, side: int, pad: int) -> np.ndarray:
+def _edge_amplitudes(p: ModeParams, factors, side: int) -> np.ndarray:
     """|U[2 h - 2, k]| + |U[2 h - 1, k]| for each rung k < side, from the
-    SVD behind _band_unitary(p, gap, side, pad).
+    SVD factors of _band_unitary(p, factors, side).
 
     U is e^{-i kappa S} on all 2 h rungs of the padded generator, so these are
     the amplitudes each kept input rung carries into its last two rungs,
     where the truncated coupling to rung 2 h would start to reflect weight
-    back.  D only changes phases.  With pad >= 2 both rungs lie above the
-    band, so no identity term enters.
+    back.  D only changes phases.  With 2 h >= side + 2 both rungs lie above
+    the band, so no identity term enters.
     """
-    p_even, sigma, q_t = _band_svd(gap, (side + pad + 1) // 2)
+    p_even, sigma, q_t = factors
     cos_m1 = -2.0 * np.sin(0.5 * p.coupling * sigma) ** 2
     sin = np.sin(p.coupling * sigma)
     p_kept = p_even[: (side + 1) // 2]

@@ -82,10 +82,6 @@ class ModeParams:
         """sinh|kappa|, the pair-creation input-output coefficient."""
         return math.sinh(self.coupling)
 
-    def swapped(self) -> "ModeParams":
-        """Same pair with the two seeds interchanged."""
-        return ModeParams(self.mu_r, self.mu_t, self.coupling, self.phase)
-
 
 @dataclass(frozen=True)
 class CovarianceBlock:
@@ -166,7 +162,7 @@ def _covariance_entries(p: ModeParams):
     return a, b, c
 
 
-def local_rotation(phase: float) -> np.ndarray:
+def _local_rotation(phase: float) -> np.ndarray:
     """Symplectic rotation of the Reference-mode quadratures by `phase`."""
     c, s = math.cos(phase), math.sin(phase)
     out = np.eye(4)
@@ -177,11 +173,11 @@ def local_rotation(phase: float) -> np.ndarray:
 def covariance_with_phase(p: ModeParams) -> CovarianceBlock:
     """Covariance with the pump phase kept explicit.
 
-    Equals the zero-phase matrix conjugated by local_rotation(p.phase); the
-    rotation is symplectic, so symplectic spectra and the separability
-    verdict are unchanged.
+    Equals the zero-phase matrix conjugated by the symplectic rotation of the
+    Reference quadratures by p.phase, so symplectic spectra and the
+    separability verdict are unchanged.
     """
-    r = local_rotation(p.phase)
+    r = _local_rotation(p.phase)
     return CovarianceBlock(r @ build_covariance(p).matrix @ r.T)
 
 
@@ -234,23 +230,18 @@ def separability_margin(p: ModeParams) -> float:
 
 
 def check_separability(p: ModeParams) -> SeparabilityVerdict:
-    """Classify the lossless pair by the sign of the closed-form margin.
-
-    Also computes the smallest symplectic eigenvalue of the partially
-    transposed covariance; the two routes agree away from the boundary and
-    tests treat any disagreement as a failure.
-    """
-    margin = separability_margin(p)
-    pt = partial_transpose(build_covariance(p))
-    nu_min = symplectic_eigenvalues(pt)[0]
-    return SeparabilityVerdict(margin >= 0.0, margin, nu_min)
+    """Classify the lossless pair: check_separability_lossy at tau = 1."""
+    return check_separability_lossy(p, 1.0)
 
 
 def check_separability_lossy(p: ModeParams, tau: float) -> SeparabilityVerdict:
     """Classify the pair after an overall transmission tau on both arms.
 
-    The lossy margin is tau^2 times the lossless one, so the verdict is
-    independent of tau for every tau in (0, 1].
+    The verdict is the sign of the closed-form margin, tau^2 times the
+    lossless one, so it is independent of tau for every tau in (0, 1].  Also
+    computes the smallest symplectic eigenvalue of the partially transposed
+    lossy covariance; the two routes agree away from the boundary and tests
+    treat any disagreement as a failure.
     """
     margin = tau ** 2 * separability_margin(p)
     lossy = apply_loss(build_covariance(p), tau)

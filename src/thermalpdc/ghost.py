@@ -147,20 +147,20 @@ class MomentumGrid:
     def values(self) -> np.ndarray:
         return np.arange(-self.n_half, self.n_half + 1) * self.dq
 
-    @classmethod
-    def spanning(cls, q_support: float, n_half: int = 512, factor: float = 8.0) -> "MomentumGrid":
-        """Grid whose half window covers `factor` times a spectral support."""
-        return cls(n_half, factor * q_support / n_half)
-
 
 class GainProfile:
-    """Per-momentum source parameters; subclasses define mode_params(q)."""
+    """Per-momentum source parameters.
+
+    Subclasses define mode_params(q) and its array form
+    correlation_amplitudes(q), the amplitude C_q of correlation_amplitude at
+    each momentum.  g2_map and ghost_diffraction check that C_q is even in q.
+    """
 
     def mode_params(self, q: float) -> ModeParams:
         raise NotImplementedError
 
     def correlation_amplitudes(self, q: np.ndarray) -> np.ndarray:
-        return np.array([correlation_amplitude(float(qi), self) for qi in q])
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -223,16 +223,6 @@ class SincProfile(GainProfile):
             # the limits of mode_params: 1 at arg = 0, and 0 where arg overflows
             s = np.where(arg == 0, 1.0, np.where(np.isfinite(arg), s, 0.0))
             return 0.5 * np.sinh(2.0 * self.kappa0 * np.abs(s)) * (1.0 + self.mu_t + self.mu_r)
-
-
-@dataclass(frozen=True)
-class CallableProfile(GainProfile):
-    """Arbitrary mapping q -> ModeParams; must be even in q to be usable."""
-
-    fn: object
-
-    def mode_params(self, q: float) -> ModeParams:
-        return self.fn(q)
 
 
 def correlation_amplitude(q: float, profile: GainProfile) -> float:
@@ -363,10 +353,14 @@ def g2_map(
     a K-point FFT and reads each row of the map as a window of |F|^2.
     Fourier-lens collection, the Fourier branch and grids without this
     structure take the dense product of transfer_reference_arm and
-    transfer_test_arm.  Both routes agree to within rounding.
+    transfer_test_arm.  Both routes agree to within rounding.  Raises
+    ValueError when x_r or x_t holds a NaN or an infinity.
     """
     x_r = np.atleast_1d(np.asarray(x_r, dtype=float))
     x_t = np.atleast_1d(np.asarray(x_t, dtype=float))
+    for name, grid in (("x_r", x_r), ("x_t", x_t)):
+        if not np.isfinite(grid).all():
+            raise ValueError(f"detector grid {name} must be finite")
     q = qgrid.values
     c_q = profile.correlation_amplitudes(q)
     _check_profile_symmetry(c_q)
@@ -485,7 +479,8 @@ def ghost_image(
     (bucket detection).  Fourier-lens variant: every Test slice already
     carries the image, so the slice nearest x_T = 0 is returned without
     bucket integration.  Raises FloatingPointError when the map or its
-    reduction overflows.
+    reduction overflows, and ValueError, as g2_map does, for a detector grid
+    that is not finite.
     """
     if geometry.branch != "imaging":
         raise GeometryError(

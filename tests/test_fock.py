@@ -13,7 +13,6 @@ from thermalpdc import (
     ModeParams,
     TwoModeFockState,
     cross_amplitude,
-    default_cutoff,
     evolve_thermal_pair,
     fock,
     moments,
@@ -61,6 +60,12 @@ def brute_force_unitary(coupling, phase, dim):
     return series_expm(1j * gen)
 
 
+def padded_rungs(side, pad):
+    """Rungs 2 h of the generator that evolve_thermal_pair builds for a band
+    of side rungs padded by pad rungs."""
+    return 2 * ((side + pad + 1) // 2)
+
+
 def fixed_pad_bands(p, cutoff, pad):
     """Every band evolved with its generator padded by the same pad rungs,
     bypassing the edge check of evolve_thermal_pair."""
@@ -69,17 +74,19 @@ def fixed_pad_bands(p, cutoff, pad):
     w_r = fock._thermal_weights(p.mu_r, cutoff)
     bands = {}
     for gap in range(dim):
-        u = fock._band_unitary(p, gap, dim - gap, pad)
+        side = dim - gap
+        u = fock._band_unitary(p, fock._band_svd(gap, padded_rungs(side, pad) // 2), side)
         for d in {gap, -gap}:
             n_t, n_r = fock._rungs(d, dim)
             bands[d] = (u * (w_t[n_t] * w_r[n_r])) @ u.conj().T
     return [bands[d] for d in range(-cutoff, dim)]
 
 
-def spy_pads(pads):
-    """A stand-in for fock._band_unitary that records the pad of each call."""
+def spy_rungs(rungs):
+    """A stand-in for fock._band_unitary that records the generator rungs 2 h
+    of each call."""
     band_unitary = fock._band_unitary
-    return lambda p, gap, side, pad: pads.append(pad) or band_unitary(p, gap, side, pad)
+    return lambda p, factors, side: rungs.append(2 * len(factors[1])) or band_unitary(p, factors, side)
 
 
 class TestDenseReference:
@@ -166,31 +173,28 @@ class TestEvolveThermalPair:
         with pytest.raises(ValueError, match=r"trace deficit -2\.\d+e-02 exceeds .* in magnitude"):
             evolve_thermal_pair(ModeParams.from_npdc(0.5, 0.5, 0.3), 40)
 
-    def test_padding_is_converged(self, monkeypatch):
+    def test_padding_is_converged(self):
         # these seeds pad every band by cutoff + 1 rungs (the cap, see
         # test_bright_seeds_pad_to_the_cap); doubling the padding moves no
         # band entry, while halving it would
         p = ModeParams.from_npdc(3.0, 3.0, 1.0)
         state = evolve_thermal_pair(p, 100, 1e-3)
-        band_unitary = fock._band_unitary
 
-        def moved(scale):
-            monkeypatch.setattr(fock, "_band_unitary", lambda p, gap, side, pad: band_unitary(p, gap, side, int(scale * pad)))
-            other = evolve_thermal_pair(p, 100, 1e-3)
-            return max(float(np.abs(a - b).max()) for a, b in zip(state.bands, other.bands))
+        def moved(pad):
+            return max(float(np.abs(a - b).max()) for a, b in zip(state.bands, fixed_pad_bands(p, 100, pad)))
 
-        assert moved(2.0) < 1e-15
-        assert moved(0.5) > 1e-13
+        assert moved(202) < 1e-15
+        assert moved(50) > 1e-13
 
     def test_bright_seeds_pad_to_the_cap(self, monkeypatch):
         # the edge check never passes here, so every band is padded by
         # cutoff + 1 rungs and equals a fixed padding of cutoff + 1 bit for bit
         p = ModeParams.from_npdc(3.0, 3.0, 1.0)
-        pads = []
-        monkeypatch.setattr(fock, "_band_unitary", spy_pads(pads))
+        rungs = []
+        monkeypatch.setattr(fock, "_band_unitary", spy_rungs(rungs))
         state = evolve_thermal_pair(p, 100, 1e-3)
         monkeypatch.undo()
-        assert pads == [101] * 101
+        assert rungs == [padded_rungs(101 - gap, 101) for gap in range(101)]
         for band, want in zip(state.bands, fixed_pad_bands(p, 100, 101)):
             assert band.tobytes() == want.tobytes()
 
@@ -198,11 +202,12 @@ class TestEvolveThermalPair:
         from thermalpdc.scenario import ORACLE_MAX_TRACE_DEFICIT
 
         cfg = json.loads(DEMO_ORACLE.read_text())
-        pads = []
-        monkeypatch.setattr(fock, "_band_unitary", spy_pads(pads))
+        dim = cfg["cutoff"] + 1
+        rungs = []
+        monkeypatch.setattr(fock, "_band_unitary", spy_rungs(rungs))
         evolve_thermal_pair(ModeParams.from_npdc(**cfg["params"]), cfg["cutoff"], ORACLE_MAX_TRACE_DEFICIT)
-        assert len(pads) == cfg["cutoff"] + 1
-        assert max(pads) < cfg["cutoff"] + 1
+        assert len(rungs) == dim
+        assert all(rungs[gap] < padded_rungs(dim - gap, dim) for gap in range(dim))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -220,13 +225,13 @@ class TestEvolveThermalPair:
         # the cap it is the band padded by cutoff + 1, whose own truncation
         # error shows in the trace deficit
         p = ModeParams.from_npdc(mu_t, mu_r, n_pdc, phase)
-        pads = []
-        with mock.patch.object(fock, "_band_unitary", spy_pads(pads)):
+        rungs = []
+        with mock.patch.object(fock, "_band_unitary", spy_rungs(rungs)):
             state = evolve_thermal_pair(p, cutoff, 10.0)
         at_cap = fixed_pad_bands(p, cutoff, cutoff + 1)
         doubled = fixed_pad_bands(p, cutoff, 2 * (cutoff + 1))
         for d, band in zip(range(-cutoff, cutoff + 1), state.bands):
-            if pads[abs(d)] == cutoff + 1:
+            if rungs[abs(d)] == padded_rungs(cutoff + 1 - abs(d), cutoff + 1):
                 assert band.tobytes() == at_cap[d + cutoff].tobytes(), d
             else:
                 assert np.abs(band - doubled[d + cutoff]).max() < 1e-14, d
@@ -268,10 +273,6 @@ class TestEvolveThermalPair:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
-
-    def test_default_cutoff_heuristic(self):
-        assert default_cutoff(0, 0, 0) == 12
-        assert default_cutoff(1, 1, 1.0 / 3.0) == 36
 
 
 class TestMoments:
@@ -352,13 +353,15 @@ class TestSeedsGainAndPhase:
     @example(3.0, 3.0, 1.0, 0.4)  # the brightest corner, where the evolution is hardest to keep exact
     def test_state_matches_closed_forms(self, mu_t, mu_r, n_pdc, phase):
         p = ModeParams.from_npdc(mu_t, mu_r, n_pdc, phase)
-        state = evolve_thermal_pair(p, default_cutoff(mu_t, mu_r, n_pdc), max_trace_deficit=1e-3)
+        # a dozen times the largest output mean: the thermal tails decay geometrically
+        cutoff = math.ceil(12.0 * (1.0 + max(mu_t, mu_r) + n_pdc * (1.0 + mu_t + mu_r)))
+        state = evolve_thermal_pair(p, cutoff, max_trace_deficit=1e-3)
         assert state.hermiticity_defect() <= 1e-12
         assert state.min_eigenvalue() >= -1e-12
         m = moments(state)
         w = predicted_moments(p)
         # moment_tolerance is tight for dim seeds, where the deficit is tiny;
-        # for bright ones, where it is loose, at the default cutoff truncation
+        # for bright ones, where it is loose, at this cutoff truncation
         # costs at most 8e-4 of any moment (second moments at the bright
         # corner; the means 7e-5).  The lost weight also biases the cross
         # covariance by about mean_t mean_r times it, which shows only where

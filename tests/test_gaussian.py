@@ -12,7 +12,7 @@ from thermalpdc import (
     check_separability,
     check_separability_lossy,
     covariance_with_phase,
-    local_rotation,
+    gaussian,
     partial_transpose,
     separability_margin,
     symplectic_eigenvalues,
@@ -98,7 +98,7 @@ class TestBuildCovariance:
     def test_mode_symmetry_swaps_diagonal_blocks(self):
         p = ModeParams(0.4, 1.9, 0.6)
         v = build_covariance(p).matrix
-        w = build_covariance(p.swapped()).matrix
+        w = build_covariance(ModeParams(p.mu_r, p.mu_t, p.coupling)).matrix
         assert np.allclose(v[:2, :2], w[2:, 2:])
         assert np.allclose(v[2:, 2:], w[:2, :2])
         assert np.allclose(v[:2, 2:], w[:2, 2:])
@@ -263,10 +263,14 @@ class TestLossySeparability:
         assert check_separability_lossy(ModeParams.from_npdc(1, 1, 0.2), 0.9).separable
 
     def test_full_transmission_matches_lossless(self):
-        p = ModeParams.from_npdc(0.8, 1.7, 0.4)
-        lossless = check_separability(p)
-        lossy = check_separability_lossy(p, 1.0)
-        assert lossy == lossless
+        rng = np.random.default_rng(23)
+        draws = [ModeParams(*rng.uniform(0, 6, 3), rng.uniform(-math.pi, math.pi)) for _ in range(200)]
+        for p in [ModeParams.from_npdc(0.8, 1.7, 0.4), ModeParams.from_npdc(0, 0, 1e-8), *draws]:
+            lossless = check_separability(p)
+            lossy = check_separability_lossy(p, 1.0)
+            assert lossy.separable == lossless.separable
+            assert lossy.margin == lossless.margin
+            assert lossy.min_pt_symplectic_eigenvalue == lossless.min_pt_symplectic_eigenvalue
 
     def test_classification_invariant_under_loss(self):
         rng = np.random.default_rng(17)
@@ -296,7 +300,7 @@ class TestPhaseRotation:
         assert np.allclose(covariance_with_phase(p).matrix, build_covariance(p).matrix)
 
     def test_rotation_is_symplectic(self):
-        r = local_rotation(0.83)
+        r = gaussian._local_rotation(0.83)
         assert np.allclose(r @ SYMPLECTIC_FORM @ r.T, SYMPLECTIC_FORM, atol=1e-14)
 
     def test_verdict_invariant_under_phase(self):
