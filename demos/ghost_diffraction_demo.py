@@ -9,7 +9,6 @@ lambda d3 / a along the Reference detector.  Writes ghost_diffraction.csv.
 import numpy as np
 
 from thermalpdc import (
-    CollectionOptics,
     ConstantProfile,
     GhostGeometry,
     ModeParams,
@@ -24,7 +23,6 @@ def main():
     slit_width = 40e-6
     geometry = GhostGeometry(
         wavelength=0.7e-6, d1=0.1, d2=0.1, d3=0.3, f_r=0.3, f_t=0.1,
-        variant=CollectionOptics.FOURIER_LENS,
     )
     qgrid = MomentumGrid(512, 2.0 * np.pi / (32.0 * slit_width))
     x = np.linspace(-640e-6, 640e-6, 1025)

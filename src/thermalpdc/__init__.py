@@ -41,7 +41,6 @@ from .gaussian import (
     symplectic_eigenvalues,
 )
 from .ghost import (
-    CollectionOptics,
     ConstantProfile,
     DiffractionPattern,
     G2Map,

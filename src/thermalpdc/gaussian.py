@@ -98,11 +98,11 @@ class CovarianceBlock:
             raise ValueError("covariance block is not symmetric")
         object.__setattr__(self, "matrix", m)
 
-    def is_physical(self, tol: float = EIGENVALUE_TOL) -> bool:
+    def is_physical(self) -> bool:
         """Both symplectic eigenvalues at or above the vacuum level 1/2; a
         block that is not positive definite is unphysical."""
         try:
-            return symplectic_eigenvalues(self)[0] >= 0.5 - tol
+            return symplectic_eigenvalues(self)[0] >= 0.5 - EIGENVALUE_TOL
         except ValueError:
             return False
 

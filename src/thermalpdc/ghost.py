@@ -25,15 +25,15 @@ so G2 = |t(x_T)|^2 |F(x_T - (D/d3) x_R)|^2.  Under the back-propagating
 thin-lens condition 1/(d1+d2) + 1/d3 = 1/f_r the quadratic phase vanishes
 and the bucket-integrated correlation reproduces the object intensity
 inverted and magnified by M = d3/(d1+d2).  With f_r = d3 (Fourier branch)
-and a collection lens in the Test arm the correlation at x_T = 0 samples
-the squared object spectrum.
+and a collection lens of focal length f_t in the Test arm the correlation
+at x_T = 0 samples the squared object spectrum.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -47,10 +47,6 @@ from .objects import SampledObject
 DELTA_TOL = 1e-9
 ILL_CONDITIONED_TOL = 1e-6
 
-# Fourier-branch momentum selection: a detector pixel contributes only when
-# its mapped momentum falls within this fraction of a grid step.
-SNAP_FRACTION = 1e-6
-
 _PROFILE_SYMMETRY_RTOL = 1e-12
 
 # Largest phase error, in radians, that snapping a grid onto a uniform
@@ -62,22 +58,14 @@ class GeometryError(ValueError):
     """Raised when a requested reconstruction does not fit the geometry."""
 
 
-class CollectionOptics(Enum):
-    """Test-arm collection scheme: detector on the object plane, or on the
-    Fourier plane of a collection lens behind the object."""
-
-    OBJECT_PLANE = "object-plane"
-    FOURIER_LENS = "fourier-lens"
-
-
 @dataclass(frozen=True)
 class GhostGeometry:
-    """Distances, focal lengths and collection variant of the two arms.
+    """Distances and focal lengths of the two arms.
 
-    All lengths in meters.  f_t is only used by the Fourier-lens collection
-    variant.  The thin-lens residual 1/(d1+d2) + 1/d3 - 1/f_r is stored for
-    diagnostics, not forced to zero: a nonzero value defocuses the ghost
-    image but is not an error.
+    All lengths in meters; a given f_t is the focal length of a Test-arm
+    collection lens.  The thin-lens residual 1/(d1+d2) + 1/d3 - 1/f_r is
+    stored for diagnostics, not forced to zero: a nonzero value defocuses
+    the ghost image but is not an error.
     """
 
     wavelength: float
@@ -86,12 +74,16 @@ class GhostGeometry:
     d3: float
     f_r: float
     f_t: Optional[float] = None
-    variant: CollectionOptics = CollectionOptics.OBJECT_PLANE
 
     def __post_init__(self):
         for name in ("wavelength", "d1", "d2", "d3", "f_r", "f_t"):
             value = getattr(self, name)
-            if not (name == "f_t" and value is None or 0 < value < math.inf):
+            if name == "f_t" and value is None:
+                continue
+            # a bool would pass as 1 m, and f_t's presence selects the collection lens
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     @property
@@ -103,18 +95,13 @@ class GhostGeometry:
         return 1.0 / (self.d1 + self.d2) + 1.0 / self.d3 - 1.0 / self.f_r
 
     @property
-    def detune(self) -> float:
-        """1/d3 - 1/f_r, the quantity separating the two branches."""
-        return 1.0 / self.d3 - 1.0 / self.f_r
-
-    @property
     def branch(self) -> str:
-        rel = abs(self.detune) * self.d3
-        if rel <= DELTA_TOL:
+        offset = abs(1.0 / self.d3 - 1.0 / self.f_r)
+        if offset * self.d3 <= DELTA_TOL:
             return "fourier"
-        if rel < ILL_CONDITIONED_TOL:
+        if offset * self.d3 < ILL_CONDITIONED_TOL:
             raise GeometryError(
-                f"ill-conditioned geometry: |1/d3 - 1/f_r| = {abs(self.detune):.3e} "
+                f"ill-conditioned geometry: |1/d3 - 1/f_r| = {offset:.3e} "
                 "is too close to the focal configuration"
             )
         return "imaging"
@@ -123,8 +110,8 @@ class GhostGeometry:
     def lens_term(self) -> float:
         """1 / (1/d3 - 1/f_r); imaging branch only."""
         if self.branch != "imaging":
-            raise GeometryError("lens term is defined on the imaging branch only")
-        return 1.0 / self.detune
+            raise GeometryError("focal geometry (f_r = d3) reconstructs a spectrum, not an image; use ghost_diffraction")
+        return 1.0 / (1.0 / self.d3 - 1.0 / self.f_r)
 
 
 @dataclass(frozen=True)
@@ -245,9 +232,11 @@ class G2Map:
     def bucket_reduce(self) -> np.ndarray:
         """Integrate over the Test coordinate (Riemann sum over the grid).
 
-        The bucket detector is modeled as covering the whole x_t grid; an
-        object wider than the grid would bias the reduction.
+        The bucket detector is modeled as covering the whole x_t grid, of two
+        pixels or more; an object wider than the grid would bias the reduction.
         """
+        if self.x_t.size < 2:
+            raise ValueError(f"a bucket over the detector grid x_t needs two pixels or more, got {self.x_t.size}")
         dx = float(self.x_t[1] - self.x_t[0])
         return self.values.sum(axis=1) * dx
 
@@ -275,27 +264,25 @@ class DiffractionPattern:
 def transfer_test_arm(geometry: GhostGeometry, obj: SampledObject, q, x_t) -> np.ndarray:
     """Fourier-transformed Test-arm response h_T(x_T, q), shape (nq, nxt).
 
-    Object-plane variant: free propagation over d1 to the object, detector
-    on the object plane:
+    Without f_t (object-plane collection): free propagation over d1 to the
+    object, detector on the object plane:
 
         h_T(x_T, q) = exp(-i lam d1 q^2 / 4 pi) exp(+i q x_T) t(x_T)
 
-    Fourier-lens variant: a collection lens maps the detector coordinate to
-    a spectral offset, sampling the object transform:
+    With f_t (Fourier-lens collection): the collection lens maps the detector
+    coordinate to a spectral offset, sampling the object transform:
 
         h_T(x_T, q) = exp(-i lam d1 q^2 / 4 pi) ttilde(q - 2 pi x_T/(lam f_t))
 
     with ttilde the sampled Riemann transform of the object.  Positions
-    outside the object grid transmit nothing in the object-plane variant.
+    outside the object grid transmit nothing on the object plane.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     x_t = np.atleast_1d(np.asarray(x_t, dtype=float))
     quad = np.exp(-1j * geometry.wavelength * geometry.d1 / (4.0 * math.pi) * q ** 2)
-    if geometry.variant is CollectionOptics.OBJECT_PLANE:
+    if geometry.f_t is None:
         t_vals = obj.amplitude(x_t)
         return quad[:, None] * np.exp(1j * np.outer(q, x_t)) * t_vals[None, :]
-    if geometry.f_t is None:
-        raise GeometryError("Fourier-lens collection requires f_t")
     scale = 2.0 * math.pi / (geometry.wavelength * geometry.f_t)
     # ttilde(q_m - scale x_p) factorizes over the object samples, so build it
     # as two phase matrices around the sampled transmission.
@@ -311,21 +298,13 @@ def transfer_reference_arm(geometry: GhostGeometry, q, x_r) -> np.ndarray:
 
         h_R(x_R, -q) = exp(-i (lam/4 pi)(d2 + D) q^2) exp(-i q x_R D / d3)
 
-    Fourier branch (f_r = d3): the lens turns the response into a momentum
-    selector; a detector pixel only picks up q = -2 pi x_R/(lam d3), realized
-    here as exact grid selection within SNAP_FRACTION of a step.
+    On the Fourier branch (f_r = d3) each pixel picks up one momentum, which
+    ghost_diffraction places its pixels on; here that raises GeometryError.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     x_r = np.atleast_1d(np.asarray(x_r, dtype=float))
-    lam = geometry.wavelength
-    if geometry.branch == "imaging":
-        quad = np.exp(-1j * lam / (4.0 * math.pi) * (geometry.d2 + geometry.lens_term) * q ** 2)
-        return quad[None, :] * np.exp(-1j * np.outer(x_r, q) * (geometry.lens_term / geometry.d3))
-    quad = np.exp(-1j * lam * geometry.d2 / (4.0 * math.pi) * q ** 2)
-    dq = float(np.min(np.diff(q))) if q.size > 1 else 1.0
-    target = -2.0 * math.pi * x_r / (lam * geometry.d3)
-    hit = np.abs(target[:, None] - q[None, :]) <= SNAP_FRACTION * dq
-    return np.where(hit, quad[None, :], 0.0)
+    quad = np.exp(-1j * geometry.wavelength / (4.0 * math.pi) * (geometry.d2 + geometry.lens_term) * q ** 2)
+    return quad[None, :] * np.exp(-1j * np.outer(x_r, q) * (geometry.lens_term / geometry.d3))
 
 
 def _check_profile_symmetry(c_q: np.ndarray) -> None:
@@ -351,16 +330,17 @@ def g2_map(
     len(x_t) + |k| (len(x_r) - 1) values u0 + m h.  When dq h is also
     2 pi / K (as on matched_image_grids), g2_map evaluates F once on them by
     a K-point FFT and reads each row of the map as a window of |F|^2.
-    Fourier-lens collection, the Fourier branch and grids without this
-    structure take the dense product of transfer_reference_arm and
-    transfer_test_arm.  Both routes agree to within rounding.  Raises
-    ValueError when x_r or x_t holds a NaN or an infinity.
+    Fourier-lens collection (f_t given) and grids without this structure
+    take the dense product of transfer_reference_arm and transfer_test_arm.
+    Both routes agree to within rounding.  Raises ValueError when x_r or
+    x_t is empty or holds a NaN or an infinity, and GeometryError on the
+    Fourier branch, whose one route is ghost_diffraction.
     """
     x_r = np.atleast_1d(np.asarray(x_r, dtype=float))
     x_t = np.atleast_1d(np.asarray(x_t, dtype=float))
     for name, grid in (("x_r", x_r), ("x_t", x_t)):
-        if not np.isfinite(grid).all():
-            raise ValueError(f"detector grid {name} must be finite")
+        if not (grid.size and np.isfinite(grid).all()):
+            raise ValueError(f"detector grid {name} must be finite and non-empty")
     q = qgrid.values
     c_q = profile.correlation_amplitudes(q)
     _check_profile_symmetry(c_q)
@@ -395,9 +375,7 @@ def _kernel_lattice(geometry, qgrid, x_r, x_t):
     so that every kernel sample lands in the map.  Snapping both grids onto
     these lattices may move no phase q u by more than _MAX_PHASE_SNAP.
     """
-    if geometry.variant is not CollectionOptics.OBJECT_PLANE or geometry.branch != "imaging":
-        return None
-    if x_t.size < 2 or x_r.size == 0:
+    if geometry.f_t is not None or x_t.size < 2:
         return None
     r = x_r * (geometry.lens_term / geometry.d3)
     h = float(x_t[-1] - x_t[0]) / (x_t.size - 1)
@@ -475,20 +453,16 @@ def ghost_image(
     nonzero residual defocuses the image but is reported, not rejected.
     The map comes from g2_map, which picks its route from the grids.
 
-    Object-plane variant: integrates the map over the Test coordinate
-    (bucket detection).  Fourier-lens variant: every Test slice already
-    carries the image, so the slice nearest x_T = 0 is returned without
-    bucket integration.  Raises FloatingPointError when the map or its
-    reduction overflows, and ValueError, as g2_map does, for a detector grid
-    that is not finite.
+    Without f_t (object-plane collection) the map is integrated over the
+    Test coordinate (bucket detection), which needs two x_t pixels or more.
+    With f_t (Fourier-lens collection) every Test slice already carries the
+    image, so the slice nearest x_T = 0 is returned without bucket
+    integration.  Raises FloatingPointError when the map or its reduction
+    overflows, and, as g2_map does, GeometryError on the Fourier branch and
+    ValueError for a detector grid that is empty or not finite.
     """
-    if geometry.branch != "imaging":
-        raise GeometryError(
-            "focal geometry (f_r = d3) reconstructs a spectrum, not an image; "
-            "use ghost_diffraction"
-        )
     g2 = g2_map(geometry, obj, profile, qgrid, x_r, x_t)
-    if geometry.variant is CollectionOptics.OBJECT_PLANE:
+    if geometry.f_t is None:
         raw = g2.bucket_reduce()
     else:
         raw = g2.values[:, int(np.argmin(np.abs(g2.x_t)))].copy()
@@ -506,7 +480,7 @@ def ghost_diffraction(
 ) -> DiffractionPattern:
     """Reconstruct the squared object spectrum on the Fourier branch.
 
-    Requires f_r = d3 and the Fourier-lens collection variant; the detector
+    Requires f_r = d3 and Fourier-lens collection (f_t given); the detector
     pixels are placed exactly on the momenta selected by the focal
     Reference arm, x_R = -q lam d3 / (2 pi), and the Test plane is sampled
     at x_T = 0.  The pattern is |ttilde(-2 pi x_R / (lam d3))|^2 times the
@@ -520,10 +494,10 @@ def ghost_diffraction(
             "non-focal geometry (f_r != d3) reconstructs an image, not a "
             "spectrum; use ghost_image"
         )
-    if geometry.variant is not CollectionOptics.FOURIER_LENS:
+    if geometry.f_t is None:
         raise GeometryError(
             "object-plane collection gives no meaningful diffraction pattern; "
-            "use the Fourier-lens collection variant"
+            "give f_t for Fourier-lens collection"
         )
     q = qgrid.values
     c_q = profile.correlation_amplitudes(q)

@@ -1,8 +1,8 @@
 """Transmission objects sampled on a transverse grid.
 
 Objects carry a uniform position grid and complex transmission values with
-|t| <= 1.  The sampled Fourier transform used by the Fourier-lens collection
-variant is the plain Riemann sum dx * sum_j t_j exp(i k x_j), evaluated on
+|t| <= 1.  The sampled Fourier transform used by Fourier-lens collection
+is the plain Riemann sum dx * sum_j t_j exp(i k x_j), evaluated on
 whatever momenta the optics requests.
 """
 

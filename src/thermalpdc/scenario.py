@@ -27,7 +27,8 @@ geometrically.
       the imaging branch (ghost-image), f_r = d3 the Fourier branch
       (ghost-diffraction); a near-focal f_r is refused
     geometry.variant = "object-plane", or "fourier-lens" (required by
-      ghost-diffraction), which needs geometry.f_t: number > 0
+      ghost-diffraction), which needs geometry.f_t: number > 0, used only
+      by fourier-lens
     profile.type = "constant", with n_pdc or coupling: one number >= 0;
       or "sinc", with kappa0: number >= 0 and bandwidth: number, for a
       coupling kappa0 |sinc(bandwidth q^2)|
@@ -62,7 +63,7 @@ from .artifacts import write_bytes, write_csv, write_pgm
 from .fock import evolve_thermal_pair, input_tail_problem, moments, predicted_moments
 # check_separability_lossy is unused here; perfbench's tracer tests look it up in this namespace.
 from .gaussian import ModeParams, check_separability_lossy  # noqa: F401
-from .ghost import CollectionOptics, ConstantProfile, GainProfile, GhostGeometry, MomentumGrid, SincProfile
+from .ghost import ConstantProfile, GainProfile, GhostGeometry, MomentumGrid, SincProfile
 from .ghost import ghost_diffraction, ghost_image
 from .objects import SampledObject, double_slit, grating, load_object_csv, single_slit
 
@@ -335,7 +336,7 @@ def _parse_ghost(top: _Fields, kind: str, errors: list):
     if errors:
         return None
 
-    geometry = _make(errors, "geometry", GhostGeometry, *lengths, f_t, CollectionOptics(variant))
+    geometry = _make(errors, "geometry", GhostGeometry, *lengths, f_t if variant == "fourier-lens" else None)
     branch = geometry and _make(errors, "geometry.f_r", lambda: geometry.branch)
     if branch and branch != ("imaging" if kind == "ghost-image" else "fourier"):
         errors.append(f"field geometry.f_r: the {branch} branch (f_r {'!=' if branch == 'imaging' else '='} d3) is not for {kind}")

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermalpdc import (
-    CollectionOptics,
     ConstantProfile,
     GainProfile,
     GeometryError,
@@ -37,14 +38,9 @@ SLIT = 40e-6
 
 # back-propagating thin-lens geometry with magnification 3
 IMAGING = GhostGeometry(wavelength=LAM, d1=0.1, d2=0.1, d3=0.6, f_r=0.15)
-IMAGING_B = GhostGeometry(
-    wavelength=LAM, d1=0.1, d2=0.1, d3=0.6, f_r=0.15, f_t=0.2,
-    variant=CollectionOptics.FOURIER_LENS,
-)
-FOURIER = GhostGeometry(
-    wavelength=LAM, d1=0.1, d2=0.1, d3=0.3, f_r=0.3, f_t=0.1,
-    variant=CollectionOptics.FOURIER_LENS,
-)
+# with a Test-arm collection lens
+IMAGING_B = GhostGeometry(wavelength=LAM, d1=0.1, d2=0.1, d3=0.6, f_r=0.15, f_t=0.2)
+FOURIER = GhostGeometry(wavelength=LAM, d1=0.1, d2=0.1, d3=0.3, f_r=0.3, f_t=0.1)
 TWIN = ConstantProfile(ModeParams.from_npdc(0.0, 0.0, 1.0))
 
 
@@ -162,16 +158,22 @@ class TestGeometry:
     def test_rejects_non_finite_lengths(self, name, value):
         lengths = dict(wavelength=LAM, d1=0.1, d2=0.1, d3=0.3, f_r=0.3, f_t=0.1)
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            GhostGeometry(**dict(lengths, **{name: value}), variant=CollectionOptics.FOURIER_LENS)
+            GhostGeometry(**dict(lengths, **{name: value}))
 
-    def test_fourier_lens_needs_focal_length(self):
-        geo = GhostGeometry(
-            wavelength=LAM, d1=0.1, d2=0.1, d3=0.6, f_r=0.15,
-            variant=CollectionOptics.FOURIER_LENS,
-        )
-        obj = single_slit(np.linspace(-1e-4, 1e-4, 32), SLIT)
-        with pytest.raises(GeometryError, match="f_t"):
-            transfer_test_arm(geo, obj, np.array([0.0]), np.array([0.0]))
+    @pytest.mark.parametrize(
+        "value", [True, False, np.True_, "a", "0.1", 0.1j, Decimal("0.1"), [0.1]],
+        ids=["true", "false", "numpy-true", "string", "numeric-string", "complex", "decimal", "list"],
+    )
+    @pytest.mark.parametrize("name", ["wavelength", "d1", "d2", "d3", "f_r", "f_t"])
+    def test_rejects_non_real_lengths(self, name, value):
+        # the presence of f_t selects the collection lens, so True must not pass as a 1 m one
+        lengths = dict(wavelength=LAM, d1=0.1, d2=0.1, d3=0.3, f_r=0.3, f_t=0.1)
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            GhostGeometry(**dict(lengths, **{name: value}))
+
+    def test_accepts_numpy_lengths(self):
+        geo = GhostGeometry(np.float64(LAM), np.float32(0.1), np.int64(1), 0.6, 0.15, np.float64(0.2))
+        assert geo.branch == "imaging" and geo.f_t == 0.2
 
 
 class TestMomentumGrid:
@@ -292,25 +294,15 @@ class TestTransferFunctions:
         product = h_r * quad_t
         assert np.abs(np.angle(product)).max() < 1e-9
 
-    def test_fourier_branch_selects_mapped_momentum(self):
-        q = np.arange(-16, 17) * (2.0 * np.pi / (8.0 * SLIT))
-        x_zero = transfer_reference_arm(FOURIER, q, np.array([0.0]))[0]
-        assert np.abs(x_zero[16]) == pytest.approx(1.0)
-        assert np.abs(np.delete(x_zero, 16)).max() == 0.0
-        # x_r = lam d3 / a maps to the slit's first spectral zero -2 pi / a
-        x_first = np.array([LAM * FOURIER.d3 / SLIT])
-        row = transfer_reference_arm(FOURIER, q, x_first)[0]
-        hits = np.nonzero(np.abs(row))[0]
-        assert hits.tolist() == [8]  # 8 steps of 2 pi / (8 a) below center
-        assert q[8] == pytest.approx(-2.0 * np.pi / SLIT, rel=1e-12)
-
-    def test_fourier_branch_snap_on_grid(self):
-        a = SLIT
-        qg = MomentumGrid(64, 2 * np.pi / (16 * a))
-        q = qg.values
-        x_r = -q * LAM * FOURIER.d3 / (2 * np.pi)
-        h = transfer_reference_arm(FOURIER, q, x_r)
-        assert np.allclose(np.abs(h), np.eye(q.size), atol=1e-12)
+    def test_fourier_branch_redirects_to_ghost_diffraction(self):
+        # the focal Reference arm maps each pixel to one momentum; ghost_diffraction is its one route
+        x = np.linspace(-1e-3, 1e-3, 65)
+        qgrid = MomentumGrid(32, 1e4)
+        with pytest.raises(GeometryError, match="use ghost_diffraction"):
+            transfer_reference_arm(FOURIER, qgrid.values, x)
+        for geometry, x_t in ((FOURIER, x), (replace(FOURIER, f_t=None), x), (replace(FOURIER, f_t=None), x[:1])):
+            with pytest.raises(GeometryError, match="use ghost_diffraction"):
+                g2_map(geometry, single_slit(x, SLIT), TWIN, qgrid, x, x_t)
 
 
 class TestG2Map:
@@ -363,14 +355,6 @@ class TestG2Map:
             assert (kernel_calls, fft_calls) == (1, 1)
             assert fast.values.shape == direct.shape
             assert np.abs(fast.values - direct).max() <= 1e-10 * direct.max()
-
-    def test_fourier_branch_runs_direct_sum(self):
-        x = np.linspace(-1e-3, 1e-3, 65)
-        obj = single_slit(x, SLIT)
-        args = (FOURIER, obj, TWIN, MomentumGrid(32, 1e4), x, x)
-        g, kernel_calls, fft_calls = route_calls(g2_map, *args)
-        assert (kernel_calls, fft_calls) == (0, 0)
-        assert np.array_equal(g.values, direct_g2(*args))
 
     def test_off_lattice_grid_runs_direct_sum(self):
         pixel = self.x_r[1] - self.x_r[0]
@@ -505,6 +489,22 @@ class TestGhostImage:
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 fn(IMAGING, self.obj, TWIN, self.qgrid, grids["x_r"], grids["x_t"])
 
+    @pytest.mark.parametrize("name", ["x_r", "x_t"])
+    def test_rejects_empty_grid(self, name):
+        # the error names the grid; an empty map has no peak to normalize by
+        grids = {"x_r": self.x_r, "x_t": self.x_t, name: np.array([])}
+        for fn in (g2_map, ghost_image):
+            with pytest.raises(ValueError, match=f"{name} must be finite and non-empty"):
+                fn(IMAGING, self.obj, TWIN, self.qgrid, grids["x_r"], grids["x_t"])
+
+    def test_bucket_needs_two_test_pixels(self):
+        # the bucket's pixel width is the first x_t step
+        with pytest.raises(ValueError, match="detector grid x_t needs two pixels"):
+            ghost_image(IMAGING, self.obj, TWIN, self.qgrid, self.x_r, [0.0])
+        # a collection lens reads its one Test slice without a bucket
+        image = ghost_image(IMAGING_B, self.obj, TWIN, self.qgrid, self.x_r, [0.0])
+        assert image.raw.shape == self.x_r.shape and image.normalized.max() == 1.0
+
 
 class TestDefocusedImaging:
     # lens-detector spacing off the thin-lens solution: the residual
@@ -558,8 +558,8 @@ class TestTransformRouteProperty:
     ):
         d3 = magnification * (d1 + d2)
         f_r = (1.0 + defocus) / (1.0 / (d1 + d2) + 1.0 / d3)  # thin lens when defocus is 0
-        variant = CollectionOptics.FOURIER_LENS if fourier_lens else CollectionOptics.OBJECT_PLANE
-        geometry = GhostGeometry(wavelength=LAM, d1=d1, d2=d2, d3=d3, f_r=f_r, f_t=0.2, variant=variant)
+        f_t = 0.2 if fourier_lens else None
+        geometry = GhostGeometry(wavelength=LAM, d1=d1, d2=d2, d3=d3, f_r=f_r, f_t=f_t)
         qg = MomentumGrid(n_half, 2 * np.pi / (window * SLIT))
         # sinc: first zero at a fraction `strength` of the momentum window
         profile = (SincProfile(kappa0=0.9, bandwidth=math.pi / (strength * n_half * qg.dq) ** 2) if sinc

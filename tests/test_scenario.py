@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermalpdc import correlations
+from thermalpdc import correlations, ghost
 from thermalpdc.artifacts import sha256_of, write_csv, write_pgm
 from thermalpdc.scenario import ScenarioError, main, run, validate_config
 
@@ -249,6 +249,24 @@ class TestRunGhost:
         lines = (tmp_path / "o" / "image.csv").read_text().splitlines()
         assert len(lines) == 2
         assert float(lines[1].split(",")[0]) == 0.0
+
+    def test_object_plane_f_t_changes_no_artifact(self, tmp_path):
+        # the library selects the collection lens by f_t alone, so only fourier-lens may pass it on
+        plain = run(demo("ghost_image"), out_dir=tmp_path / "plain")
+        for variant in ({}, {"variant": "object-plane"}):
+            cfg = demo("ghost_image")
+            cfg["geometry"].update(f_t=0.1, **variant)
+            assert run(cfg, out_dir=tmp_path / "f_t")["files"] == plain["files"]
+
+    @pytest.mark.parametrize("variant, kernel_calls", [("object-plane", 1), ("fourier-lens", 0)])
+    def test_variant_picks_the_momentum_sum(self, tmp_path, monkeypatch, variant, kernel_calls):
+        # object-plane collection takes the FFT kernel on the demo grids, a collection lens the dense product
+        calls, phase_sum = [], ghost._phase_sum
+        monkeypatch.setattr(ghost, "_phase_sum", lambda *a: calls.append(a) or phase_sum(*a))
+        cfg = demo("ghost_image")
+        cfg["geometry"].update(variant=variant, f_t=0.1)
+        run(cfg, out_dir=tmp_path)
+        assert len(calls) == kernel_calls
 
     def test_diffraction_artifacts(self, tmp_path):
         run(GHOST_DIFFRACTION, out_dir=tmp_path)
