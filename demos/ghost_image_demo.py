@@ -56,7 +56,7 @@ def main():
           f"{np.abs(pair[0].normalized - pair[1].normalized).max():.2e}")
 
     write_csv("ghost_image.csv", {"x_r": x_r, "value_raw": pair[0].raw, "value_normalized": pair[0].normalized})
-    write_pgm("ghost_image_g2.pgm", pair[0].g2.values)
+    write_pgm("ghost_image_g2.pgm", pair[0].g2)
     print("wrote ghost_image.csv and ghost_image_g2.pgm")
 
 

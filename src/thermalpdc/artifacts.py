@@ -2,7 +2,7 @@
 
 Each writer streams its file through `write_bytes` in pieces of bounded
 size, hashing as it writes: CSV rows go out 256 at a time, PGM rows about
-32k values at a time through one reused buffer.
+32k values at a time, as ghost.row_blocks yields them.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ import hashlib
 import itertools
 
 import numpy as np
+
+from .ghost import row_blocks
 
 
 def write_csv(path, columns) -> str:
@@ -56,33 +58,44 @@ def _fields(values: np.ndarray) -> list[str]:
     return text[inverse.ravel()].tolist()
 
 
-def write_pgm(path, values: np.ndarray) -> str:
+def write_pgm(path, values) -> str:
     """8-bit binary portable graymap of a 2-D map, max-scaled, row-major.
 
-    Returns the SHA-256 of the bytes written.
+    `values` is a 2-D array or a ghost.G2Map, whose kernel-route map is
+    built a block of rows at a time and never held whole.  Returns the
+    SHA-256 of the bytes written.
     """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 2:
-        raise ValueError("PGM output needs a 2-D array")
-    peak = v.max()  # before the file is opened: an empty map raises here
-    header = f"P5\n{v.shape[1]} {v.shape[0]}\n255\n".encode("ascii")
-    return write_bytes(path, itertools.chain([header], _pgm_blocks(v, peak)))
+    if hasattr(values, "row_blocks"):  # a G2Map
+        shape, peak, blocks = values.shape, values.peak, values.row_blocks()
+    else:
+        v = np.asarray(values, dtype=float)
+        if v.ndim != 2:
+            raise ValueError("PGM output needs a 2-D array")
+        # the peak before the file is opened: an empty map raises here
+        shape, peak, blocks = v.shape, v.max(), row_blocks(v)
+    header = f"P5\n{shape[1]} {shape[0]}\n255\n".encode("ascii")
+    return write_bytes(path, itertools.chain([header], _pgm_blocks(blocks, peak)))
 
 
-def _pgm_blocks(v: np.ndarray, peak, size: int = 32768):
-    """round(v / peak * 255) as uint8 (0 where peak > 0 fails), a block of whole
-    rows of about `size` values at a time, row-major for any memory order.
+def _pgm_blocks(blocks, peak):
+    """round(block / peak * 255) as uint8 (0 where peak > 0 fails) for each
+    block of row_blocks.  A writeable block is scaled in place, a read-only
+    one through a reused buffer of its own.
 
     Every block is a view of one reused buffer: consume it before the next.
     """
-    rows = max(1, size // v.shape[1])
-    scaled = np.empty((rows, v.shape[1]))
-    pixels = np.zeros((rows, v.shape[1]), dtype=np.uint8)
-    for start in range(0, v.shape[0], rows):
-        block = v[start:start + rows]
+    scaled = pixels = None
+    for _, block in blocks:
+        if pixels is None:  # the first block is the largest
+            pixels = np.zeros(block.shape, dtype=np.uint8)
         out = pixels[:len(block)]
         if peak > 0:
-            buf = scaled[:len(block)]
+            if block.flags.writeable:
+                buf = block
+            else:
+                if scaled is None:
+                    scaled = np.empty(block.shape)
+                buf = scaled[:len(block)]
             np.divide(block, peak, out=buf)
             buf *= 255.0
             np.round(buf, out=buf)

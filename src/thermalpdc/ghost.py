@@ -49,6 +49,12 @@ ILL_CONDITIONED_TOL = 1e-6
 
 _PROFILE_SYMMETRY_RTOL = 1e-12
 
+# Largest distance, relative to the step, of a bucket's x_t from a uniform grid.
+_BUCKET_UNIFORMITY = 1e-9
+
+# Values in a block of map rows: 256 KiB of float64, which stays in cache.
+_BLOCK_VALUES = 32768
+
 # Largest phase error, in radians, that snapping a grid onto a uniform
 # lattice, or a phase step onto 2 pi / K, may make in any term of a sum.
 _MAX_PHASE_SNAP = 1e-9 * math.pi
@@ -218,27 +224,98 @@ def correlation_amplitude(q: float, profile: GainProfile) -> float:
     return p.u * p.v * (1.0 + p.mu_t + p.mu_r)
 
 
+def row_blocks(rows: np.ndarray, weight=None):
+    """(start, block) for blocks of whole rows of rows * weight, or of rows
+    without a weight, about _BLOCK_VALUES values (at least one row) each,
+    in order.
+
+    With a weight every block is written into one reused buffer, which the
+    consumer may overwrite but must be done with before the next block.
+    Without one every block is a read-only view of rows.
+    """
+    step = max(1, _BLOCK_VALUES // rows.shape[1])
+    if weight is not None:
+        buffer = np.empty((min(step, rows.shape[0]), rows.shape[1]))
+        # numpy multiplies by a weight tiled to the block about a quarter
+        # faster than by one broadcast over it
+        weight = np.broadcast_to(weight, buffer.shape).copy()
+    for start in range(0, rows.shape[0], step):
+        block = rows[start:start + step]
+        if weight is None:
+            block = block.view()
+            block.flags.writeable = False
+        else:
+            block = np.multiply(block, weight[:len(block)], out=buffer[:len(block)])
+        yield start, block
+
+
 @dataclass(frozen=True)
 class G2Map:
     """Sampled fourth-order correlation over detector coordinates.
 
-    values[i, j] = G2(x_r[i], x_t[j]) >= 0.
+    values[i, j] = G2(x_r[i], x_t[j]) = rows[i, j] weight[j] >= 0.  On the
+    object-plane kernel route rows is a read-only window view of |F|^2 and
+    weight is |t(x_T)|^2, so the (len(x_r), len(x_t)) map is never held:
+    row_blocks builds it a block of rows at a time and .values on demand.
+    The dense route keeps the map itself in rows, also read-only, with no
+    weight.
     """
 
     x_r: np.ndarray
     x_t: np.ndarray
-    values: np.ndarray
+    rows: np.ndarray
+    weight: Optional[np.ndarray] = None
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.rows if self.weight is None else self.rows * self.weight
+
+    @property
+    def shape(self) -> tuple:
+        return self.rows.shape
+
+    def row_blocks(self):
+        """(start, block) over the map a block of rows at a time; see row_blocks."""
+        return row_blocks(self.rows, self.weight)
+
+    @property
+    def peak(self) -> float:
+        """values.max(), NaN included; kept once found, by bucket_reduce's pass or by this one."""
+        if "_peak" not in vars(self):
+            self._scan()
+        return vars(self)["_peak"]
 
     def bucket_reduce(self) -> np.ndarray:
         """Integrate over the Test coordinate (Riemann sum over the grid).
 
         The bucket detector is modeled as covering the whole x_t grid, of two
-        pixels or more; an object wider than the grid would bias the reduction.
+        or more uniform pixels; an object wider than the grid would bias the
+        reduction.  The same pass over the map finds its peak.
         """
-        if self.x_t.size < 2:
-            raise ValueError(f"a bucket over the detector grid x_t needs two pixels or more, got {self.x_t.size}")
-        dx = float(self.x_t[1] - self.x_t[0])
-        return self.values.sum(axis=1) * dx
+        n = self.x_t.size
+        if n < 2:
+            raise ValueError(f"a bucket over the detector grid x_t needs two pixels or more, got {n}")
+        step = float(self.x_t[-1] - self.x_t[0]) / (n - 1)
+        deviation = _uniform_deviation(self.x_t, step)
+        if not deviation <= _BUCKET_UNIFORMITY * abs(step):
+            raise ValueError(
+                f"a bucket over the detector grid x_t needs uniform pixels: x_t is {deviation:.3e} "
+                f"from the uniform grid of step {step:.3e}"
+            )
+        sums = np.empty(self.shape[0])
+        self._scan(sums)
+        return sums * float(self.x_t[1] - self.x_t[0])
+
+    def _scan(self, sums=None) -> None:
+        """One pass over the row blocks: the row sums into `sums` when given, and the peak."""
+        maxima = []
+        for start, block in self.row_blocks():
+            if sums is not None:
+                np.sum(block, axis=1, out=sums[start:start + len(block)])
+            maxima.append(block.max())
+        # np.max keeps a NaN, which Python's max may drop; a frozen dataclass
+        # keeps the peak in its instance dict, as functools.cached_property does
+        vars(self)["_peak"] = np.max(maxima)
 
 
 @dataclass(frozen=True)
@@ -329,9 +406,10 @@ def g2_map(
     of it, with |k| <= len(x_t), u = x_T - (D/d3) x_R takes only the
     len(x_t) + |k| (len(x_r) - 1) values u0 + m h.  When dq h is also
     2 pi / K (as on matched_image_grids), g2_map evaluates F once on them by
-    a K-point FFT and reads each row of the map as a window of |F|^2.
-    Fourier-lens collection (f_t given) and grids without this structure
-    take the dense product of transfer_reference_arm and transfer_test_arm.
+    a K-point FFT; the map keeps each of its rows as a window of |F|^2 and
+    the weight |t(x_T)|^2, not their product (see G2Map).  Fourier-lens
+    collection (f_t given) and grids without this structure take the dense
+    product of transfer_reference_arm and transfer_test_arm.
     Both routes agree to within rounding.  Raises ValueError when x_r or
     x_t is empty or holds a NaN or an infinity, and GeometryError on the
     Fourier branch, whose one route is ghost_diffraction.
@@ -356,7 +434,9 @@ def g2_map(
         kernel = _phase_sum(weights, -qgrid.n_half, m0, n_xt + abs(k) * (n_xr - 1), qgrid.dq * h)
     if kernel is None:
         s = (transfer_reference_arm(geometry, q, x_r) * c_q[None, :]) @ transfer_test_arm(geometry, obj, q, x_t)
-        return G2Map(x_r, x_t, np.abs(s) ** 2)
+        values = np.abs(s) ** 2
+        values.flags.writeable = False  # the map keeps its peak once found
+        return G2Map(x_r, x_t, values)
     power = np.abs(kernel) ** 2
     if k == 0:
         rows = np.broadcast_to(power, (n_xr, n_xt))
@@ -364,7 +444,7 @@ def g2_map(
         # row i starts at m = -k i: |k| samples after row i - 1 when k < 0, before it when k > 0
         rows = np.lib.stride_tricks.sliding_window_view(power, n_xt)[:: abs(k)]
         rows = rows[::-1] if k > 0 else rows
-    return G2Map(x_r, x_t, rows * np.abs(obj.amplitude(x_t)) ** 2)
+    return G2Map(x_r, x_t, rows, np.abs(obj.amplitude(x_t)) ** 2)
 
 
 def _kernel_lattice(geometry, qgrid, x_r, x_t):
@@ -454,12 +534,14 @@ def ghost_image(
     The map comes from g2_map, which picks its route from the grids.
 
     Without f_t (object-plane collection) the map is integrated over the
-    Test coordinate (bucket detection), which needs two x_t pixels or more.
-    With f_t (Fourier-lens collection) every Test slice already carries the
-    image, so the slice nearest x_T = 0 is returned without bucket
-    integration.  Raises FloatingPointError when the map or its reduction
-    overflows, and, as g2_map does, GeometryError on the Fourier branch and
-    ValueError for a detector grid that is empty or not finite.
+    Test coordinate (bucket detection), which needs two or more uniform x_t
+    pixels; the same pass over the map's row blocks finds its peak, here
+    where an overflow raises.  With f_t (Fourier-lens collection) every
+    Test slice already carries the image, so the slice nearest x_T = 0 is
+    returned without bucket integration.  Raises FloatingPointError when
+    the map or its reduction overflows, and, as g2_map does, GeometryError
+    on the Fourier branch and ValueError for a detector grid that is empty
+    or not finite.
     """
     g2 = g2_map(geometry, obj, profile, qgrid, x_r, x_t)
     if geometry.f_t is None:

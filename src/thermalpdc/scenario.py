@@ -168,7 +168,7 @@ class GhostScenario:
         table = out / ("pattern.csv" if self.x_r is None else "image.csv")
         written = {table: write_csv(table, {"x_r": result.x_r, "value_raw": result.raw, "value_normalized": result.normalized})}
         if self.x_r is not None:
-            written[out / "g2_map.pgm"] = write_pgm(out / "g2_map.pgm", result.g2.values)
+            written[out / "g2_map.pgm"] = write_pgm(out / "g2_map.pgm", result.g2)
         return written, True
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from thermalpdc import (
     ConstantProfile,
+    G2Map,
     GainProfile,
     GeometryError,
     GhostGeometry,
@@ -31,6 +32,7 @@ from thermalpdc import (
     validate_factorization,
 )
 from thermalpdc import ghost
+from thermalpdc.artifacts import write_pgm
 
 ASINH1 = math.asinh(1.0)
 LAM = 0.7e-6
@@ -429,6 +431,111 @@ class TestG2Map:
         assert widths[0] > widths[1] > widths[2]
 
 
+def materialized_map(geometry, obj, profile, qgrid, x_r, x_t):
+    """The kernel-route map as one array, |F|^2[j - k i - m0] |t(x_T[j])|^2, indexed
+    from the kernel that g2_map's momentum sum returns."""
+    kernels = []
+    phase_sum = ghost._phase_sum
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ghost, "_phase_sum", lambda *a: kernels.append(phase_sum(*a)) or kernels[-1])
+        g2_map(geometry, obj, profile, qgrid, x_r, x_t)
+    _, k, _ = ghost._kernel_lattice(geometry, qgrid, np.asarray(x_r), np.asarray(x_t))
+    m = np.arange(len(x_t))[None, :] - k * np.arange(len(x_r))[:, None]
+    return (np.abs(kernels[0]) ** 2)[m - m.min()] * np.abs(obj.amplitude(x_t)) ** 2
+
+
+class TestStreamedMap:
+    """The kernel-route map holds |F|^2 windows and |t|^2, and every reduction and
+    the PGM read it a block of rows at a time, bit for bit as from the whole array."""
+
+    QGRID = MomentumGrid(256, 2 * np.pi / (32 * SLIT))  # 513 pixels: 63 rows a block
+    WIDE = MomentumGrid(20000, 2 * np.pi / (32 * SLIT))  # 40001 pixels: a row is wider than a block
+
+    @staticmethod
+    def grids(qgrid):
+        return matched_image_grids(IMAGING, qgrid)
+
+    @pytest.mark.parametrize(
+        "qgrid, pick",
+        [
+            (QGRID, lambda x_r: x_r),  # k = -1, 513 rows: 8 blocks of 63 and one of 9
+            (QGRID, lambda x_r: x_r[::-1]),  # k = +1
+            (QGRID, lambda x_r: x_r[::-3]),  # k = +3
+            (QGRID, lambda x_r: np.full(70, x_r[200])),  # k = 0 over two blocks
+            (QGRID, lambda x_r: x_r[250:251]),  # a single Reference pixel
+            (WIDE, lambda x_r: x_r[19999:20002]),  # one row a block
+        ],
+        ids=["k-negative", "k-positive", "k-3", "k-zero", "one-pixel", "wide-row"],
+    )
+    def test_matches_the_whole_map(self, tmp_path, qgrid, pick):
+        x_r, x_t = self.grids(qgrid)
+        x_r = pick(x_r)
+        obj = single_slit(x_t, SLIT, center=30e-6)
+        g = g2_map(IMAGING, obj, TWIN, qgrid, x_r, x_t)
+        assert g.weight is not None and not g.rows.flags.writeable
+        whole = materialized_map(IMAGING, obj, TWIN, qgrid, x_r, x_t)
+        # the PGM of a fresh map finds the peak itself; bucket_reduce then finds it again
+        assert write_pgm(tmp_path / "streamed.pgm", g) == write_pgm(tmp_path / "whole.pgm", whole)
+        assert (tmp_path / "streamed.pgm").read_bytes() == (tmp_path / "whole.pgm").read_bytes()
+        assert g.peak == whole.max()
+        assert np.array_equal(g.values, whole)
+        again = g2_map(IMAGING, obj, TWIN, qgrid, x_r, x_t)
+        assert np.array_equal(again.bucket_reduce(), whole.sum(axis=1) * (x_t[1] - x_t[0]))
+        assert again.peak == whole.max()
+
+    def test_partial_last_block(self):
+        x_r, x_t = self.grids(self.QGRID)
+        g = g2_map(IMAGING, single_slit(x_t, SLIT), TWIN, self.QGRID, x_r, x_t)
+        assert [len(block) for _, block in g.row_blocks()] == [63] * 8 + [9]
+
+    def test_dense_route_keeps_its_array(self, tmp_path):
+        qgrid = MomentumGrid(64, 2 * np.pi / (16 * SLIT))
+        x_r, x_t = self.grids(qgrid)
+        g = g2_map(IMAGING_B, single_slit(x_t, SLIT), TWIN, qgrid, x_r, x_t)
+        assert g.weight is None and g.values is g.rows and not g.rows.flags.writeable
+        assert write_pgm(tmp_path / "g.pgm", g) == write_pgm(tmp_path / "v.pgm", g.values)
+        assert np.array_equal(g.bucket_reduce(), g.values.sum(axis=1) * (x_t[1] - x_t[0]))
+
+    @pytest.mark.parametrize("where", ["rows", "weight"])
+    def test_peak_keeps_a_nan(self, tmp_path, where):
+        # in the third block of 63 rows, where Python's max would drop it
+        x_r, x_t = np.arange(200.0), np.arange(513.0)
+        rows, weight = np.ones((200, 513)), np.full(513, 2.0)
+        if where == "rows":
+            rows[150, 7] = np.nan
+        else:
+            weight[7] = np.nan
+        for g in (G2Map(x_r, x_t, rows, weight), G2Map(x_r, x_t, rows * weight)):
+            assert math.isnan(g.values.max()) and math.isnan(g.peak)
+            assert math.isnan(G2Map(x_r, x_t, g.rows, g.weight).bucket_reduce()[150])
+            assert write_pgm(tmp_path / "g.pgm", g) == write_pgm(tmp_path / "v.pgm", g.values)
+
+    def test_library_routes_never_build_the_whole_map(self, tmp_path, monkeypatch):
+        x_r, x_t = self.grids(self.QGRID)
+        obj = single_slit(x_t, SLIT)
+
+        def refuse(self):
+            raise AssertionError("the whole map was built")
+
+        monkeypatch.setattr(G2Map, "values", property(refuse))
+        image = ghost_image(IMAGING, obj, TWIN, self.QGRID, x_r, x_t)
+        write_pgm(tmp_path / "g.pgm", image.g2)
+
+    def test_ghost_image_and_pgm_memory_is_bounded(self, tmp_path):
+        # matched 2049 x 2049 grids: the whole float64 map would take 32 MiB
+        qgrid = MomentumGrid(1024, 2 * np.pi / 2.56e-3)
+        x_r, x_t = self.grids(qgrid)
+        obj = double_slit(x_t, SLIT, 160e-6)
+        write_pgm(tmp_path / "warm.pgm", ghost_image(IMAGING, obj, TWIN, qgrid, x_r, x_t).g2)
+        tracemalloc.start()
+        try:
+            write_pgm(tmp_path / "g.pgm", ghost_image(IMAGING, obj, TWIN, qgrid, x_r, x_t).g2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
 class TestGhostImage:
     def setup_method(self):
         self.qgrid = MomentumGrid(512, 2 * np.pi / (8 * SLIT))
@@ -496,6 +603,19 @@ class TestGhostImage:
         for fn in (g2_map, ghost_image):
             with pytest.raises(ValueError, match=f"{name} must be finite and non-empty"):
                 fn(IMAGING, self.obj, TWIN, self.qgrid, grids["x_r"], grids["x_t"])
+
+    def test_bucket_needs_uniform_test_pixels(self):
+        # one extra pixel 1 nm before a uniform grid made the bucket width 1 nm, and raw 2e-4 of its value
+        x_t = np.linspace(-160e-6, 160e-6, 65)
+        bent = np.concatenate([[x_t[0] - 1e-9], x_t])
+        for grid in (bent, np.concatenate([x_t, [x_t[-1] + 1e-9]])):
+            with pytest.raises(ValueError, match="x_t needs uniform pixels"):
+                ghost_image(IMAGING, single_slit(x_t, SLIT), TWIN, self.qgrid, self.x_r, grid)
+        # within 1e-9 of a step of the uniform grid the bucket reads the first step
+        nudged = x_t.copy()
+        nudged[30] += 1e-10 * (x_t[1] - x_t[0])
+        image = ghost_image(IMAGING, single_slit(x_t, SLIT), TWIN, self.qgrid, self.x_r, nudged)
+        assert np.array_equal(image.raw, image.g2.bucket_reduce())
 
     def test_bucket_needs_two_test_pixels(self):
         # the bucket's pixel width is the first x_t step
