@@ -1,8 +1,9 @@
 """Output writers shared by the command-line scenarios and the demos.
 
 Each writer streams its file through `write_bytes` in pieces of bounded
-size, hashing as it writes: CSV rows go out 256 at a time, PGM rows about
-32k values at a time, as ghost.row_blocks yields them.
+size, hashing as it writes: CSV rows go out 256 at a time, and a ghost
+map's PGM rows about 32k values at a time, as G2Map.row_blocks builds
+them.  `write_pgm` takes a ghost.G2Map, never a whole array.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import hashlib
 import itertools
 
 import numpy as np
-
-from .ghost import row_blocks
 
 
 def write_csv(path, columns) -> str:
@@ -58,48 +57,33 @@ def _fields(values: np.ndarray) -> list[str]:
     return text[inverse.ravel()].tolist()
 
 
-def write_pgm(path, values) -> str:
-    """8-bit binary portable graymap of a 2-D map, max-scaled, row-major.
+def write_pgm(path, g2) -> str:
+    """8-bit binary portable graymap of a ghost.G2Map, max-scaled, row-major.
 
-    `values` is a 2-D array or a ghost.G2Map, whose kernel-route map is
-    built a block of rows at a time and never held whole.  Returns the
+    The map is built a block of rows at a time (G2Map.row_blocks) and each
+    block is scaled in place, so the whole map is never held.  Returns the
     SHA-256 of the bytes written.
     """
-    if hasattr(values, "row_blocks"):  # a G2Map
-        shape, peak, blocks = values.shape, values.peak, values.row_blocks()
-    else:
-        v = np.asarray(values, dtype=float)
-        if v.ndim != 2:
-            raise ValueError("PGM output needs a 2-D array")
-        # the peak before the file is opened: an empty map raises here
-        shape, peak, blocks = v.shape, v.max(), row_blocks(v)
-    header = f"P5\n{shape[1]} {shape[0]}\n255\n".encode("ascii")
-    return write_bytes(path, itertools.chain([header], _pgm_blocks(blocks, peak)))
+    header = f"P5\n{g2.rows.shape[1]} {g2.rows.shape[0]}\n255\n".encode("ascii")
+    return write_bytes(path, itertools.chain([header], _pgm_blocks(g2.row_blocks(), g2.peak)))
 
 
 def _pgm_blocks(blocks, peak):
     """round(block / peak * 255) as uint8 (0 where peak > 0 fails) for each
-    block of row_blocks.  A writeable block is scaled in place, a read-only
-    one through a reused buffer of its own.
+    block of G2Map.row_blocks, scaled in place.
 
     Every block is a view of one reused buffer: consume it before the next.
     """
-    scaled = pixels = None
+    pixels = None
     for _, block in blocks:
         if pixels is None:  # the first block is the largest
             pixels = np.zeros(block.shape, dtype=np.uint8)
         out = pixels[:len(block)]
         if peak > 0:
-            if block.flags.writeable:
-                buf = block
-            else:
-                if scaled is None:
-                    scaled = np.empty(block.shape)
-                buf = scaled[:len(block)]
-            np.divide(block, peak, out=buf)
-            buf *= 255.0
-            np.round(buf, out=buf)
-            np.copyto(out, buf, casting="unsafe")
+            np.divide(block, peak, out=block)
+            block *= 255.0
+            np.round(block, out=block)
+            np.copyto(out, block, casting="unsafe")
         yield out
 
 

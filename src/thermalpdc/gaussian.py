@@ -12,6 +12,7 @@ partial transpose.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,11 @@ class ModeParams:
     phase: float = 0.0
 
     def __post_init__(self):
+        for name in ("mu_t", "mu_r", "coupling", "phase"):
+            value = getattr(self, name)
+            # a bool would pass as 0 or 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (0 <= self.mu_t < math.inf and 0 <= self.mu_r < math.inf):
             raise ValueError(f"seed means must be finite and >= 0, got ({self.mu_t}, {self.mu_r})")
         if not 0 <= self.coupling < math.inf:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -129,10 +129,12 @@ class MomentumGrid:
 
     def __post_init__(self):
         # the momentum indices -n_half..n_half are int64
-        if isinstance(self.n_half, bool) or not hasattr(self.n_half, "__index__") or self.n_half >= 2**62:
+        if isinstance(self.n_half, bool) or not isinstance(self.n_half, numbers.Integral) or self.n_half >= 2**62:
             raise ValueError(f"n_half must be an integer below 2**62, got {self.n_half!r}")
         if self.n_half < 1:
             raise ValueError("n_half must be >= 1")
+        if isinstance(self.dq, bool) or not isinstance(self.dq, numbers.Real):  # True would be a step of 1
+            raise ValueError(f"dq must be a real number, got {self.dq!r}")
         if not (0 < self.dq < math.inf and math.isfinite(2.0 * math.pi / self.dq)):
             raise ValueError(f"dq must be > 0 with a finite transform period 2 pi / dq, got {self.dq}")
 
@@ -224,98 +226,90 @@ def correlation_amplitude(q: float, profile: GainProfile) -> float:
     return p.u * p.v * (1.0 + p.mu_t + p.mu_r)
 
 
-def row_blocks(rows: np.ndarray, weight=None):
-    """(start, block) for blocks of whole rows of rows * weight, or of rows
-    without a weight, about _BLOCK_VALUES values (at least one row) each,
-    in order.
-
-    With a weight every block is written into one reused buffer, which the
-    consumer may overwrite but must be done with before the next block.
-    Without one every block is a read-only view of rows.
-    """
-    step = max(1, _BLOCK_VALUES // rows.shape[1])
-    if weight is not None:
-        buffer = np.empty((min(step, rows.shape[0]), rows.shape[1]))
-        # numpy multiplies by a weight tiled to the block about a quarter
-        # faster than by one broadcast over it
-        weight = np.broadcast_to(weight, buffer.shape).copy()
-    for start in range(0, rows.shape[0], step):
-        block = rows[start:start + step]
-        if weight is None:
-            block = block.view()
-            block.flags.writeable = False
-        else:
-            block = np.multiply(block, weight[:len(block)], out=buffer[:len(block)])
-        yield start, block
-
-
 @dataclass(frozen=True)
 class G2Map:
     """Sampled fourth-order correlation over detector coordinates.
 
-    values[i, j] = G2(x_r[i], x_t[j]) = rows[i, j] weight[j] >= 0.  On the
-    object-plane kernel route rows is a read-only window view of |F|^2 and
-    weight is |t(x_T)|^2, so the (len(x_r), len(x_t)) map is never held:
-    row_blocks builds it a block of rows at a time and .values on demand.
-    The dense route keeps the map itself in rows, also read-only, with no
-    weight.
+    values[i, j] = G2(x_r[i], x_t[j]) = rows[i, j] weight[j], with rows and
+    weight >= 0.  On the object-plane kernel route rows is a read-only
+    window view of |F|^2 and weight is |t(x_T)|^2, so the (len(x_r),
+    len(x_t)) map is never held: row_blocks builds it a block of rows at a
+    time and .values on demand.  The dense route keeps the map itself in
+    rows, also read-only, with a weight of ones.
+
+    peak is values.max(), NaN included, found at construction from the
+    column maxima of rows: for w >= 0 the rounded product a w never
+    decreases as a grows, so column j's largest value is rows[:, j].max() w[j].
     """
 
     x_r: np.ndarray
     x_t: np.ndarray
     rows: np.ndarray
-    weight: Optional[np.ndarray] = None
+    weight: np.ndarray
+    peak: float = field(init=False)
+
+    def __post_init__(self):
+        if self.rows.ndim != 2 or not self.rows.size or np.shape(self.weight) != (self.rows.shape[1],):
+            raise ValueError(
+                f"a G2Map needs non-empty 2-D rows and one weight per column, got rows of shape "
+                f"{self.rows.shape} and weight of shape {np.shape(self.weight)}"
+            )
+        if (self.weight < 0).any():  # a negative weight would reverse its column's order
+            raise ValueError("a G2Map needs a weight >= 0 in every column")
+        object.__setattr__(self, "peak", np.max(self.rows.max(axis=0) * self.weight))
 
     @property
     def values(self) -> np.ndarray:
-        return self.rows if self.weight is None else self.rows * self.weight
-
-    @property
-    def shape(self) -> tuple:
-        return self.rows.shape
+        return self.rows * self.weight
 
     def row_blocks(self):
-        """(start, block) over the map a block of rows at a time; see row_blocks."""
-        return row_blocks(self.rows, self.weight)
+        """(start, block) for blocks of whole rows of values, about
+        _BLOCK_VALUES values (at least one row) each, in order.
 
-    @property
-    def peak(self) -> float:
-        """values.max(), NaN included; kept once found, by bucket_reduce's pass or by this one."""
-        if "_peak" not in vars(self):
-            self._scan()
-        return vars(self)["_peak"]
+        Every block is written into one reused buffer, which the consumer may
+        overwrite but must be done with before the next block.
+        """
+        rows = self.rows
+        step = max(1, _BLOCK_VALUES // rows.shape[1])
+        buffer = np.empty((min(step, rows.shape[0]), rows.shape[1]))
+        # numpy multiplies by a weight tiled to the block about a quarter
+        # faster than by one broadcast over it
+        weight = np.broadcast_to(self.weight, buffer.shape).copy()
+        for start in range(0, rows.shape[0], step):
+            block = rows[start:start + step]
+            yield start, np.multiply(block, weight[:len(block)], out=buffer[:len(block)])
 
     def bucket_reduce(self) -> np.ndarray:
         """Integrate over the Test coordinate (Riemann sum over the grid).
 
         The bucket detector is modeled as covering the whole x_t grid, of two
-        or more uniform pixels; an object wider than the grid would bias the
-        reduction.  The same pass over the map finds its peak.
+        or more uniform pixels (see _bucket_step); an object wider than the
+        grid would bias the reduction.
         """
-        n = self.x_t.size
-        if n < 2:
-            raise ValueError(f"a bucket over the detector grid x_t needs two pixels or more, got {n}")
-        step = float(self.x_t[-1] - self.x_t[0]) / (n - 1)
-        deviation = _uniform_deviation(self.x_t, step)
-        if not deviation <= _BUCKET_UNIFORMITY * abs(step):
-            raise ValueError(
-                f"a bucket over the detector grid x_t needs uniform pixels: x_t is {deviation:.3e} "
-                f"from the uniform grid of step {step:.3e}"
-            )
-        sums = np.empty(self.shape[0])
-        self._scan(sums)
-        return sums * float(self.x_t[1] - self.x_t[0])
-
-    def _scan(self, sums=None) -> None:
-        """One pass over the row blocks: the row sums into `sums` when given, and the peak."""
-        maxima = []
+        dx = _bucket_step(self.x_t)
+        sums = np.empty(self.rows.shape[0])
         for start, block in self.row_blocks():
-            if sums is not None:
-                np.sum(block, axis=1, out=sums[start:start + len(block)])
-            maxima.append(block.max())
-        # np.max keeps a NaN, which Python's max may drop; a frozen dataclass
-        # keeps the peak in its instance dict, as functools.cached_property does
-        vars(self)["_peak"] = np.max(maxima)
+            np.sum(block, axis=1, out=sums[start:start + len(block)])
+        return sums * dx
+
+
+def _bucket_step(x_t: np.ndarray) -> float:
+    """The bucket's pixel width x_t[1] - x_t[0].
+
+    Raises ValueError unless x_t has two or more pixels, each within
+    _BUCKET_UNIFORMITY of a step of the uniform grid over its ends.
+    """
+    n = x_t.size
+    if n < 2:
+        raise ValueError(f"a bucket over the detector grid x_t needs two pixels or more, got {n}")
+    step = float(x_t[-1] - x_t[0]) / (n - 1)
+    deviation = _uniform_deviation(x_t, step)
+    if not deviation <= _BUCKET_UNIFORMITY * abs(step):
+        raise ValueError(
+            f"a bucket over the detector grid x_t needs uniform pixels: x_t is {deviation:.3e} "
+            f"from the uniform grid of step {step:.3e}"
+        )
+    return float(x_t[1] - x_t[0])
 
 
 @dataclass(frozen=True)
@@ -409,16 +403,13 @@ def g2_map(
     a K-point FFT; the map keeps each of its rows as a window of |F|^2 and
     the weight |t(x_T)|^2, not their product (see G2Map).  Fourier-lens
     collection (f_t given) and grids without this structure take the dense
-    product of transfer_reference_arm and transfer_test_arm.
-    Both routes agree to within rounding.  Raises ValueError when x_r or
-    x_t is empty or holds a NaN or an infinity, and GeometryError on the
-    Fourier branch, whose one route is ghost_diffraction.
+    product of transfer_reference_arm and transfer_test_arm, which the map
+    holds with a weight of ones.  Both routes agree to within rounding.
+    Raises ValueError when x_r or x_t is empty or holds a NaN or an
+    infinity, and GeometryError on the Fourier branch, whose one route is
+    ghost_diffraction.
     """
-    x_r = np.atleast_1d(np.asarray(x_r, dtype=float))
-    x_t = np.atleast_1d(np.asarray(x_t, dtype=float))
-    for name, grid in (("x_r", x_r), ("x_t", x_t)):
-        if not (grid.size and np.isfinite(grid).all()):
-            raise ValueError(f"detector grid {name} must be finite and non-empty")
+    x_r, x_t = _detector_grids(x_r, x_t)
     q = qgrid.values
     c_q = profile.correlation_amplitudes(q)
     _check_profile_symmetry(c_q)
@@ -435,8 +426,8 @@ def g2_map(
     if kernel is None:
         s = (transfer_reference_arm(geometry, q, x_r) * c_q[None, :]) @ transfer_test_arm(geometry, obj, q, x_t)
         values = np.abs(s) ** 2
-        values.flags.writeable = False  # the map keeps its peak once found
-        return G2Map(x_r, x_t, values)
+        values.flags.writeable = False  # the map keeps the peak found at construction
+        return G2Map(x_r, x_t, values, np.ones(x_t.size))
     power = np.abs(kernel) ** 2
     if k == 0:
         rows = np.broadcast_to(power, (n_xr, n_xt))
@@ -445,6 +436,15 @@ def g2_map(
         rows = np.lib.stride_tricks.sliding_window_view(power, n_xt)[:: abs(k)]
         rows = rows[::-1] if k > 0 else rows
     return G2Map(x_r, x_t, rows, np.abs(obj.amplitude(x_t)) ** 2)
+
+
+def _detector_grids(x_r, x_t):
+    """x_r and x_t as 1-D float arrays; raises ValueError unless each is finite and non-empty."""
+    grids = [np.atleast_1d(np.asarray(grid, dtype=float)) for grid in (x_r, x_t)]
+    for name, grid in zip(("x_r", "x_t"), grids):
+        if not (grid.size and np.isfinite(grid).all()):
+            raise ValueError(f"detector grid {name} must be finite and non-empty")
+    return grids
 
 
 def _kernel_lattice(geometry, qgrid, x_r, x_t):
@@ -535,19 +535,24 @@ def ghost_image(
 
     Without f_t (object-plane collection) the map is integrated over the
     Test coordinate (bucket detection), which needs two or more uniform x_t
-    pixels; the same pass over the map's row blocks finds its peak, here
-    where an overflow raises.  With f_t (Fourier-lens collection) every
-    Test slice already carries the image, so the slice nearest x_T = 0 is
-    returned without bucket integration.  Raises FloatingPointError when
-    the map or its reduction overflows, and, as g2_map does, GeometryError
-    on the Fourier branch and ValueError for a detector grid that is empty
-    or not finite.
+    pixels; a grid without them is refused before the map is built.  With
+    f_t (Fourier-lens collection) every Test slice already carries the
+    image, so the slice nearest x_T = 0 is returned without bucket
+    integration.  Raises FloatingPointError when the map, its peak or its
+    reduction overflows, and, as g2_map does, GeometryError on the Fourier
+    branch and ValueError for a detector grid that is empty or not finite.
     """
+    x_r, x_t = _detector_grids(x_r, x_t)
+    if geometry.f_t is None:
+        # refuse, before the map is built, the Fourier branch (as g2_map would) and then the grid
+        geometry.lens_term
+        _bucket_step(x_t)
     g2 = g2_map(geometry, obj, profile, qgrid, x_r, x_t)
     if geometry.f_t is None:
         raw = g2.bucket_reduce()
     else:
-        raw = g2.values[:, int(np.argmin(np.abs(g2.x_t)))].copy()
+        j = int(np.argmin(np.abs(g2.x_t)))
+        raw = g2.rows[:, j] * g2.weight[j]
     peak = float(raw.max())
     normalized = raw / peak if peak > 0 else raw.copy()
     return GhostImage(g2.x_r, raw, normalized, g2)

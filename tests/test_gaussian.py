@@ -64,6 +64,18 @@ class TestModeParams:
         with pytest.raises(ValueError, match="finite"):
             ModeParams.from_npdc(0, 0, n_pdc)
 
+    @pytest.mark.parametrize("bad", [True, False, "1.0", None, 1j])
+    @pytest.mark.parametrize("field", ["mu_t", "mu_r", "coupling", "phase"])
+    def test_rejects_bool_and_non_real(self, field, bad):
+        # ModeParams(True, 0, 0.1) built a pair with mu_t=True; a string raised a bare TypeError
+        values = {"mu_t": 0.5, "mu_r": 0.5, "coupling": 0.1, "phase": 0.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            ModeParams(**values)
+
+    def test_accepts_numpy_scalars(self):
+        p = ModeParams(np.float64(1.0), np.int64(0), np.float32(0.5), np.float64(0.25))
+        assert p.coupling == 0.5 and p.mu_r == 0
+
 
 class TestSymplecticForm:
     def test_antisymmetric_and_squares_to_minus_identity(self):

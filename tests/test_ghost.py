@@ -199,6 +199,14 @@ class TestMomentumGrid:
             with pytest.raises(ValueError, match="finite transform period"):
                 MomentumGrid(4, dq)
 
+    @pytest.mark.parametrize("dq", [True, "1.0", None, 1j])
+    def test_rejects_bool_and_non_real_step(self, dq):
+        # MomentumGrid(4, True) built a grid of step 1; a string raised a bare TypeError
+        with pytest.raises(ValueError, match="dq must be a real number"):
+            MomentumGrid(4, dq)
+        for step in (np.float64(0.5), np.float32(0.5), np.int64(2)):
+            assert MomentumGrid(4, step).values[-1] == 4 * float(step)
+
 
 class TestCorrelationAmplitude:
     def test_constant_twin_beam(self):
@@ -431,6 +439,11 @@ class TestG2Map:
         assert widths[0] > widths[1] > widths[2]
 
 
+def unit_map(values):
+    """The G2Map of a whole array: its rows with a weight of ones."""
+    return G2Map(np.arange(values.shape[0]), np.arange(values.shape[-1]), values, np.ones(values.shape[-1]))
+
+
 def materialized_map(geometry, obj, profile, qgrid, x_r, x_t):
     """The kernel-route map as one array, |F|^2[j - k i - m0] |t(x_T[j])|^2, indexed
     from the kernel that g2_map's momentum sum returns."""
@@ -472,10 +485,10 @@ class TestStreamedMap:
         x_r = pick(x_r)
         obj = single_slit(x_t, SLIT, center=30e-6)
         g = g2_map(IMAGING, obj, TWIN, qgrid, x_r, x_t)
-        assert g.weight is not None and not g.rows.flags.writeable
+        assert np.array_equal(g.weight, np.abs(obj.amplitude(x_t)) ** 2) and not g.rows.flags.writeable
         whole = materialized_map(IMAGING, obj, TWIN, qgrid, x_r, x_t)
-        # the PGM of a fresh map finds the peak itself; bucket_reduce then finds it again
-        assert write_pgm(tmp_path / "streamed.pgm", g) == write_pgm(tmp_path / "whole.pgm", whole)
+        # the peak is found at construction, from the column maxima of the rows
+        assert write_pgm(tmp_path / "streamed.pgm", g) == write_pgm(tmp_path / "whole.pgm", unit_map(whole))
         assert (tmp_path / "streamed.pgm").read_bytes() == (tmp_path / "whole.pgm").read_bytes()
         assert g.peak == whole.max()
         assert np.array_equal(g.values, whole)
@@ -492,9 +505,14 @@ class TestStreamedMap:
         qgrid = MomentumGrid(64, 2 * np.pi / (16 * SLIT))
         x_r, x_t = self.grids(qgrid)
         g = g2_map(IMAGING_B, single_slit(x_t, SLIT), TWIN, qgrid, x_r, x_t)
-        assert g.weight is None and g.values is g.rows and not g.rows.flags.writeable
-        assert write_pgm(tmp_path / "g.pgm", g) == write_pgm(tmp_path / "v.pgm", g.values)
-        assert np.array_equal(g.bucket_reduce(), g.values.sum(axis=1) * (x_t[1] - x_t[0]))
+        # the map itself, read-only, with a weight of ones: multiplying by 1.0 moves no bit
+        assert g.rows.flags.owndata and not g.rows.flags.writeable
+        assert np.array_equal(g.weight, np.ones(len(x_t)))
+        assert g.values.tobytes() == g.rows.tobytes() and g.peak == g.rows.max()
+        write_pgm(tmp_path / "g.pgm", g)
+        pixels = np.round(g.rows / g.rows.max() * 255).astype(np.uint8)
+        assert (tmp_path / "g.pgm").read_bytes() == f"P5\n{len(x_t)} {len(x_r)}\n255\n".encode() + pixels.tobytes()
+        assert np.array_equal(g.bucket_reduce(), g.rows.sum(axis=1) * (x_t[1] - x_t[0]))
 
     @pytest.mark.parametrize("where", ["rows", "weight"])
     def test_peak_keeps_a_nan(self, tmp_path, where):
@@ -505,10 +523,25 @@ class TestStreamedMap:
             rows[150, 7] = np.nan
         else:
             weight[7] = np.nan
-        for g in (G2Map(x_r, x_t, rows, weight), G2Map(x_r, x_t, rows * weight)):
+        for g in (G2Map(x_r, x_t, rows, weight), unit_map(rows * weight)):
             assert math.isnan(g.values.max()) and math.isnan(g.peak)
             assert math.isnan(G2Map(x_r, x_t, g.rows, g.weight).bucket_reduce()[150])
-            assert write_pgm(tmp_path / "g.pgm", g) == write_pgm(tmp_path / "v.pgm", g.values)
+            assert write_pgm(tmp_path / "g.pgm", g) == write_pgm(tmp_path / "v.pgm", unit_map(g.values))
+
+    @pytest.mark.parametrize(
+        "rows, weight",
+        [(np.ones(5), np.ones(5)), (np.ones((2, 5)), np.ones(4)), (np.ones((2, 5)), np.ones((1, 5))),
+         (np.ones((0, 5)), np.ones(5)), (np.ones((2, 0)), np.ones(0))],
+        ids=["1-d-rows", "short-weight", "2-d-weight", "no-rows", "no-columns"],
+    )
+    def test_rejects_a_malformed_map(self, rows, weight):
+        with pytest.raises(ValueError, match="non-empty 2-D rows and one weight per column"):
+            G2Map(np.arange(len(rows)), np.arange(rows.shape[-1]), rows, weight)
+
+    def test_rejects_a_negative_weight(self):
+        # the peak would read rows.max() w, the smallest value of the column
+        with pytest.raises(ValueError, match="weight >= 0"):
+            G2Map(np.arange(2.0), np.arange(1.0), np.array([[1.0], [2.0]]), np.array([-1.0]))
 
     def test_library_routes_never_build_the_whole_map(self, tmp_path, monkeypatch):
         x_r, x_t = self.grids(self.QGRID)
@@ -616,6 +649,30 @@ class TestGhostImage:
         nudged[30] += 1e-10 * (x_t[1] - x_t[0])
         image = ghost_image(IMAGING, single_slit(x_t, SLIT), TWIN, self.qgrid, self.x_r, nudged)
         assert np.array_equal(image.raw, image.g2.bucket_reduce())
+
+    def test_bent_bucket_grid_is_refused_before_the_map_is_built(self, monkeypatch):
+        # _kernel_lattice takes no bent grid, so the dense transfer-matrix map was built first
+        x_t = np.linspace(-160e-6, 160e-6, 65)
+        bent = np.concatenate([[x_t[0] - 1e-9], x_t])
+
+        def refuse(*args):
+            raise AssertionError("the map was built")
+
+        monkeypatch.setattr(ghost, "transfer_test_arm", refuse)
+        monkeypatch.setattr(ghost, "_phase_sum", refuse)
+        with pytest.raises(ValueError, match="x_t needs uniform pixels"):
+            ghost_image(IMAGING, single_slit(x_t, SLIT), TWIN, self.qgrid, self.x_r, bent)
+        # a grid that is not finite or empty is named first
+        x_r = self.x_r.copy()
+        x_r[3] = math.nan
+        with pytest.raises(ValueError, match="x_r must be finite and non-empty"):
+            ghost_image(IMAGING, single_slit(x_t, SLIT), TWIN, self.qgrid, x_r, bent)
+        with pytest.raises(ValueError, match="x_t must be finite and non-empty"):
+            ghost_image(IMAGING, single_slit(x_t, SLIT), TWIN, self.qgrid, self.x_r, np.append(bent, math.nan))
+        # and the Fourier branch is named before the grid, as g2_map names it
+        for grid in (bent, x_t[:1]):
+            with pytest.raises(GeometryError, match="use ghost_diffraction"):
+                ghost_image(replace(FOURIER, f_t=None), single_slit(x_t, SLIT), TWIN, self.qgrid, self.x_r, grid)
 
     def test_bucket_needs_two_test_pixels(self):
         # the bucket's pixel width is the first x_t step

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from thermalpdc import correlations, ghost
 from thermalpdc.artifacts import sha256_of, write_csv, write_pgm
@@ -293,27 +294,32 @@ def pgm_reference(m) -> bytes:
     return f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode() + pixels.tobytes()
 
 
+def unit_map(values):
+    """The G2Map of a whole array: its rows with a weight of ones."""
+    return ghost.G2Map(np.arange(values.shape[0]), np.arange(values.shape[-1]), values, np.ones(values.shape[-1]))
+
+
 class TestPgmWriter:
     def test_dark_map(self, tmp_path):
         path = tmp_path / "dark.pgm"
-        write_pgm(path, np.zeros((4, 6)))
+        write_pgm(path, unit_map(np.zeros((4, 6))))
         data = path.read_bytes()
         assert data.startswith(b"P5\n6 4\n255\n")
         assert data[-24:] == bytes(24)
 
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):
-            write_pgm(tmp_path / "x.pgm", np.zeros(5))
+            write_pgm(tmp_path / "x.pgm", unit_map(np.zeros(5)))
 
     def test_empty_map_raises_before_the_file_is_opened(self, tmp_path):
         with pytest.raises(ValueError):
-            write_pgm(tmp_path / "x.pgm", np.zeros((0, 3)))
+            write_pgm(tmp_path / "x.pgm", unit_map(np.zeros((0, 3))))
         assert not (tmp_path / "x.pgm").exists()
 
     def test_any_memory_order_writes_row_major(self, tmp_path):
         m = np.random.default_rng(3).random((5, 8)).T
         assert not m.flags.c_contiguous
-        digests = [write_pgm(tmp_path / "f.pgm", m), write_pgm(tmp_path / "c.pgm", np.ascontiguousarray(m))]
+        digests = [write_pgm(tmp_path / "f.pgm", unit_map(m)), write_pgm(tmp_path / "c.pgm", unit_map(np.ascontiguousarray(m)))]
         assert (tmp_path / "f.pgm").read_bytes() == (tmp_path / "c.pgm").read_bytes()
         assert digests == [sha256_of(tmp_path / "c.pgm")] * 2
 
@@ -334,7 +340,7 @@ class TestPgmWriter:
         if fill is not None:
             m[(0, -1) if math.isnan(fill) else ...] = fill
         path = tmp_path / "m.pgm"
-        digest = write_pgm(path, m)
+        digest = write_pgm(path, unit_map(m))
         assert path.read_bytes() == pgm_reference(m)
         assert digest == sha256_of(path)
 
@@ -343,11 +349,39 @@ class TestPgmWriter:
         m = np.random.default_rng(5).random((1025, 1025))
         tracemalloc.start()
         try:
-            write_pgm(tmp_path / "m.pgm", m)
+            write_pgm(tmp_path / "m.pgm", unit_map(m))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 70), st.integers(1, 1100)),  # up to 29 rows a block, three blocks
+        data=st.data(),
+    )
+    @example(shape=(3, 4), data=None)
+    def test_peak_is_the_max_of_rows_times_weight(self, shape, data):
+        # for w >= 0 the rounded product a w never decreases as a grows, so the
+        # largest product in a column is its largest row entry times its weight
+        n, m = shape
+        if data is None:  # a NaN where its column's weight is zero
+            rows, weight, nan = np.full(shape, 5e-324), np.array([1.0, 0.0, 0.5, 1e-320]), (2, 1)
+        else:
+            value = st.one_of(st.just(0.0), st.floats(0.0, 2.2250738585072014e-308, exclude_max=True), st.floats(0.0, 1e300))
+            rows = data.draw(hnp.arrays(np.float64, shape, elements=value, fill=value))
+            weight = data.draw(hnp.arrays(np.float64, m, elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0)), fill=st.floats(0.0, 1.0)))
+            nan = data.draw(st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)))
+        if nan is not None:
+            rows[nan] = np.nan
+        g2 = ghost.G2Map(np.arange(n), np.arange(m), rows, weight)
+        values = rows * weight
+        assert np.asarray(g2.peak).tobytes() == np.asarray(values.max()).tobytes()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "g.pgm")
+            write_pgm(path, g2)
+            assert path.read_bytes() == pgm_reference(values)
+
 
 
 def csv_reference(columns) -> bytes:
