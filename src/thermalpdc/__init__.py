@@ -55,8 +55,6 @@ from .ghost import (
     ghost_diffraction,
     ghost_image,
     matched_image_grids,
-    transfer_reference_arm,
-    transfer_test_arm,
 )
 from .objects import SampledObject, double_slit, grating, load_object_csv, single_slit
 

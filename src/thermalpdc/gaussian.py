@@ -99,6 +99,8 @@ class CovarianceBlock:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"covariance block must be 4x4, got {m.shape}")
+        if not np.isfinite(m).all():  # a NaN would pass the symmetry check below
+            raise ValueError("covariance block must be finite")
         scale = max(np.abs(m).max(), 1.0)
         if np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
             raise ValueError("covariance block is not symmetric")
@@ -193,6 +195,9 @@ def apply_loss(block: CovarianceBlock, tau: float) -> CovarianceBlock:
     Models a beam splitter with vacuum on the idle port:
     V -> tau * V + (1 - tau)/2 * identity.  tau must lie in (0, 1].
     """
+    # a bool would pass as tau = 1
+    if isinstance(tau, bool) or not isinstance(tau, numbers.Real):
+        raise ValueError(f"transmission must be a real number, got {tau!r}")
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"transmission must be in (0, 1], got {tau}")
     return CovarianceBlock(tau * block.matrix + (1.0 - tau) / 2.0 * np.eye(4))
@@ -249,7 +254,7 @@ def check_separability_lossy(p: ModeParams, tau: float) -> SeparabilityVerdict:
     lossy covariance; the two routes agree away from the boundary and tests
     treat any disagreement as a failure.
     """
+    lossy = apply_loss(build_covariance(p), tau)  # checks tau before tau ** 2 below reads it
     margin = tau ** 2 * separability_margin(p)
-    lossy = apply_loss(build_covariance(p), tau)
     nu_min = symplectic_eigenvalues(partial_transpose(lossy))[0]
     return SeparabilityVerdict(margin >= 0.0, margin, nu_min)

@@ -24,9 +24,16 @@ Brambilla et al., PRA 69, 023802 (2004)):
 so G2 = |t(x_T)|^2 |F(x_T - (D/d3) x_R)|^2.  Under the back-propagating
 thin-lens condition 1/(d1+d2) + 1/d3 = 1/f_r the quadratic phase vanishes
 and the bucket-integrated correlation reproduces the object intensity
-inverted and magnified by M = d3/(d1+d2).  With f_r = d3 (Fourier branch)
-and a collection lens of focal length f_t in the Test arm the correlation
-at x_T = 0 samples the squared object spectrum.
+inverted and magnified by M = d3/(d1+d2).  A collection lens of focal
+length f_t in the Test arm (Fourier-lens collection) maps x_T to the
+object spectrum; writing that spectrum as its Riemann sum over the object
+samples x_j gives the same F (Gatti, Brambilla, Bache and Lugiato, PRA 70,
+013802 (2004)):
+
+    S(x_R, x_T) = sum_j t_j dx exp(-i s x_j x_T) F(x_j - (D/d3) x_R),
+
+with s = 2 pi / (lam f_t).  With f_r = d3 (Fourier branch) and a collection
+lens the correlation at x_T = 0 samples the squared object spectrum.
 """
 
 from __future__ import annotations
@@ -165,6 +172,8 @@ class ConstantProfile(GainProfile):
     params: ModeParams
 
     def __post_init__(self):
+        if not isinstance(self.params, ModeParams):
+            raise ValueError(f"params must be a ModeParams, got {self.params!r}")
         try:
             amplitude = correlation_amplitude(0.0, self)
         except OverflowError:  # math.cosh or math.sinh of the coupling
@@ -197,6 +206,9 @@ class SincProfile(GainProfile):
     phase: float = 0.0
 
     def __post_init__(self):
+        # a bool would pass as a bandwidth of 0 or 1
+        if isinstance(self.bandwidth, bool) or not isinstance(self.bandwidth, numbers.Real):
+            raise ValueError(f"bandwidth must be a real number, got {self.bandwidth!r}")
         if not math.isfinite(self.bandwidth):
             raise ValueError(f"bandwidth must be finite, got {self.bandwidth}")
         ModeParams(self.mu_t, self.mu_r, self.kappa0, self.phase)  # the peak coupling is kappa0
@@ -231,11 +243,12 @@ class G2Map:
     """Sampled fourth-order correlation over detector coordinates.
 
     values[i, j] = G2(x_r[i], x_t[j]) = rows[i, j] weight[j], with rows and
-    weight >= 0.  On the object-plane kernel route rows is a read-only
-    window view of |F|^2 and weight is |t(x_T)|^2, so the (len(x_r),
-    len(x_t)) map is never held: row_blocks builds it a block of rows at a
-    time and .values on demand.  The dense route keeps the map itself in
-    rows, also read-only, with a weight of ones.
+    weight >= 0, and rows read-only.  On the object plane rows is |F|^2
+    and weight is |t(x_T)|^2; on a kernel lattice (see g2_map) rows is a
+    window view of one line of |F|^2, so the (len(x_r), len(x_t)) map is
+    never held: row_blocks builds it a block of rows at a time and .values
+    on demand.  Fourier-lens collection keeps the map itself in rows, with
+    a weight of ones.
 
     peak is values.max(), NaN included, found at construction from the
     column maxima of rows: for w >= 0 the rounded product a w never
@@ -332,52 +345,6 @@ class DiffractionPattern:
     normalized: np.ndarray
 
 
-def transfer_test_arm(geometry: GhostGeometry, obj: SampledObject, q, x_t) -> np.ndarray:
-    """Fourier-transformed Test-arm response h_T(x_T, q), shape (nq, nxt).
-
-    Without f_t (object-plane collection): free propagation over d1 to the
-    object, detector on the object plane:
-
-        h_T(x_T, q) = exp(-i lam d1 q^2 / 4 pi) exp(+i q x_T) t(x_T)
-
-    With f_t (Fourier-lens collection): the collection lens maps the detector
-    coordinate to a spectral offset, sampling the object transform:
-
-        h_T(x_T, q) = exp(-i lam d1 q^2 / 4 pi) ttilde(q - 2 pi x_T/(lam f_t))
-
-    with ttilde the sampled Riemann transform of the object.  Positions
-    outside the object grid transmit nothing on the object plane.
-    """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    x_t = np.atleast_1d(np.asarray(x_t, dtype=float))
-    quad = np.exp(-1j * geometry.wavelength * geometry.d1 / (4.0 * math.pi) * q ** 2)
-    if geometry.f_t is None:
-        t_vals = obj.amplitude(x_t)
-        return quad[:, None] * np.exp(1j * np.outer(q, x_t)) * t_vals[None, :]
-    scale = 2.0 * math.pi / (geometry.wavelength * geometry.f_t)
-    # ttilde(q_m - scale x_p) factorizes over the object samples, so build it
-    # as two phase matrices around the sampled transmission.
-    left = np.exp(1j * np.outer(q, obj.x)) * (obj.t * obj.dx)[None, :]
-    right = np.exp(-1j * scale * np.outer(obj.x, x_t))
-    return quad[:, None] * (left @ right)
-
-
-def transfer_reference_arm(geometry: GhostGeometry, q, x_r) -> np.ndarray:
-    """Fourier-transformed Reference-arm response h_R(x_R, -q), (nxr, nq).
-
-    Imaging branch (f_r != d3), with D = 1/(1/d3 - 1/f_r):
-
-        h_R(x_R, -q) = exp(-i (lam/4 pi)(d2 + D) q^2) exp(-i q x_R D / d3)
-
-    On the Fourier branch (f_r = d3) each pixel picks up one momentum, which
-    ghost_diffraction places its pixels on; here that raises GeometryError.
-    """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    x_r = np.atleast_1d(np.asarray(x_r, dtype=float))
-    quad = np.exp(-1j * geometry.wavelength / (4.0 * math.pi) * (geometry.d2 + geometry.lens_term) * q ** 2)
-    return quad[None, :] * np.exp(-1j * np.outer(x_r, q) * (geometry.lens_term / geometry.d3))
-
-
 def _check_profile_symmetry(c_q: np.ndarray) -> None:
     scale = max(float(np.abs(c_q).max()), 1.0)
     if np.abs(c_q - c_q[::-1]).max() > _PROFILE_SYMMETRY_RTOL * scale:
@@ -394,48 +361,64 @@ def g2_map(
 ) -> G2Map:
     """Fourth-order correlation over an (x_R, x_T) detector grid.
 
-    On the imaging branch with object-plane collection the map is
-    |t(x_T)|^2 |F(x_T - (D/d3) x_R)|^2 (see the module docstring).  When x_t
-    is uniform with step h and (D/d3) x_r steps by an integer multiple k h
-    of it, with |k| <= len(x_t), u = x_T - (D/d3) x_R takes only the
-    len(x_t) + |k| (len(x_r) - 1) values u0 + m h.  When dq h is also
-    2 pi / K (as on matched_image_grids), g2_map evaluates F once on them by
-    a K-point FFT; the map keeps each of its rows as a window of |F|^2 and
-    the weight |t(x_T)|^2, not their product (see G2Map).  Fourier-lens
-    collection (f_t given) and grids without this structure take the dense
-    product of transfer_reference_arm and transfer_test_arm, which the map
-    holds with a weight of ones.  Both routes agree to within rounding.
-    Raises ValueError when x_r or x_t is empty or holds a NaN or an
-    infinity, and GeometryError on the Fourier branch, whose one route is
+    Both collection schemes read one kernel K[i, j] = F(x_j - r_i), with
+    r = (D/d3) x_r and F as in the module docstring, over the sample grid
+    x: x_t on the object plane, the object grid obj.x with a collection lens
+    (f_t given).  When x is uniform with step h and r steps by an integer
+    multiple k h of it, with |k| <= len(x), x_j - r_i takes only the
+    len(x) + |k| (len(x_r) - 1) values u0 + m h.  When dq h is also
+    2 pi / K (as on matched_image_grids), F is evaluated once on them by a
+    K-point FFT and every row of K is a window of that line; otherwise K is
+    the product (C_q exp(-i phi(q)) exp(-i q r_i)) @ exp(i q x_j) over q,
+    with phi(q) = lam (d1 + d2 + D) q^2 / 4 pi, the quadratic phase of F.
+
+    On the object plane the map is |K|^2 |t(x_T)|^2, kept as rows |K|^2
+    and the weight |t(x_T)|^2 (see G2Map); on the lattice those rows are a
+    read-only window view of the one line |F|^2, so the map is never held.
+    With a collection lens the map is |K @ (t dx exp(-i s x x_T))|^2 with
+    s = 2 pi / (lam f_t), held with a weight of ones.  Raises ValueError
+    when x_r or x_t is empty or holds a NaN or an infinity, and
+    GeometryError on the Fourier branch, whose one route is
     ghost_diffraction.
     """
     x_r, x_t = _detector_grids(x_r, x_t)
     q = qgrid.values
     c_q = profile.correlation_amplitudes(q)
     _check_profile_symmetry(c_q)
-    lattice = _kernel_lattice(geometry, qgrid, x_r, x_t)
-    kernel = None
+    r = x_r * (geometry.lens_term / geometry.d3)
+    x = x_t if geometry.f_t is None else obj.x
+    focus = geometry.wavelength * (geometry.d1 + geometry.d2 + geometry.lens_term) / (4.0 * math.pi)
+    lattice = _kernel_lattice(qgrid, x, r)
+    line = None
     if lattice is not None:
         h, k, u0 = lattice
-        n_xr, n_xt = x_r.size, x_t.size
-        # u[i, j] = u0 + m h with m = j - k i, from m0 on
-        m0 = min(0, -k * (n_xr - 1))
-        focus = geometry.wavelength * (geometry.d1 + geometry.d2 + geometry.lens_term) / (4.0 * math.pi)
+        # x_j - r_i = u0 + m h with m = j - k i, from m0 on
+        m0 = min(0, -k * (r.size - 1))
         weights = c_q * np.exp(-1j * (focus * q ** 2 - u0 * q))
-        kernel = _phase_sum(weights, -qgrid.n_half, m0, n_xt + abs(k) * (n_xr - 1), qgrid.dq * h)
-    if kernel is None:
-        s = (transfer_reference_arm(geometry, q, x_r) * c_q[None, :]) @ transfer_test_arm(geometry, obj, q, x_t)
-        values = np.abs(s) ** 2
-        values.flags.writeable = False  # the map keeps the peak found at construction
-        return G2Map(x_r, x_t, values, np.ones(x_t.size))
-    power = np.abs(kernel) ** 2
-    if k == 0:
-        rows = np.broadcast_to(power, (n_xr, n_xt))
+        line = _phase_sum(weights, -qgrid.n_half, m0, x.size + abs(k) * (r.size - 1), qgrid.dq * h)
+    if line is None:
+        kernel = (c_q * np.exp(-1j * focus * q ** 2) * np.exp(-1j * np.outer(r, q))) @ np.exp(1j * np.outer(q, x))
+    if geometry.f_t is None:
+        # on the lattice |K|^2 windows the one line |F|^2, so the map is never held
+        rows = np.abs(kernel) ** 2 if line is None else _windows(np.abs(line) ** 2, x.size, k, r.size)
+        weight = np.abs(obj.amplitude(x_t)) ** 2
     else:
-        # row i starts at m = -k i: |k| samples after row i - 1 when k < 0, before it when k > 0
-        rows = np.lib.stride_tricks.sliding_window_view(power, n_xt)[:: abs(k)]
-        rows = rows[::-1] if k > 0 else rows
-    return G2Map(x_r, x_t, rows, np.abs(obj.amplitude(x_t)) ** 2)
+        if line is not None:
+            kernel = _windows(line, x.size, k, r.size)
+        s = 2.0 * math.pi / (geometry.wavelength * geometry.f_t)
+        rows = np.abs(kernel @ ((obj.t * obj.dx)[:, None] * np.exp(-1j * s * np.outer(obj.x, x_t)))) ** 2
+        weight = np.ones(x_t.size)
+    rows.flags.writeable = False  # the map keeps the peak found at construction
+    return G2Map(x_r, x_t, rows, weight)
+
+
+def _windows(line: np.ndarray, width: int, k: int, count: int) -> np.ndarray:
+    """The read-only (count, width) view whose row i is line[j - k i - m0], j < width."""
+    if k == 0:
+        return np.broadcast_to(line, (count, width))
+    # row i starts at m = -k i: |k| samples after row i - 1 when k < 0, before it when k > 0
+    rows = np.lib.stride_tricks.sliding_window_view(line, width)[:: abs(k)]
+    return rows[::-1] if k > 0 else rows
 
 
 def _detector_grids(x_r, x_t):
@@ -447,27 +430,25 @@ def _detector_grids(x_r, x_t):
     return grids
 
 
-def _kernel_lattice(geometry, qgrid, x_r, x_t):
-    """(h, k, u0) when g2_map's momentum sum is a kernel on the lattice u0 + m h, else None.
+def _kernel_lattice(qgrid, x, r):
+    """(h, k, u0) when F(x_j - r_i) samples only the lattice u0 + m h, else None.
 
-    Needs object-plane collection on the imaging branch, x_t on x_t[0] + j h
-    and (D/d3) x_r on its first value + k h i with integer |k| <= len(x_t),
+    Needs x on x[0] + j h and r on r[0] + k h i with integer |k| <= len(x),
     so that every kernel sample lands in the map.  Snapping both grids onto
     these lattices may move no phase q u by more than _MAX_PHASE_SNAP.
     """
-    if geometry.f_t is not None or x_t.size < 2:
+    if x.size < 2:
         return None
-    r = x_r * (geometry.lens_term / geometry.d3)
-    h = float(x_t[-1] - x_t[0]) / (x_t.size - 1)
+    h = float(x[-1] - x[0]) / (x.size - 1)
     span = float(r[-1] - r[0])
-    # written so that NaN and inf fail, and the quotient below stays within len(x_t)
-    if not (h != 0 and math.isfinite(h) and abs(span) <= abs(h) * x_t.size * (x_r.size - 1)):
+    # written so that NaN and inf fail, and the quotient below stays within len(x)
+    if not (h != 0 and math.isfinite(h) and abs(span) <= abs(h) * x.size * (r.size - 1)):
         return None
-    k = round(span / (h * (x_r.size - 1))) if x_r.size > 1 else 0
-    snap = _uniform_deviation(x_t, h) + _uniform_deviation(r, k * h)
+    k = round(span / (h * (r.size - 1))) if r.size > 1 else 0
+    snap = _uniform_deviation(x, h) + _uniform_deviation(r, k * h)
     if not snap * qgrid.n_half * qgrid.dq <= _MAX_PHASE_SNAP:
         return None
-    return h, k, float(x_t[0] - r[0])
+    return h, k, float(x[0] - r[0])
 
 
 def _uniform_deviation(x: np.ndarray, step: float) -> float:
@@ -481,8 +462,9 @@ def _phase_sum(c: np.ndarray, a0: int, b0: int, n_b: int, theta: float) -> Optio
     A K-point FFT of the coefficients folded mod K, where aliasing is exact,
     when replacing |theta| by 2 pi / K moves no phase theta a b by more than
     _MAX_PHASE_SNAP and K is no larger than the len(c) n_b terms of the sum,
-    so that the transform never outgrows the callers' dense route.  None
-    otherwise: the callers then take their transfer matrices.
+    so that the transform never outgrows the dense sum.  None otherwise:
+    g2_map then builds its kernel as a product over q, and ghost_diffraction
+    takes obj.sampled_transform.
     """
     terms = c.size * n_b
     # written so that NaN fails; a zero or subnormal theta would make K infinite
@@ -573,7 +555,8 @@ def ghost_diffraction(
     at x_T = 0.  The pattern is |ttilde(-2 pi x_R / (lam d3))|^2 times the
     squared correlation amplitude.  When the object grid is uniform and
     dq dx is 2 pi / K, ttilde comes from the K-point FFT that g2_map's
-    kernel uses; otherwise from transfer_test_arm at x_T = 0.  Raises
+    kernel uses; otherwise from obj.sampled_transform, whose phase differs
+    from h_T(0, q) but not its modulus.  Raises
     FloatingPointError when the pattern overflows.
     """
     if geometry.branch != "fourier":
@@ -594,10 +577,7 @@ def ghost_diffraction(
     # Test-arm quadratic phase; neither phase factor changes the modulus
     on_lattice = _uniform_deviation(obj.x, step) * qgrid.n_half * qgrid.dq <= _MAX_PHASE_SNAP
     spectrum = _phase_sum(obj.t, 0, -qgrid.n_half, q.size, qgrid.dq * step) if on_lattice else None
-    if spectrum is None:
-        spectrum = transfer_test_arm(geometry, obj, q, np.array([0.0]))[:, 0]
-    else:
-        spectrum = obj.dx * spectrum
+    spectrum = obj.sampled_transform(q) if spectrum is None else obj.dx * spectrum
     raw = np.abs(c_q * spectrum) ** 2
     x_r = -q * geometry.wavelength * geometry.d3 / (2.0 * math.pi)
     order = np.argsort(x_r)

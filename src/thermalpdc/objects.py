@@ -1,14 +1,18 @@
 """Transmission objects sampled on a transverse grid.
 
 Objects carry a uniform position grid and complex transmission values with
-|t| <= 1.  The sampled Fourier transform used by Fourier-lens collection
-is the plain Riemann sum dx * sum_j t_j exp(i k x_j), evaluated on
-whatever momenta the optics requests.
+|t| <= 1.  Their sampled Fourier transform is the plain Riemann sum
+dx * sum_j t_j exp(i k x_j), evaluated on whatever momenta the caller
+requests; ghost_diffraction takes it for an object grid off its FFT
+lattice.  The slit and grating builders raise ValueError naming the field
+for a length or fraction that is a bool, not a real number, or not finite.
 """
 
 from __future__ import annotations
 
 import csv
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +58,13 @@ class SampledObject:
         return self.dx * phases @ self.t
 
 
+def _finite(name, value) -> float:
+    # a bool would pass as 0 or 1 m
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 def _slit_coverage(x, width, center):
     if not width > 0:
         raise ValueError(f"slit width must be > 0, got {width}")
@@ -67,12 +78,14 @@ def _slit_coverage(x, width, center):
 
 def single_slit(x, width, center=0.0) -> SampledObject:
     """Unit-transmission slit of the given full width."""
+    width, center = _finite("width", width), _finite("center", center)
     x = np.asarray(x, dtype=float)
     return SampledObject(x, _slit_coverage(x, width, center).astype(complex))
 
 
 def double_slit(x, width, separation, center=0.0) -> SampledObject:
     """Two identical slits with centers `separation` apart."""
+    width, separation, center = _finite("width", width), _finite("separation", separation), _finite("center", center)
     if separation < width:
         raise ValueError("slits overlap: separation must be >= width")
     x = np.asarray(x, dtype=float)
@@ -84,6 +97,7 @@ def double_slit(x, width, separation, center=0.0) -> SampledObject:
 
 def grating(x, period, duty=0.5, center=0.0) -> SampledObject:
     """Binary grating: open fraction `duty` of every period."""
+    period, duty, center = _finite("period", period), _finite("duty", duty), _finite("center", center)
     if not 0.0 < duty < 1.0:
         raise ValueError(f"duty cycle must be in (0, 1), got {duty}")
     if not period > 0:

@@ -135,6 +135,15 @@ class TestCovarianceBlock:
         with pytest.raises(ValueError):
             CovarianceBlock(np.eye(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite(self, bad):
+        # an all-NaN block passed the symmetry check, whose scale max(nan, 1.0) is NaN
+        for where in (np.s_[:, :], np.s_[0, 0], np.s_[2, 3]):
+            m = np.eye(4)
+            m[where] = bad
+            with pytest.raises(ValueError, match="covariance block must be finite"):
+                CovarianceBlock(m)
+
 
 class TestApplyLoss:
     def test_identity_channel(self):
@@ -160,6 +169,21 @@ class TestApplyLoss:
         v = build_covariance(ModeParams(0, 0, 0.1))
         with pytest.raises(ValueError):
             apply_loss(v, tau)
+
+    @pytest.mark.parametrize("tau", [True, False, np.True_, "0.5", 0.5j, None],
+                             ids=["true", "false", "numpy-true", "string", "complex", "none"])
+    def test_rejects_bool_and_non_real_transmission(self, tau):
+        # apply_loss(block, True) and check_separability_lossy(p, True) ran at tau = 1; a string raised TypeError
+        p = ModeParams(0.5, 0.5, 0.3)
+        with pytest.raises(ValueError, match="transmission must be a real number"):
+            apply_loss(build_covariance(p), tau)
+        with pytest.raises(ValueError, match="transmission must be a real number"):
+            check_separability_lossy(p, tau)
+
+    def test_accepts_numpy_transmission(self):
+        p = ModeParams(0.5, 0.5, 0.3)
+        for tau in (np.float64(0.5), np.float32(0.5), np.int64(1)):
+            assert check_separability_lossy(p, tau) == check_separability_lossy(p, float(tau))
 
 
 class TestPartialTranspose:

@@ -259,9 +259,9 @@ class TestRunGhost:
             cfg["geometry"].update(f_t=0.1, **variant)
             assert run(cfg, out_dir=tmp_path / "f_t")["files"] == plain["files"]
 
-    @pytest.mark.parametrize("variant, kernel_calls", [("object-plane", 1), ("fourier-lens", 0)])
+    @pytest.mark.parametrize("variant, kernel_calls", [("object-plane", 1), ("fourier-lens", 1)])
     def test_variant_picks_the_momentum_sum(self, tmp_path, monkeypatch, variant, kernel_calls):
-        # object-plane collection takes the FFT kernel on the demo grids, a collection lens the dense product
+        # both collection schemes take the FFT kernel on the demo grids: x_t, or the object grid under a lens
         calls, phase_sum = [], ghost._phase_sum
         monkeypatch.setattr(ghost, "_phase_sum", lambda *a: calls.append(a) or phase_sum(*a))
         cfg = demo("ghost_image")
