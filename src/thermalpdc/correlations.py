@@ -14,12 +14,11 @@ are the per-point reference it is tested against.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
-from .gaussian import ModeParams
+from .gaussian import ModeParams, _real, _reals
 
 
 def cross_covariance(p: ModeParams) -> float:
@@ -64,8 +63,7 @@ def noise_reduction_threshold(mu_t: float, mu_r: float) -> float:
     (2 (1 + mu_t + mu_r)).  For equal seeds this coincides with the
     separability boundary; otherwise it lies strictly above it.
     """
-    if not (0 <= mu_t < math.inf and 0 <= mu_r < math.inf):
-        raise ValueError(f"seed means must be finite and >= 0, got ({mu_t}, {mu_r})")
+    mu_t, mu_r = _real("mu_t", mu_t, lambda v: v >= 0, ">= 0"), _real("mu_r", mu_r, lambda v: v >= 0, ">= 0")
     return (mu_t ** 2 + mu_r ** 2) / (2.0 * (1.0 + mu_t + mu_r))
 
 
@@ -75,8 +73,9 @@ def sweep_columns(mu_t, mu_r, n_pdc, tau=1.0) -> dict[str, np.ndarray]:
 
     The inputs broadcast together (np.meshgrid(..., indexing="ij") axes give
     a full grid, flattened in C order) and are used as given, n_pdc
-    included; ValueError is raised unless every seed mean and gain is
-    finite and >= 0 and every tau is in (0, 1].  The keys are the four
+    included; ValueError, naming the input, is raised unless each is an
+    integer or float array (or number) whose seed means and gains are
+    finite and >= 0 and whose tau are in (0, 1].  The keys are the four
     inputs mu_t, mu_r, n_pdc and tau, then gamma, cross_covariance, nrf,
     nrf_threshold, margin, separable (bool) and
     min_pt_symplectic_eigenvalue; gamma and nrf are NaN where they are
@@ -87,12 +86,9 @@ def sweep_columns(mu_t, mu_r, n_pdc, tau=1.0) -> dict[str, np.ndarray]:
     J. Phys. B 37, L21 (2004)): nu_-^2 = 2 det V / (D + sqrt(D^2 - 4 det V))
     with D = a^2 + b^2 + 2 c^2 and det V = (a b - c^2)^2.
     """
-    arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (mu_t, mu_r, n_pdc, tau)))
+    seeds_gain = (_reals(name, x, lambda v: v >= 0, ">= 0") for name, x in zip(("mu_t", "mu_r", "n_pdc"), (mu_t, mu_r, n_pdc)))
+    arrays = np.broadcast_arrays(*seeds_gain, _reals("tau", tau, lambda v: (v > 0) & (v <= 1), "in (0, 1]"))
     mu_t, mu_r, n, tau = (np.ravel(x) for x in arrays)
-    if not np.all((tau > 0.0) & (tau <= 1.0)):
-        raise ValueError("transmissions must be in (0, 1]")
-    if not all(np.all((x >= 0.0) & (x < np.inf)) for x in (mu_t, mu_r, n)):
-        raise ValueError("seed means and gains must be finite and >= 0")
     s = 1.0 + mu_t + mu_r
     mean_t, mean_r = mu_t + n * s, mu_r + n * s
     denom2 = mean_t * (mean_t + 1.0) * mean_r * (mean_r + 1.0)

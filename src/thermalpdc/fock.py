@@ -39,7 +39,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .gaussian import ModeParams, build_covariance
+from .gaussian import ModeParams, _real, build_covariance
 
 # Floating-point floor added to 10x the trace deficit in validate_factorization.
 FACTORIZATION_TOL_FLOOR = 1e-8
@@ -224,15 +224,13 @@ def input_tail_problem(mu_t, mu_r, cutoff: int, max_trace_deficit: float) -> str
     """Why thermal seeds of means mu_t, mu_r do not fit under the cutoff, or None.
 
     Each input tail beyond the cutoff, (mu / (1 + mu))^(cutoff + 1), must stay
-    within a tenth of max_trace_deficit.  Raises ValueError unless cutoff is
-    an integer >= 1 (not a bool) and max_trace_deficit a finite number > 0.
+    within a tenth of max_trace_deficit.  Raises ValueError, naming the
+    field, unless mu_t and mu_r are finite real numbers >= 0, cutoff an
+    integer >= 1 (not a bool) and max_trace_deficit a finite real number > 0.
     """
-    if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Integral) or cutoff < 1:
-        raise ValueError(f"cutoff must be an integer >= 1, got {cutoff!r}")
-    if not isinstance(max_trace_deficit, numbers.Real) or not 0.0 < max_trace_deficit < math.inf:
-        raise ValueError(f"max_trace_deficit must be finite and > 0, got {max_trace_deficit!r}")
-    if not (0 <= mu_t < math.inf and 0 <= mu_r < math.inf):
-        return f"seed means must be finite and >= 0, got ({mu_t}, {mu_r})"
+    mu_t, mu_r = _real("mu_t", mu_t, lambda v: v >= 0, ">= 0"), _real("mu_r", mu_r, lambda v: v >= 0, ">= 0")
+    cutoff = _real("cutoff", cutoff, lambda v: v >= 1, ">= 1", numbers.Integral)
+    max_trace_deficit = _real("max_trace_deficit", max_trace_deficit, lambda v: v > 0, "> 0")
     for mu in (mu_t, mu_r):
         tail = (mu / (1.0 + mu)) ** (cutoff + 1) if mu > 0 else 0.0
         if tail > max_trace_deficit / 10.0:

@@ -38,6 +38,44 @@ SYMPLECTIC_FORM = np.array(
 )
 
 
+def _real(name, value, ok=lambda v: True, rule="", kind=numbers.Real):
+    """value as a float (an int for kind numbers.Integral), after the one check
+    on a physics number.
+
+    Raises ValueError naming the field unless value is a kind (numpy scalars
+    included), not a bool, and finite, and ok holds for it as a float (an
+    int); rule says what ok asks.
+    """
+    try:
+        # a bool is an int, and would pass as 0 or 1
+        finite = isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if finite:
+        number = int(value) if kind is numbers.Integral else float(value)
+        if ok(number):
+            return number
+    what = "an integer" if kind is numbers.Integral else "a finite real number"
+    raise ValueError(f"{name} must be {what}{' ' + rule if rule else ''}, got {value!r}")
+
+
+def _reals(name, values, ok=lambda v: True, rule="") -> np.ndarray:
+    """The array form of _real: values as a float array.
+
+    Raises ValueError naming the field, and the first bad entry, unless
+    values has an integer or float dtype (a bool, string or object array is
+    never cast) and every entry is finite and passes ok.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind in "iuf":
+        array = array.astype(float, copy=False)
+        bad = array[~(np.isfinite(array) & ok(array))]
+        if not bad.size:
+            return array
+        values = bad[0].item()
+    raise ValueError(f"{name} must be finite real numbers{' ' + rule if rule else ''}, got {values!r}")
+
+
 @dataclass(frozen=True)
 class ModeParams:
     """Physical inputs for one (q, -q) mode pair.
@@ -55,24 +93,14 @@ class ModeParams:
     phase: float = 0.0
 
     def __post_init__(self):
-        for name in ("mu_t", "mu_r", "coupling", "phase"):
-            value = getattr(self, name)
-            # a bool would pass as 0 or 1
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not (0 <= self.mu_t < math.inf and 0 <= self.mu_r < math.inf):
-            raise ValueError(f"seed means must be finite and >= 0, got ({self.mu_t}, {self.mu_r})")
-        if not 0 <= self.coupling < math.inf:
-            raise ValueError(f"coupling must be finite and >= 0, got {self.coupling}")
-        if not math.isfinite(self.phase):
-            raise ValueError(f"phase must be finite, got {self.phase}")
+        for name in ("mu_t", "mu_r", "coupling"):
+            _real(name, getattr(self, name), lambda v: v >= 0, ">= 0")
+        _real("phase", self.phase)
 
     @classmethod
     def from_npdc(cls, mu_t, mu_r, n_pdc, phase=0.0) -> "ModeParams":
         """Build from the spontaneous mean photon number instead of |kappa|."""
-        if not 0 <= n_pdc < math.inf:
-            raise ValueError(f"n_pdc must be finite and >= 0, got {n_pdc}")
-        return cls(mu_t, mu_r, math.asinh(math.sqrt(n_pdc)), phase)
+        return cls(mu_t, mu_r, math.asinh(math.sqrt(_real("n_pdc", n_pdc, lambda v: v >= 0, ">= 0"))), phase)
 
     @property
     def n_pdc(self) -> float:
@@ -96,11 +124,9 @@ class CovarianceBlock:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = _reals("matrix", self.matrix)  # a NaN would pass the symmetry check below
         if m.shape != (4, 4):
             raise ValueError(f"covariance block must be 4x4, got {m.shape}")
-        if not np.isfinite(m).all():  # a NaN would pass the symmetry check below
-            raise ValueError("covariance block must be finite")
         scale = max(np.abs(m).max(), 1.0)
         if np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
             raise ValueError("covariance block is not symmetric")
@@ -195,11 +221,7 @@ def apply_loss(block: CovarianceBlock, tau: float) -> CovarianceBlock:
     Models a beam splitter with vacuum on the idle port:
     V -> tau * V + (1 - tau)/2 * identity.  tau must lie in (0, 1].
     """
-    # a bool would pass as tau = 1
-    if isinstance(tau, bool) or not isinstance(tau, numbers.Real):
-        raise ValueError(f"transmission must be a real number, got {tau!r}")
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"transmission must be in (0, 1], got {tau}")
+    _real("tau", tau, lambda v: 0 < v <= 1, "in (0, 1]")
     return CovarianceBlock(tau * block.matrix + (1.0 - tau) / 2.0 * np.eye(4))
 
 

@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gaussian import ModeParams
+from .gaussian import ModeParams, _real, _reals
 from .objects import SampledObject
 
 # Geometry classification, relative to 1/d3: below DELTA_TOL the lens-detector
@@ -90,14 +90,9 @@ class GhostGeometry:
 
     def __post_init__(self):
         for name in ("wavelength", "d1", "d2", "d3", "f_r", "f_t"):
-            value = getattr(self, name)
-            if name == "f_t" and value is None:
-                continue
-            # a bool would pass as 1 m, and f_t's presence selects the collection lens
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            # f_t's presence selects the collection lens, so a bool must not pass as a 1 m one
+            if name != "f_t" or self.f_t is not None:
+                _real(name, getattr(self, name), lambda v: v > 0, "> 0")
 
     @property
     def magnification(self) -> float:
@@ -136,14 +131,9 @@ class MomentumGrid:
 
     def __post_init__(self):
         # the momentum indices -n_half..n_half are int64
-        if isinstance(self.n_half, bool) or not isinstance(self.n_half, numbers.Integral) or self.n_half >= 2**62:
-            raise ValueError(f"n_half must be an integer below 2**62, got {self.n_half!r}")
-        if self.n_half < 1:
-            raise ValueError("n_half must be >= 1")
-        if isinstance(self.dq, bool) or not isinstance(self.dq, numbers.Real):  # True would be a step of 1
-            raise ValueError(f"dq must be a real number, got {self.dq!r}")
-        if not (0 < self.dq < math.inf and math.isfinite(2.0 * math.pi / self.dq)):
-            raise ValueError(f"dq must be > 0 with a finite transform period 2 pi / dq, got {self.dq}")
+        _real("n_half", self.n_half, lambda v: 1 <= v < 2**62, "in [1, 2**62)", numbers.Integral)
+        _real("dq", self.dq, lambda v: v > 0 and math.isfinite(2.0 * math.pi / v),
+              "> 0 with a finite transform period 2 pi / dq")
 
     @property
     def values(self) -> np.ndarray:
@@ -206,35 +196,31 @@ class SincProfile(GainProfile):
     phase: float = 0.0
 
     def __post_init__(self):
-        # a bool would pass as a bandwidth of 0 or 1
-        if isinstance(self.bandwidth, bool) or not isinstance(self.bandwidth, numbers.Real):
-            raise ValueError(f"bandwidth must be a real number, got {self.bandwidth!r}")
-        if not math.isfinite(self.bandwidth):
-            raise ValueError(f"bandwidth must be finite, got {self.bandwidth}")
-        ModeParams(self.mu_t, self.mu_r, self.kappa0, self.phase)  # the peak coupling is kappa0
+        _real("bandwidth", self.bandwidth)
+        _real("kappa0", self.kappa0, lambda v: v >= 0, ">= 0")
+        ModeParams(self.mu_t, self.mu_r, self.kappa0, self.phase)  # the seeds and phase
         if not np.isfinite(self.correlation_amplitudes(np.zeros(1))[0]):
             raise ValueError(f"kappa0 {self.kappa0} is too large: the peak correlation amplitude overflows")
 
     def mode_params(self, q: float) -> ModeParams:
-        arg = self.bandwidth * q * q
-        # an overflowing argument takes the limit sin(arg) / arg -> 0, where math.sin raises
-        s = 1.0 if arg == 0 else math.sin(arg) / arg if math.isfinite(arg) else 0.0
-        return ModeParams(self.mu_t, self.mu_r, self.kappa0 * abs(s), self.phase)
+        return ModeParams(self.mu_t, self.mu_r, float(self._couplings(_real("q", q))), self.phase)
 
     def correlation_amplitudes(self, q: np.ndarray) -> np.ndarray:
         """Array form of correlation_amplitude: 1/2 sinh(2 kappa(q)) (1 + mu_t + mu_r)."""
-        q = np.asarray(q, dtype=float)
+        with np.errstate(over="ignore"):
+            return 0.5 * np.sinh(2.0 * self._couplings(_reals("q", q))) * (1.0 + self.mu_t + self.mu_r)
+
+    def _couplings(self, q) -> np.ndarray:
+        """kappa(q) at each q, with the limits 1 of the sinc at arg = 0 and 0 where arg overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
             arg = self.bandwidth * q * q
-            s = np.sin(arg) / arg
-            # the limits of mode_params: 1 at arg = 0, and 0 where arg overflows
-            s = np.where(arg == 0, 1.0, np.where(np.isfinite(arg), s, 0.0))
-            return 0.5 * np.sinh(2.0 * self.kappa0 * np.abs(s)) * (1.0 + self.mu_t + self.mu_r)
+            s = np.where(arg == 0, 1.0, np.where(np.isfinite(arg), np.sin(arg) / arg, 0.0))
+        return self.kappa0 * np.abs(s)
 
 
 def correlation_amplitude(q: float, profile: GainProfile) -> float:
     """Per-mode pairwise correlation amplitude u v (1 + mu_t + mu_r)."""
-    p = profile.mode_params(q)
+    p = profile.mode_params(_real("q", q))
     return p.u * p.v * (1.0 + p.mu_t + p.mu_r)
 
 
@@ -297,13 +283,10 @@ class G2Map:
 
         The bucket detector is modeled as covering the whole x_t grid, of two
         or more uniform pixels (see _bucket_step); an object wider than the
-        grid would bias the reduction.
+        grid would bias the reduction.  One product rows @ weight, which on a
+        window view of rows copies nothing.
         """
-        dx = _bucket_step(self.x_t)
-        sums = np.empty(self.rows.shape[0])
-        for start, block in self.row_blocks():
-            np.sum(block, axis=1, out=sums[start:start + len(block)])
-        return sums * dx
+        return (self.rows @ self.weight) * _bucket_step(self.x_t)
 
 
 def _bucket_step(x_t: np.ndarray) -> float:
@@ -422,11 +405,11 @@ def _windows(line: np.ndarray, width: int, k: int, count: int) -> np.ndarray:
 
 
 def _detector_grids(x_r, x_t):
-    """x_r and x_t as 1-D float arrays; raises ValueError unless each is finite and non-empty."""
-    grids = [np.atleast_1d(np.asarray(grid, dtype=float)) for grid in (x_r, x_t)]
+    """x_r and x_t as 1-D float arrays; raises ValueError unless each holds finite real numbers and is non-empty."""
+    grids = [np.atleast_1d(_reals(f"detector grid {name}", grid)) for name, grid in (("x_r", x_r), ("x_t", x_t))]
     for name, grid in zip(("x_r", "x_t"), grids):
-        if not (grid.size and np.isfinite(grid).all()):
-            raise ValueError(f"detector grid {name} must be finite and non-empty")
+        if not grid.size:
+            raise ValueError(f"detector grid {name} must be non-empty")
     return grids
 
 
@@ -572,11 +555,10 @@ def ghost_diffraction(
     q = qgrid.values
     c_q = profile.correlation_amplitudes(q)
     _check_profile_symmetry(c_q)
-    step = float(obj.x[-1] - obj.x[0]) / (obj.x.size - 1)
-    # h_T(0, q_n) is ttilde(q_n) = dx exp(i q_n x_0) sum_j t_j exp(i dq step n j) times the
+    lattice = _kernel_lattice(qgrid, obj.x, np.zeros(1))
+    # h_T(0, q_n) is ttilde(q_n) = dx exp(i q_n x_0) sum_j t_j exp(i dq h n j) times the
     # Test-arm quadratic phase; neither phase factor changes the modulus
-    on_lattice = _uniform_deviation(obj.x, step) * qgrid.n_half * qgrid.dq <= _MAX_PHASE_SNAP
-    spectrum = _phase_sum(obj.t, 0, -qgrid.n_half, q.size, qgrid.dq * step) if on_lattice else None
+    spectrum = None if lattice is None else _phase_sum(obj.t, 0, -qgrid.n_half, q.size, qgrid.dq * lattice[0])
     spectrum = obj.sampled_transform(q) if spectrum is None else obj.dx * spectrum
     raw = np.abs(c_q * spectrum) ** 2
     x_r = -q * geometry.wavelength * geometry.d3 / (2.0 * math.pi)

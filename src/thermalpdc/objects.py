@@ -5,17 +5,18 @@ Objects carry a uniform position grid and complex transmission values with
 dx * sum_j t_j exp(i k x_j), evaluated on whatever momenta the caller
 requests; ghost_diffraction takes it for an object grid off its FFT
 lattice.  The slit and grating builders raise ValueError naming the field
-for a length or fraction that is a bool, not a real number, or not finite.
+for a length, fraction or center that is a bool, not a real number, not
+finite, or out of its range.
 """
 
 from __future__ import annotations
 
 import csv
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .gaussian import _real, _reals
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ class SampledObject:
     t: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
+        x = _reals("x", self.x)
         t = np.asarray(self.t, dtype=complex)
         if x.ndim != 1 or x.shape != t.shape:
             raise ValueError("x and t must be 1-D arrays of equal length")
@@ -58,16 +59,7 @@ class SampledObject:
         return self.dx * phases @ self.t
 
 
-def _finite(name, value) -> float:
-    # a bool would pass as 0 or 1 m
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    return float(value)
-
-
 def _slit_coverage(x, width, center):
-    if not width > 0:
-        raise ValueError(f"slit width must be > 0, got {width}")
     # fraction of each pixel [x - dx/2, x + dx/2] covered by the open slit;
     # keeps the effective width equal to the nominal one regardless of how
     # the edges fall against the grid, so sampled spectra carry their zeros
@@ -78,17 +70,18 @@ def _slit_coverage(x, width, center):
 
 def single_slit(x, width, center=0.0) -> SampledObject:
     """Unit-transmission slit of the given full width."""
-    width, center = _finite("width", width), _finite("center", center)
-    x = np.asarray(x, dtype=float)
+    width, center = _real("width", width, lambda v: v > 0, "> 0"), _real("center", center)
+    x = _reals("x", x)
     return SampledObject(x, _slit_coverage(x, width, center).astype(complex))
 
 
 def double_slit(x, width, separation, center=0.0) -> SampledObject:
     """Two identical slits with centers `separation` apart."""
-    width, separation, center = _finite("width", width), _finite("separation", separation), _finite("center", center)
+    width, center = _real("width", width, lambda v: v > 0, "> 0"), _real("center", center)
+    separation = _real("separation", separation)
     if separation < width:
         raise ValueError("slits overlap: separation must be >= width")
-    x = np.asarray(x, dtype=float)
+    x = _reals("x", x)
     t = _slit_coverage(x, width, center - separation / 2.0) + _slit_coverage(
         x, width, center + separation / 2.0
     )
@@ -97,12 +90,9 @@ def double_slit(x, width, separation, center=0.0) -> SampledObject:
 
 def grating(x, period, duty=0.5, center=0.0) -> SampledObject:
     """Binary grating: open fraction `duty` of every period."""
-    period, duty, center = _finite("period", period), _finite("duty", duty), _finite("center", center)
-    if not 0.0 < duty < 1.0:
-        raise ValueError(f"duty cycle must be in (0, 1), got {duty}")
-    if not period > 0:
-        raise ValueError(f"grating period must be > 0, got {period}")
-    x = np.asarray(x, dtype=float)
+    period, center = _real("period", period, lambda v: v > 0, "> 0"), _real("center", center)
+    duty = _real("duty", duty, lambda v: 0 < v < 1, "in (0, 1)")
+    x = _reals("x", x)
     frac = np.mod((x - center) / period + duty / 2.0, 1.0)
     return SampledObject(x, (frac < duty).astype(complex))
 

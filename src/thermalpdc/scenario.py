@@ -26,9 +26,10 @@ geometrically.
     geometry.wavelength, .d1, .d2, .d3, .f_r: numbers > 0; f_r != d3 is
       the imaging branch (ghost-image), f_r = d3 the Fourier branch
       (ghost-diffraction); a near-focal f_r is refused
-    geometry.variant = "object-plane", or "fourier-lens" (required by
-      ghost-diffraction), which needs geometry.f_t: number > 0, used only
-      by fourier-lens
+    geometry.f_t: number > 0, the focal length of a Test-arm collection
+      lens (Fourier-lens collection); required by ghost-diffraction, and
+      optional for ghost-image, which without it collects on the object
+      plane
     profile.type = "constant", with n_pdc or coupling: one number >= 0;
       or "sinc", with kappa0: number >= 0 and bandwidth: number, for a
       coupling kappa0 |sinc(bandwidth q^2)|
@@ -302,10 +303,8 @@ def parse_config(cfg) -> tuple:
 
 def _parse_ghost(top: _Fields, kind: str, errors: list):
     geo = top.section("geometry")
-    variants = ("object-plane", "fourier-lens") if kind == "ghost-image" else ("fourier-lens",)
-    variant = geo.get("variant", _choice(*variants), "object-plane" if kind == "ghost-image" else _REQUIRED)
     lengths = [geo.get(name, _number) for name in ("wavelength", "d1", "d2", "d3", "f_r")]
-    f_t = geo.get("f_t", _number, _REQUIRED if variant == "fourier-lens" else None)
+    f_t = geo.get("f_t", _number, None if kind == "ghost-image" else _REQUIRED)
     prof = top.section("profile")
     ptype = prof.get("type", _choice(*PROFILE_GAINS), "constant")
     seeds = [prof.get(name, _number, 0.0) for name in ("mu_t", "mu_r")]
@@ -336,7 +335,7 @@ def _parse_ghost(top: _Fields, kind: str, errors: list):
     if errors:
         return None
 
-    geometry = _make(errors, "geometry", GhostGeometry, *lengths, f_t if variant == "fourier-lens" else None)
+    geometry = _make(errors, "geometry", GhostGeometry, *lengths, f_t)
     branch = geometry and _make(errors, "geometry.f_r", lambda: geometry.branch)
     if branch and branch != ("imaging" if kind == "ghost-image" else "fourier"):
         errors.append(f"field geometry.f_r: the {branch} branch (f_r {'!=' if branch == 'imaging' else '='} d3) is not for {kind}")

@@ -133,8 +133,8 @@ class TestNoiseReductionThreshold:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
     def test_rejects_seeds_that_are_not_finite_and_non_negative(self, bad):
-        for seeds in ((bad, 1.0), (1.0, bad)):
-            with pytest.raises(ValueError, match="finite and >= 0"):
+        for name, seeds in (("mu_t", (bad, 1.0)), ("mu_r", (1.0, bad))):
+            with pytest.raises(ValueError, match=f"{name} must be a finite real number >= 0"):
                 noise_reduction_threshold(*seeds)
 
     def test_crossing_matches_nrf(self):
@@ -285,12 +285,13 @@ class TestSweepColumns:
             sweep_columns(1.0, 1.0, 0.5, tau)
 
     @pytest.mark.parametrize(
-        "point",
-        [(1.0, 1.0, -0.5), (-1.0, 1.0, 0.5), (math.nan, 1.0, 0.5), (1.0, math.inf, 0.5), (1.0, 1.0, math.nan),
-         ([0.0, -1e-300], 1.0, 0.5)],
+        "point, field",
+        [((1.0, 1.0, -0.5), "n_pdc"), ((-1.0, 1.0, 0.5), "mu_t"), ((math.nan, 1.0, 0.5), "mu_t"),
+         ((1.0, math.inf, 0.5), "mu_r"), ((1.0, 1.0, math.nan), "n_pdc"), (([0.0, -1e-300], 1.0, 0.5), "mu_t")],
+        ids=[f"point{i}" for i in range(6)],
     )
-    def test_rejects_seeds_and_gains_that_are_not_finite_and_non_negative(self, point):
-        with pytest.raises(ValueError, match="finite and >= 0"):
+    def test_rejects_seeds_and_gains_that_are_not_finite_and_non_negative(self, point, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite real numbers >= 0"):
             sweep_columns(*point)
 
     def test_overflow_raises(self):

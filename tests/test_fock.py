@@ -388,8 +388,10 @@ class TestJointDistribution:
 class TestInputTailProblem:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
     def test_rejects_seeds_that_are_not_finite_and_non_negative(self, bad):
-        for seeds in ((bad, 0.5), (0.5, bad)):
-            assert "finite and >= 0" in fock.input_tail_problem(*seeds, 20, 1e-3)
+        # raised as ModeParams raises, not returned as a problem
+        for name, seeds in (("mu_t", (bad, 0.5)), ("mu_r", (0.5, bad))):
+            with pytest.raises(ValueError, match=f"{name} must be a finite real number >= 0"):
+                fock.input_tail_problem(*seeds, 20, 1e-3)
 
     def test_fitting_seeds_have_no_problem(self):
         assert fock.input_tail_problem(0.5, 0.0, 60, 1e-3) is None
@@ -403,10 +405,10 @@ class TestInputTailProblem:
 
     @pytest.mark.parametrize("bound", [math.nan, math.inf, 0.0, -1e-3, "1e-3", None])
     def test_rejects_trace_bounds_that_are_not_finite_and_positive(self, bound):
-        with pytest.raises(ValueError, match="max_trace_deficit must be finite and > 0"):
+        with pytest.raises(ValueError, match="max_trace_deficit must be a finite real number > 0"):
             fock.input_tail_problem(0.5, 0.5, 20, bound)
         # a NaN bound would otherwise pass a trace deficit of 0.34 here
-        with pytest.raises(ValueError, match="max_trace_deficit must be finite and > 0"):
+        with pytest.raises(ValueError, match="max_trace_deficit must be a finite real number > 0"):
             evolve_thermal_pair(ModeParams.from_npdc(5.0, 5.0, 1.0), 20, bound)
 
     def test_numpy_integer_cutoff(self):

@@ -69,7 +69,7 @@ class TestModeParams:
     def test_rejects_bool_and_non_real(self, field, bad):
         # ModeParams(True, 0, 0.1) built a pair with mu_t=True; a string raised a bare TypeError
         values = {"mu_t": 0.5, "mu_r": 0.5, "coupling": 0.1, "phase": 0.0, field: bad}
-        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+        with pytest.raises(ValueError, match=f"{field} must be a finite real number"):
             ModeParams(**values)
 
     def test_accepts_numpy_scalars(self):
@@ -141,7 +141,7 @@ class TestCovarianceBlock:
         for where in (np.s_[:, :], np.s_[0, 0], np.s_[2, 3]):
             m = np.eye(4)
             m[where] = bad
-            with pytest.raises(ValueError, match="covariance block must be finite"):
+            with pytest.raises(ValueError, match="matrix must be finite real numbers"):
                 CovarianceBlock(m)
 
 
@@ -175,9 +175,9 @@ class TestApplyLoss:
     def test_rejects_bool_and_non_real_transmission(self, tau):
         # apply_loss(block, True) and check_separability_lossy(p, True) ran at tau = 1; a string raised TypeError
         p = ModeParams(0.5, 0.5, 0.3)
-        with pytest.raises(ValueError, match="transmission must be a real number"):
+        with pytest.raises(ValueError, match=r"tau must be a finite real number in \(0, 1\]"):
             apply_loss(build_covariance(p), tau)
-        with pytest.raises(ValueError, match="transmission must be a real number"):
+        with pytest.raises(ValueError, match=r"tau must be a finite real number in \(0, 1\]"):
             check_separability_lossy(p, tau)
 
     def test_accepts_numpy_transmission(self):

@@ -1,0 +1,189 @@
+"""Every public physics number is refused where it enters when it is wrong.
+
+The walk covers thermalpdc.__all__: each public name either takes physics
+values, listed in PHYSICS with a valid call and the parameters to spoil, or
+is listed in NO_PHYSICS_VALUE with the reason it takes none.  A spoiled call
+must raise a ValueError that names the parameter, or return a result whose
+every number is finite; a TypeError, a RuntimeWarning or a silent NaN fails.
+"""
+
+import dataclasses
+import math
+import re
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import thermalpdc
+from thermalpdc import (
+    ConstantProfile,
+    GhostGeometry,
+    ModeParams,
+    MomentumGrid,
+    build_covariance,
+    double_slit,
+    matched_image_grids,
+)
+
+IMAGING = GhostGeometry(wavelength=0.7e-6, d1=0.1, d2=0.1, d3=0.6, f_r=0.15)
+QGRID = MomentumGrid(32, 2 * math.pi / 1.28e-3)
+X_R, X_T = matched_image_grids(IMAGING, QGRID)
+PAIR = ModeParams(0.1, 0.2, 0.1)
+
+
+def ghost_call():
+    """Keyword arguments of a small matched g2_map or ghost_image call."""
+    return dict(geometry=IMAGING, obj=double_slit(X_T, 40e-6, 160e-6),
+                profile=ConstantProfile(ModeParams.from_npdc(0.0, 0.0, 1.0)), qgrid=QGRID, x_r=X_R, x_t=X_T)
+
+
+# public name -> (keyword arguments of a valid call, the physics parameters among them)
+PHYSICS = {
+    "ModeParams": (lambda: dict(mu_t=0.5, mu_r=1.0, coupling=0.3, phase=0.2), ("mu_t", "mu_r", "coupling", "phase")),
+    "ModeParams.from_npdc": (lambda: dict(mu_t=0.5, mu_r=1.0, n_pdc=0.3, phase=0.2), ("mu_t", "mu_r", "n_pdc", "phase")),
+    "CovarianceBlock": (lambda: dict(matrix=build_covariance(PAIR).matrix), ("matrix",)),
+    "apply_loss": (lambda: dict(block=build_covariance(PAIR), tau=0.5), ("tau",)),
+    "check_separability_lossy": (lambda: dict(p=PAIR, tau=0.5), ("tau",)),
+    "noise_reduction_threshold": (lambda: dict(mu_t=0.5, mu_r=1.0), ("mu_t", "mu_r")),
+    "sweep_columns": (
+        lambda: dict(mu_t=np.array([0.5, 1.0]), mu_r=np.array([1.0, 0.2]), n_pdc=np.array([0.1, 0.3]),
+                     tau=np.array([1.0, 0.5])),
+        ("mu_t", "mu_r", "n_pdc", "tau"),
+    ),
+    "evolve_thermal_pair": (lambda: dict(p=PAIR, cutoff=12, max_trace_deficit=1e-3), ("cutoff", "max_trace_deficit")),
+    "input_tail_problem": (
+        lambda: dict(mu_t=0.1, mu_r=0.2, cutoff=12, max_trace_deficit=1e-3),
+        ("mu_t", "mu_r", "cutoff", "max_trace_deficit"),
+    ),
+    "validate_factorization": (lambda: dict(params=[PAIR], cutoff=12), ("cutoff",)),
+    "GhostGeometry": (
+        lambda: dict(wavelength=0.7e-6, d1=0.1, d2=0.1, d3=0.6, f_r=0.15, f_t=0.2),
+        ("wavelength", "d1", "d2", "d3", "f_r", "f_t"),
+    ),
+    "MomentumGrid": (lambda: dict(n_half=16, dq=1e4), ("n_half", "dq")),
+    "SincProfile": (
+        lambda: dict(kappa0=0.9, bandwidth=1e-10, mu_t=0.5, mu_r=0.2, phase=0.1),
+        ("kappa0", "bandwidth", "mu_t", "mu_r", "phase"),
+    ),
+    "correlation_amplitude": (lambda: dict(q=1e4, profile=ConstantProfile(PAIR)), ("q",)),
+    "g2_map": (ghost_call, ("x_r", "x_t")),
+    "ghost_image": (ghost_call, ("x_r", "x_t")),
+    "SampledObject": (lambda: dict(x=X_T, t=np.ones(X_T.size)), ("x",)),
+    "single_slit": (lambda: dict(x=X_T, width=40e-6, center=1e-5), ("x", "width", "center")),
+    "double_slit": (lambda: dict(x=X_T, width=40e-6, separation=160e-6, center=1e-5), ("x", "width", "separation", "center")),
+    "grating": (lambda: dict(x=X_T, period=1e-4, duty=0.3, center=1e-5), ("x", "period", "duty", "center")),
+}
+
+# public name -> why it takes no physics value of its own
+NO_PHYSICS_VALUE = {
+    "SYMPLECTIC_FORM": "a constant",
+    "GeometryError": "an exception class",
+    "GainProfile": "an abstract base; its subclasses are walked",
+    "ConstantProfile": "takes a ModeParams, which checks its numbers, and refuses anything else",
+    "SeparabilityVerdict": "a result record",
+    "MomentSet": "a result record",
+    "FactorizationCheck": "a result record",
+    "TwoModeFockState": "a result record, built by evolve_thermal_pair",
+    "G2Map": "a result record, built by g2_map",
+    "GhostImage": "a result record",
+    "DiffractionPattern": "a result record",
+    "build_covariance": "takes a ModeParams",
+    "covariance_with_phase": "takes a ModeParams",
+    "separability_margin": "takes a ModeParams",
+    "check_separability": "takes a ModeParams",
+    "cross_covariance": "takes a ModeParams",
+    "correlation_index": "takes a ModeParams",
+    "noise_reduction_factor": "takes a ModeParams",
+    "predicted_moments": "takes a ModeParams",
+    "partial_transpose": "takes a CovarianceBlock",
+    "symplectic_eigenvalues": "takes a CovarianceBlock",
+    "moments": "takes a TwoModeFockState",
+    "cross_amplitude": "takes a TwoModeFockState",
+    "matched_image_grids": "takes a GhostGeometry and a MomentumGrid",
+    "ghost_diffraction": "takes a GhostGeometry, a SampledObject, a GainProfile and a MomentumGrid",
+    "load_object_csv": "takes a path; its rows build a SampledObject",
+    **dict.fromkeys(("correlations", "fock", "gaussian", "ghost", "objects"), "a submodule, whose public names are these"),
+}
+
+CASES = [(name, param) for name in [*thermalpdc.__all__, "ModeParams.from_npdc"] if name in PHYSICS
+         for param in PHYSICS[name][1]]
+
+BAD = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False, np.True_, None]),
+    st.floats(-1e3, -1e-3),
+    st.integers(-1000, -1),
+    st.text(max_size=3),
+)
+
+
+def spoil(valid, bad):
+    """The valid argument with bad in it.
+
+    A number becomes bad.  An array takes a non-finite bad value in its
+    middle entry, is scaled by a negative one, and is otherwise replaced by
+    an array of bad values of its shape: of bool, string or object dtype.
+    """
+    if np.ndim(valid) == 0:
+        return bad
+    array = np.array(valid, dtype=float)
+    if isinstance(bad, (int, float)) and not isinstance(bad, bool):
+        if math.isfinite(bad):
+            return array * bad
+        array.flat[array.size // 2] = bad
+        return array
+    return np.full(array.shape, bad)
+
+
+def numbers_in(result):
+    """Every number a result holds, through records, sequences and mappings."""
+    if dataclasses.is_dataclass(result):
+        for field in dataclasses.fields(result):
+            yield from numbers_in(getattr(result, field.name))
+    elif isinstance(result, dict):
+        for value in result.values():
+            yield from numbers_in(value)
+    elif isinstance(result, (list, tuple)):
+        for value in result:
+            yield from numbers_in(value)
+    elif isinstance(result, (np.ndarray, np.number, float, complex)):
+        yield np.asarray(result)
+
+
+def public(name):
+    target = thermalpdc
+    for part in name.split("."):
+        target = getattr(target, part)
+    return target
+
+
+def test_every_public_name_is_walked_or_takes_no_physics_value():
+    assert set(PHYSICS) - {"ModeParams.from_npdc"} | set(NO_PHYSICS_VALUE) == set(thermalpdc.__all__)
+    assert not set(PHYSICS) & set(NO_PHYSICS_VALUE)
+
+
+@pytest.mark.parametrize("name, param", CASES, ids=[f"{name}-{param}" for name, param in CASES])
+@settings(max_examples=25, deadline=None)
+@given(bad=BAD)
+@example(bad=math.nan)
+@example(bad=math.inf)
+@example(bad=-math.inf)
+@example(bad=-1.0)
+@example(bad=True)
+@example(bad="1")
+@example(bad=None)
+def test_bad_physics_value_is_refused_or_gives_a_finite_result(name, param, bad):
+    valid, _ = PHYSICS[name]
+    kwargs = valid()
+    kwargs[param] = spoil(kwargs[param], bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = public(name)(**kwargs)
+        except ValueError as exc:
+            assert re.search(rf"\b{re.escape(param)}\b", str(exc)), f"{name}({param}={bad!r}): {exc}"
+            return
+    for array in numbers_in(result):
+        assert np.isfinite(array).all(), f"{name}({param}={bad!r}) returned a non-finite number"

@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from thermalpdc import correlations, ghost
 from thermalpdc.artifacts import sha256_of, write_csv, write_pgm
-from thermalpdc.scenario import ScenarioError, main, run, validate_config
+from thermalpdc.scenario import ScenarioError, main, parse_config, run, validate_config
 
 NRF_SWEEP = {
     "kind": "nrf-sweep",
@@ -45,7 +45,7 @@ GHOST_DIFFRACTION = {
     "kind": "ghost-diffraction",
     "geometry": {
         "wavelength": 0.7e-6, "d1": 0.1, "d2": 0.1, "d3": 0.3, "f_r": 0.3,
-        "f_t": 0.1, "variant": "fourier-lens",
+        "f_t": 0.1,
     },
     "profile": {"type": "constant", "n_pdc": 1.0},
     "object": {"type": "single-slit", "width": 40e-6},
@@ -85,8 +85,8 @@ class TestValidateConfig:
 
     def test_diffraction_requires_fourier_lens(self):
         cfg = json.loads(json.dumps(GHOST_DIFFRACTION))
-        cfg["geometry"]["variant"] = "object-plane"
-        assert any("variant" in p for p in validate_config(cfg))
+        del cfg["geometry"]["f_t"]
+        assert validate_config(cfg) == ["missing field: geometry.f_t"]
 
     def test_missing_object_file(self):
         cfg = json.loads(json.dumps(GHOST_IMAGE))
@@ -251,21 +251,27 @@ class TestRunGhost:
         assert len(lines) == 2
         assert float(lines[1].split(",")[0]) == 0.0
 
-    def test_object_plane_f_t_changes_no_artifact(self, tmp_path):
-        # the library selects the collection lens by f_t alone, so only fourier-lens may pass it on
-        plain = run(demo("ghost_image"), out_dir=tmp_path / "plain")
-        for variant in ({}, {"variant": "object-plane"}):
-            cfg = demo("ghost_image")
-            cfg["geometry"].update(f_t=0.1, **variant)
-            assert run(cfg, out_dir=tmp_path / "f_t")["files"] == plain["files"]
+    def test_f_t_selects_the_collection_lens(self, tmp_path):
+        # as in the library, f_t alone selects the lens; the config has no second setting for it
+        cfg = demo("ghost_image")
+        cfg["geometry"]["f_t"] = 0.1
+        assert parse_config(cfg)[0].geometry.f_t == 0.1
+        assert parse_config(demo("ghost_image"))[0].geometry.f_t is None
+        assert run(cfg, out_dir=tmp_path / "lens")["files"] != run(demo("ghost_image"), out_dir=tmp_path / "plain")["files"]
+        for variant in ("object-plane", "fourier-lens"):
+            cfg["geometry"]["variant"] = variant
+            assert validate_config(cfg) == [
+                "field geometry.variant: unknown field; expected one of d1, d2, d3, f_r, f_t, wavelength"
+            ]
 
-    @pytest.mark.parametrize("variant, kernel_calls", [("object-plane", 1), ("fourier-lens", 1)])
-    def test_variant_picks_the_momentum_sum(self, tmp_path, monkeypatch, variant, kernel_calls):
+    @pytest.mark.parametrize("f_t, kernel_calls", [(None, 1), (0.1, 1)], ids=["object-plane-1", "fourier-lens-1"])
+    def test_f_t_picks_the_momentum_sum(self, tmp_path, monkeypatch, f_t, kernel_calls):
         # both collection schemes take the FFT kernel on the demo grids: x_t, or the object grid under a lens
         calls, phase_sum = [], ghost._phase_sum
         monkeypatch.setattr(ghost, "_phase_sum", lambda *a: calls.append(a) or phase_sum(*a))
         cfg = demo("ghost_image")
-        cfg["geometry"].update(variant=variant, f_t=0.1)
+        if f_t is not None:
+            cfg["geometry"]["f_t"] = f_t
         run(cfg, out_dir=tmp_path)
         assert len(calls) == kernel_calls
 
@@ -576,8 +582,8 @@ REJECTED_AFTER_OK = {
     "image-near-focal": ("ghost_image", {"geometry.f_r": 0.6 * (1 + 1e-7)}, "field geometry.f_r: ill-conditioned"),
     "diffraction-imaging": ("ghost_diffraction", {"geometry.f_r": 0.5}, "field geometry.f_r: the imaging branch (f_r != d3)"),
     "f_t-string": ("ghost_diffraction", {"geometry.f_t": "a"}, "field geometry.f_t: expected a finite number"),
-    "f_t-negative": ("ghost_diffraction", {"geometry.f_t": -1}, "field geometry: f_t must be finite and > 0"),
-    "n_pdc-negative": ("ghost_image", {"profile.n_pdc": -1}, "field profile: n_pdc must be finite and >= 0"),
+    "f_t-negative": ("ghost_diffraction", {"geometry.f_t": -1}, "field geometry: f_t must be a finite real number > 0"),
+    "n_pdc-negative": ("ghost_image", {"profile.n_pdc": -1}, "field profile: n_pdc must be a finite real number >= 0"),
     "coupling-string": (
         "ghost_image", {"profile.n_pdc": DELETE, "profile.coupling": "a"}, "field profile.coupling: expected a finite"
     ),
@@ -587,12 +593,12 @@ REJECTED_AFTER_OK = {
     "center-string": ("ghost_image", {"object.center": "c"}, "field object.center: expected a finite number"),
     "slits-overlap": ("ghost_image", {"object.separation": 2e-5}, "field object: slits overlap"),
     "duty-two": (
-        "ghost_image", {"object": {"type": "grating", "period": 1e-4, "duty": 2}}, "field object: duty cycle must be"
+        "ghost_image", {"object": {"type": "grating", "period": 1e-4, "duty": 2}}, "field object: duty must be a finite real number in (0, 1)"
     ),
     "threshold-string": ("oracle_validate", {"max_relative_error": "x"}, "field max_relative_error: expected a finite"),
     "f_t-nan": ("ghost_diffraction", {"geometry.f_t": math.nan}, "field geometry.f_t: expected a finite number"),
-    "width-negative": ("ghost_image", {"object.width": -4e-5}, "field object: slit width must be > 0"),
-    "period-zero": ("ghost_image", {"object": {"type": "grating", "period": 0}}, "field object: grating period must be"),
+    "width-negative": ("ghost_image", {"object.width": -4e-5}, "field object: width must be a finite real number > 0"),
+    "period-zero": ("ghost_image", {"object": {"type": "grating", "period": 0}}, "field object: period must be a finite real number > 0"),
     "n_pdc-numeric-string": ("ghost_image", {"profile.n_pdc": "1"}, "field profile.n_pdc: expected a finite number"),
     "n_half-bool": ("ghost_image", {"qgrid.n_half": True}, "field qgrid.n_half: expected an integer"),
     "seed-bool": ("nrf_sweep", {"seed": True}, "field seed: expected an integer"),
@@ -637,7 +643,7 @@ class TestRejectedAfterOk:
 
     def test_library_checks_report_against_their_section(self, tmp_path):
         sinc = mutated(GHOST_IMAGE, {"profile": dict(SINC, kappa0=-1.0)})
-        assert validate_config(sinc) == ["field profile: coupling must be finite and >= 0, got -1.0"]
+        assert validate_config(sinc) == ["field profile: kappa0 must be a finite real number >= 0, got -1.0"]
         table = tmp_path / "object.csv"
         table.write_text("x,re,im\n0.0,1.0,0.0\n1e-6,1.0\n")
         problems = validate_config(mutated(GHOST_IMAGE, {"object": {"type": "csv", "path": str(table)}}))
@@ -645,7 +651,7 @@ class TestRejectedAfterOk:
         # a subnormal dq would make the default x_t span, one transform period, infinite
         tiny_dq = mutated(GHOST_DIFFRACTION, {"qgrid.dq": 1e-320})
         assert validate_config(tiny_dq) == [
-            "field qgrid: dq must be > 0 with a finite transform period 2 pi / dq, got 1e-320"
+            "field qgrid: dq must be a finite real number > 0 with a finite transform period 2 pi / dq, got 1e-320"
         ]
 
 
