@@ -2,8 +2,10 @@
 
 Each writer streams its file through `write_bytes` in pieces of bounded
 size, hashing as it writes: CSV rows go out 256 at a time, and a ghost
-map's PGM rows about 32k values at a time, as G2Map.row_blocks builds
-them.  `write_pgm` takes a ghost.G2Map, never a whole array.
+map's PGM rows about 32k pixels at a time.  `write_pgm` takes a
+ghost.G2Map, never a whole array, and scales only the columns of its
+support (where the object transmits), as G2Map.row_blocks builds them;
+the other pixels are written as the 0 they always are.
 """
 
 from __future__ import annotations
@@ -60,30 +62,32 @@ def _fields(values: np.ndarray) -> list[str]:
 def write_pgm(path, g2) -> str:
     """8-bit binary portable graymap of a ghost.G2Map, max-scaled, row-major.
 
-    The map is built a block of rows at a time (G2Map.row_blocks) and each
-    block is scaled in place, so the whole map is never held.  Returns the
-    SHA-256 of the bytes written.
+    The map is built a block of rows at a time (G2Map.row_blocks), over its
+    support only, and each block is scaled in place, so the whole map is
+    never held.  Returns the SHA-256 of the bytes written.
     """
     header = f"P5\n{g2.rows.shape[1]} {g2.rows.shape[0]}\n255\n".encode("ascii")
-    return write_bytes(path, itertools.chain([header], _pgm_blocks(g2.row_blocks(), g2.peak)))
+    return write_bytes(path, itertools.chain([header], _pgm_blocks(g2)))
 
 
-def _pgm_blocks(blocks, peak):
+def _pgm_blocks(g2):
     """round(block / peak * 255) as uint8 (0 where peak > 0 fails) for each
-    block of G2Map.row_blocks, scaled in place.
+    block of G2Map.row_blocks, scaled in place and put in its support
+    columns of one reused row block of zeros; every other pixel stays 0,
+    as round(0 / peak * 255) is.
 
-    Every block is a view of one reused buffer: consume it before the next.
+    Every block is a view of that one buffer: consume it before the next.
     """
     pixels = None
-    for _, block in blocks:
+    for _, block in g2.row_blocks():
         if pixels is None:  # the first block is the largest
-            pixels = np.zeros(block.shape, dtype=np.uint8)
+            pixels = np.zeros((len(block), g2.rows.shape[1]), dtype=np.uint8)
         out = pixels[:len(block)]
-        if peak > 0:
-            np.divide(block, peak, out=block)
+        if g2.peak > 0:
+            np.divide(block, g2.peak, out=block)
             block *= 255.0
             np.round(block, out=block)
-            np.copyto(out, block, casting="unsafe")
+            out[:, g2.support] = block  # assignment casts unsafely, as np.copyto(..., casting="unsafe")
         yield out
 
 

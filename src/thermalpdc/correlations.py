@@ -8,12 +8,15 @@ correlations and, for this source, implies entanglement.
 
 Degenerate 0/0 points return None from the scalar functions and NaN from
 sweep_columns, which evaluates whole grids as arrays and is the one grid
-route.  The scalar functions here and gaussian.check_separability_lossy
-are the per-point reference it is tested against.
+route.  Where a closed form overflows a float, the scalar functions raise
+ValueError naming their inputs, and sweep_columns FloatingPointError.
+The scalar functions here and gaussian.check_separability_lossy are the
+per-point reference it is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -23,8 +26,7 @@ from .gaussian import ModeParams, _real, _reals
 
 def cross_covariance(p: ModeParams) -> float:
     """Photon-number cross covariance n_pdc (1 + n_pdc) (1 + mu_t + mu_r)^2."""
-    s = 1.0 + p.mu_t + p.mu_r
-    return p.n_pdc * (1.0 + p.n_pdc) * s ** 2
+    return _refuse_overflow(lambda: p.n_pdc * (1.0 + p.n_pdc) * (1.0 + p.mu_t + p.mu_r) ** 2, **vars(p))
 
 
 def correlation_index(p: ModeParams) -> Optional[float]:
@@ -34,12 +36,13 @@ def correlation_index(p: ModeParams) -> Optional[float]:
     thermal variances mean (mean + 1).  Returns None when either arm is in
     the vacuum (zero seed and zero gain), where the index is 0/0.
     """
-    s = 1.0 + p.mu_t + p.mu_r
-    mean_t, mean_r = p.mu_t + p.n_pdc * s, p.mu_r + p.n_pdc * s
-    denom2 = mean_t * (mean_t + 1.0) * mean_r * (mean_r + 1.0)
-    if denom2 == 0.0:
-        return None
-    return cross_covariance(p) / denom2 ** 0.5
+    def index():
+        s = 1.0 + p.mu_t + p.mu_r
+        mean_t, mean_r = p.mu_t + p.n_pdc * s, p.mu_r + p.n_pdc * s
+        denom2 = mean_t * (mean_t + 1.0) * mean_r * (mean_r + 1.0)
+        return None if denom2 == 0.0 else cross_covariance(p) / denom2 ** 0.5
+
+    return _refuse_overflow(index, **vars(p))
 
 
 def noise_reduction_factor(p: ModeParams) -> Optional[float]:
@@ -50,10 +53,11 @@ def noise_reduction_factor(p: ModeParams) -> Optional[float]:
     sub-shot-noise.  Returns None for the double vacuum, where the
     shot-noise normalization vanishes.
     """
-    denom = p.mu_t + p.mu_r + 2.0 * p.n_pdc * (1.0 + p.mu_t + p.mu_r)
-    if denom == 0.0:
-        return None
-    return (p.mu_t * (1.0 + p.mu_t) + p.mu_r * (1.0 + p.mu_r)) / denom
+    def nrf():
+        denom = p.mu_t + p.mu_r + 2.0 * p.n_pdc * (1.0 + p.mu_t + p.mu_r)
+        return None if denom == 0.0 else (p.mu_t * (1.0 + p.mu_t) + p.mu_r * (1.0 + p.mu_r)) / denom
+
+    return _refuse_overflow(nrf, **vars(p))
 
 
 def noise_reduction_threshold(mu_t: float, mu_r: float) -> float:
@@ -64,7 +68,23 @@ def noise_reduction_threshold(mu_t: float, mu_r: float) -> float:
     separability boundary; otherwise it lies strictly above it.
     """
     mu_t, mu_r = _real("mu_t", mu_t, lambda v: v >= 0, ">= 0"), _real("mu_r", mu_r, lambda v: v >= 0, ">= 0")
-    return (mu_t ** 2 + mu_r ** 2) / (2.0 * (1.0 + mu_t + mu_r))
+    return _refuse_overflow(lambda: (mu_t ** 2 + mu_r ** 2) / (2.0 * (1.0 + mu_t + mu_r)), mu_t=mu_t, mu_r=mu_r)
+
+
+def _refuse_overflow(closed_form, **inputs):
+    """closed_form(), or ValueError naming the inputs when it overflows a float.
+
+    Python's float ** and math.sinh raise OverflowError where * gives inf;
+    either way no inf or NaN is returned.  None, for a 0/0 point, passes.
+    """
+    try:
+        value = closed_form()
+    except OverflowError:
+        value = math.inf
+    if value is None or math.isfinite(value):
+        return value
+    named = ", ".join(f"{name} {number!r}" for name, number in inputs.items())
+    raise ValueError(f"the closed form overflows a float at {named}")
 
 
 @np.errstate(over="raise")  # FloatingPointError rather than inf or NaN in a column

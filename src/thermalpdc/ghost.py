@@ -239,6 +239,13 @@ class G2Map:
     peak is values.max(), NaN included, found at construction from the
     column maxima of rows: for w >= 0 the rounded product a w never
     decreases as a grows, so column j's largest value is rows[:, j].max() w[j].
+
+    support indexes the columns that can hold a nonzero value: those of a
+    nonzero weight, and those whose rows hold an inf or NaN, which a zero
+    weight turns into NaN.  Every other column of values is 0.  It is
+    slice(None) when that is every column (a weight of ones, a smooth
+    object), else the array of their indices (a slit or grating, opaque
+    where |t|^2 = 0); row_blocks and bucket_reduce read only those columns.
     """
 
     x_r: np.ndarray
@@ -246,6 +253,7 @@ class G2Map:
     rows: np.ndarray
     weight: np.ndarray
     peak: float = field(init=False)
+    support: slice | np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.rows.ndim != 2 or not self.rows.size or np.shape(self.weight) != (self.rows.shape[1],):
@@ -255,38 +263,54 @@ class G2Map:
             )
         if (self.weight < 0).any():  # a negative weight would reverse its column's order
             raise ValueError("a G2Map needs a weight >= 0 in every column")
-        object.__setattr__(self, "peak", np.max(self.rows.max(axis=0) * self.weight))
+        column_max = self.rows.max(axis=0)
+        object.__setattr__(self, "peak", np.max(column_max * self.weight))
+        kept = (self.weight != 0) | ~np.isfinite(column_max)
+        object.__setattr__(self, "support", slice(None) if kept.all() else np.flatnonzero(kept))
 
     @property
     def values(self) -> np.ndarray:
         return self.rows * self.weight
 
     def row_blocks(self):
-        """(start, block) for blocks of whole rows of values, about
-        _BLOCK_VALUES values (at least one row) each, in order.
+        """(start, block) for blocks of whole rows of values[:, support],
+        about _BLOCK_VALUES // len(x_t) rows (at least one) each, in order.
 
         Every block is written into one reused buffer, which the consumer may
         overwrite but must be done with before the next block.
         """
-        rows = self.rows
-        step = max(1, _BLOCK_VALUES // rows.shape[1])
-        buffer = np.empty((min(step, rows.shape[0]), rows.shape[1]))
-        # numpy multiplies by a weight tiled to the block about a quarter
-        # faster than by one broadcast over it
-        weight = np.broadcast_to(self.weight, buffer.shape).copy()
-        for start in range(0, rows.shape[0], step):
-            block = rows[start:start + step]
-            yield start, np.multiply(block, weight[:len(block)], out=buffer[:len(block)])
+        weight = self.weight[self.support]
+        buffer = tiled = None
+        for start, block in self._support_blocks():
+            if buffer is None:  # the first block is the largest
+                buffer = np.empty(block.shape)
+                # numpy multiplies by a weight tiled to the block about a quarter
+                # faster than by one broadcast over it
+                tiled = np.broadcast_to(weight, block.shape).copy()
+            yield start, np.multiply(block, tiled[:len(block)], out=buffer[:len(block)])
 
     def bucket_reduce(self) -> np.ndarray:
         """Integrate over the Test coordinate (Riemann sum over the grid).
 
         The bucket detector is modeled as covering the whole x_t grid, of two
         or more uniform pixels (see _bucket_step); an object wider than the
-        grid would bias the reduction.  One product rows @ weight, which on a
-        window view of rows copies nothing.
+        grid would bias the reduction.  Each block of rows, restricted to the
+        support, takes one product with the weight there, so no temporary
+        grows with the map.
         """
-        return (self.rows @ self.weight) * _bucket_step(self.x_t)
+        weight = self.weight[self.support]
+        reduced = np.empty(self.rows.shape[0])
+        for start, block in self._support_blocks():
+            np.matmul(block, weight, out=reduced[start:start + len(block)])
+        return reduced * _bucket_step(self.x_t)
+
+    def _support_blocks(self):
+        """(start, rows[start:stop, support]) for the blocks of row_blocks: a
+        view when the support is every column, a gathered copy otherwise."""
+        rows = self.rows
+        step = max(1, _BLOCK_VALUES // rows.shape[1])
+        for start in range(0, rows.shape[0], step):
+            yield start, rows[start:start + step, self.support]
 
 
 def _bucket_step(x_t: np.ndarray) -> float:

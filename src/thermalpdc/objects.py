@@ -21,14 +21,21 @@ from .gaussian import _real, _reals
 
 @dataclass(frozen=True)
 class SampledObject:
-    """Complex transmission t(x) on a uniform grid, finite support inside it."""
+    """Complex transmission t(x) on a uniform grid, finite support inside it.
+
+    t must have an integer, float or complex dtype: a bool, string or
+    object array is refused, never cast, as for every physics array.
+    """
 
     x: np.ndarray
     t: np.ndarray
 
     def __post_init__(self):
         x = _reals("x", self.x)
-        t = np.asarray(self.t, dtype=complex)
+        t = np.asarray(self.t)
+        if t.dtype.kind not in "iufc":
+            raise ValueError(f"t must be integer, float or complex numbers, got a {t.dtype} array")
+        t = t.astype(complex, copy=False)
         if x.ndim != 1 or x.shape != t.shape:
             raise ValueError("x and t must be 1-D arrays of equal length")
         if x.size < 2:

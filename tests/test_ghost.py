@@ -44,6 +44,11 @@ FOURIER = GhostGeometry(wavelength=LAM, d1=0.1, d2=0.1, d3=0.3, f_r=0.3, f_t=0.1
 TWIN = ConstantProfile(ModeParams.from_npdc(0.0, 0.0, 1.0))
 
 
+def slit_at_30(x_t):
+    """A slit off the grid's center, so the map is not symmetric."""
+    return single_slit(x_t, SLIT, center=30e-6)
+
+
 def slit_spectrum(k, width):
     """Analytic slit transform: width * sinc(k width / 2)."""
     z = np.asarray(k, dtype=float) * width / 2.0
@@ -565,10 +570,31 @@ def materialized_map(geometry, obj, profile, qgrid, x_r, x_t):
     return (np.abs(kernels[0]) ** 2)[m - m.min()] * np.abs(obj.amplitude(x_t)) ** 2
 
 
+def pgm_reference(values):
+    """The PGM of a whole array as write_pgm documents it: round(values / max * 255)
+    as uint8 in row-major order, every pixel 0 unless the max (NaN included) is > 0."""
+    peak = values.max()
+    pixels = np.zeros(values.shape, dtype=np.uint8)
+    if peak > 0:
+        np.copyto(pixels, np.round(values / peak * 255.0), casting="unsafe")
+    return f"P5\n{values.shape[1]} {values.shape[0]}\n255\n".encode() + pixels.tobytes()
+
+
+def assert_streams_like_the_whole_map(tmp_path, g, values):
+    """write_pgm is byte for byte pgm_reference(values), and the bucket is within 1e-14
+    of values.sum(axis=1) dx, NaN in the same rows."""
+    write_pgm(tmp_path / "streamed.pgm", g)
+    assert (tmp_path / "streamed.pgm").read_bytes() == pgm_reference(values)
+    bucket, reduced = values.sum(axis=1) * (g.x_t[1] - g.x_t[0]), g.bucket_reduce()
+    nan = np.isnan(bucket)
+    assert np.array_equal(np.isnan(reduced), nan)
+    assert np.all(np.abs(reduced[~nan] - bucket[~nan]) <= 1e-14 * bucket[~nan])
+
+
 class TestStreamedMap:
-    """The kernel-route map holds |F|^2 windows and |t|^2; the PGM reads it a block
-    of rows at a time, bit for bit as from the whole array, and the bucket takes
-    one product of the rows and the weight."""
+    """The kernel-route map holds |F|^2 windows and |t|^2; the PGM and the bucket
+    read it a block of rows at a time over its support, the columns where the
+    object transmits, the PGM bit for bit as from the whole array."""
 
     QGRID = MomentumGrid(256, 2 * np.pi / (32 * SLIT))  # 513 pixels: 63 rows a block
     WIDE = MomentumGrid(20000, 2 * np.pi / (32 * SLIT))  # 40001 pixels: a row is wider than a block
@@ -578,34 +604,71 @@ class TestStreamedMap:
         return matched_image_grids(IMAGING, qgrid)
 
     @pytest.mark.parametrize(
-        "qgrid, pick",
+        "qgrid, pick, shape",
         [
-            (QGRID, lambda x_r: x_r),  # k = -1, 513 rows: 8 blocks of 63 and one of 9
-            (QGRID, lambda x_r: x_r[::-1]),  # k = +1
-            (QGRID, lambda x_r: x_r[::-3]),  # k = +3
-            (QGRID, lambda x_r: np.full(70, x_r[200])),  # k = 0 over two blocks
-            (QGRID, lambda x_r: x_r[250:251]),  # a single Reference pixel
-            (WIDE, lambda x_r: x_r[19999:20002]),  # one row a block
+            (QGRID, lambda x_r: x_r, slit_at_30),  # k = -1, 513 rows: 8 blocks of 63 and one of 9
+            (QGRID, lambda x_r: x_r[::-1], slit_at_30),  # k = +1
+            (QGRID, lambda x_r: x_r[::-3], slit_at_30),  # k = +3
+            (QGRID, lambda x_r: x_r[::3], slit_at_30),  # k = -3
+            (QGRID, lambda x_r: np.full(70, x_r[200]), slit_at_30),  # k = 0 over two blocks
+            (QGRID, lambda x_r: x_r[250:251], slit_at_30),  # a single Reference pixel
+            (WIDE, lambda x_r: x_r[19999:20002], slit_at_30),  # one row a block
+            (QGRID, lambda x_r: x_r, lambda x_t: grating(x_t, 3.1 * SLIT, duty=0.4)),  # many support runs
         ],
-        ids=["k-negative", "k-positive", "k-3", "k-zero", "one-pixel", "wide-row"],
+        ids=["k-negative", "k-positive", "k-3", "k-minus-3", "k-zero", "one-pixel", "wide-row", "grating"],
     )
-    def test_matches_the_whole_map(self, tmp_path, qgrid, pick):
+    def test_matches_the_whole_map(self, tmp_path, qgrid, pick, shape):
         x_r, x_t = self.grids(qgrid)
         x_r = pick(x_r)
-        obj = single_slit(x_t, SLIT, center=30e-6)
+        obj = shape(x_t)
         g = g2_map(IMAGING, obj, TWIN, qgrid, x_r, x_t)
         assert np.array_equal(g.weight, np.abs(obj.amplitude(x_t)) ** 2) and not g.rows.flags.writeable
+        # an opaque column holds no value, and is never built
+        assert np.array_equal(g.support, np.flatnonzero(g.weight))
         whole = materialized_map(IMAGING, obj, TWIN, qgrid, x_r, x_t)
         # the peak is found at construction, from the column maxima of the rows
-        assert write_pgm(tmp_path / "streamed.pgm", g) == write_pgm(tmp_path / "whole.pgm", unit_map(whole))
-        assert (tmp_path / "streamed.pgm").read_bytes() == (tmp_path / "whole.pgm").read_bytes()
         assert g.peak == whole.max()
         assert np.array_equal(g.values, whole)
-        again = g2_map(IMAGING, obj, TWIN, qgrid, x_r, x_t)
-        # the bucket is one product rows @ weight, whose sum runs in another order than the rows'
-        bucket = whole.sum(axis=1) * (x_t[1] - x_t[0])
-        assert np.all(np.abs(again.bucket_reduce() - bucket) <= 1e-14 * bucket)
-        assert again.peak == whole.max()
+        # the bucket's sums skip the opaque columns, and run in another order than the rows'
+        assert_streams_like_the_whole_map(tmp_path, g, whole)
+
+    @staticmethod
+    def window_rows(count, width):
+        """The read-only (count, width) windows of one random line, as on a kernel lattice."""
+        line = np.random.default_rng(7).random(count + width - 1)
+        return np.lib.stride_tricks.sliding_window_view(line, width)[::-1]
+
+    @pytest.mark.parametrize(
+        "case", ["runs", "all-zero", "negative-zero", "nan-weight", "nan-row", "inf-row", "full"]
+    )
+    def test_support_streams_like_the_whole_map(self, tmp_path, case):
+        # 200 rows of 513: three blocks of 63 and one of 11
+        rows, columns = self.window_rows(200, 513), np.arange(513)
+        weight = np.where(columns % 17 < 6, 0.25 + columns / 1026.0, 0.0)  # 31 runs
+        if case == "all-zero":
+            weight[:] = 0.0
+        elif case == "negative-zero":
+            weight[weight == 0] = -0.0
+        elif case == "nan-weight":
+            weight[40] = np.nan
+        elif case in ("nan-row", "inf-row"):
+            # under a zero weight: its value is NaN, so the map is dark and the row's bucket NaN
+            rows = np.array(rows)
+            rows[150, 10] = np.nan if case == "nan-row" else np.inf
+        elif case == "full":
+            weight += 0.5
+        with np.errstate(invalid="ignore"):  # inf times a zero weight
+            g = G2Map(np.arange(200.0), np.arange(513.0), rows, weight)
+            values = g.values
+            if case == "full":
+                assert g.support == slice(None)
+            else:
+                assert np.array_equal(g.support, np.flatnonzero((weight != 0) | ~np.isfinite(rows.max(axis=0))))
+            assert_streams_like_the_whole_map(tmp_path, g, values)
+        if case in ("nan-weight", "nan-row", "inf-row"):
+            assert math.isnan(g.peak)
+        if case == "all-zero":
+            assert g.peak == 0 and not g.bucket_reduce().any()
 
     def test_partial_last_block(self):
         x_r, x_t = self.grids(self.QGRID)
@@ -619,7 +682,7 @@ class TestStreamedMap:
         # a collection lens keeps the map itself, read-only, with a weight of ones: multiplying
         # by 1.0 moves no bit
         assert g.rows.flags.owndata and not g.rows.flags.writeable
-        assert np.array_equal(g.weight, np.ones(len(x_t)))
+        assert np.array_equal(g.weight, np.ones(len(x_t))) and g.support == slice(None)
         assert g.values.tobytes() == g.rows.tobytes() and g.peak == g.rows.max()
         write_pgm(tmp_path / "g.pgm", g)
         pixels = np.round(g.rows / g.rows.max() * 255).astype(np.uint8)
@@ -667,11 +730,17 @@ class TestStreamedMap:
         image = ghost_image(IMAGING, obj, TWIN, self.QGRID, x_r, x_t)
         write_pgm(tmp_path / "g.pgm", image.g2)
 
-    def test_ghost_image_and_pgm_memory_is_bounded(self, tmp_path):
-        # matched 2049 x 2049 grids: the whole float64 map would take 32 MiB
+    @pytest.mark.parametrize(
+        "shape",
+        [lambda x_t: double_slit(x_t, SLIT, 160e-6), lambda x_t: grating(x_t, 2 * SLIT)],
+        ids=["double-slit", "grating"],
+    )
+    def test_ghost_image_and_pgm_memory_is_bounded(self, tmp_path, shape):
+        # matched 2049 x 2049 grids: the whole float64 map would take 32 MiB, and the
+        # grating's support, half the columns, 16 MiB
         qgrid = MomentumGrid(1024, 2 * np.pi / 2.56e-3)
         x_r, x_t = self.grids(qgrid)
-        obj = double_slit(x_t, SLIT, 160e-6)
+        obj = shape(x_t)
         write_pgm(tmp_path / "warm.pgm", ghost_image(IMAGING, obj, TWIN, qgrid, x_r, x_t).g2)
         tracemalloc.start()
         try:

@@ -23,9 +23,14 @@ from thermalpdc import (
     GhostGeometry,
     ModeParams,
     MomentumGrid,
+    SampledObject,
     build_covariance,
+    correlation_index,
+    cross_covariance,
     double_slit,
     matched_image_grids,
+    noise_reduction_factor,
+    noise_reduction_threshold,
 )
 
 IMAGING = GhostGeometry(wavelength=0.7e-6, d1=0.1, d2=0.1, d3=0.6, f_r=0.15)
@@ -71,7 +76,7 @@ PHYSICS = {
     "correlation_amplitude": (lambda: dict(q=1e4, profile=ConstantProfile(PAIR)), ("q",)),
     "g2_map": (ghost_call, ("x_r", "x_t")),
     "ghost_image": (ghost_call, ("x_r", "x_t")),
-    "SampledObject": (lambda: dict(x=X_T, t=np.ones(X_T.size)), ("x",)),
+    "SampledObject": (lambda: dict(x=X_T, t=np.ones(X_T.size)), ("x", "t")),
     "single_slit": (lambda: dict(x=X_T, width=40e-6, center=1e-5), ("x", "width", "center")),
     "double_slit": (lambda: dict(x=X_T, width=40e-6, separation=160e-6, center=1e-5), ("x", "width", "separation", "center")),
     "grating": (lambda: dict(x=X_T, period=1e-4, duty=0.3, center=1e-5), ("x", "period", "duty", "center")),
@@ -187,3 +192,45 @@ def test_bad_physics_value_is_refused_or_gives_a_finite_result(name, param, bad)
             return
     for array in numbers_in(result):
         assert np.isfinite(array).all(), f"{name}({param}={bad!r}) returned a non-finite number"
+
+
+@pytest.mark.parametrize(
+    "t",
+    [np.array(["1", "0", "1"]), np.array([True, False, True]), [True, False, True], np.array([1, None, 1])],
+    ids=["string", "bool", "bool-list", "object"],
+)
+def test_sampled_object_never_casts_a_non_numeric_transmission(t):
+    # each was read as t = [1, 0, 1], and a bool mask as its 0/1 support
+    with pytest.raises(ValueError, match=r"^t must be integer, float or complex numbers"):
+        SampledObject(np.linspace(-1.0, 1.0, 3), t)
+
+
+HUGE = st.floats(1e150, 1e308)
+
+
+@settings(max_examples=50, deadline=None)
+@given(mu_t=st.one_of(st.just(0.0), HUGE), mu_r=st.one_of(st.just(0.0), HUGE))
+@example(mu_t=1e200, mu_r=0.0)
+def test_noise_reduction_threshold_refuses_an_overflow(mu_t, mu_r):
+    try:
+        threshold = noise_reduction_threshold(mu_t, mu_r)
+    except ValueError as exc:
+        assert re.search(r"\bmu_t\b.*\bmu_r\b", str(exc)), str(exc)
+        return
+    assert math.isfinite(threshold)
+
+
+@pytest.mark.parametrize("closed_form", [cross_covariance, correlation_index, noise_reduction_factor],
+                         ids=lambda f: f.__name__)
+@settings(max_examples=50, deadline=None)
+@given(mu_t=st.one_of(st.just(0.0), HUGE), mu_r=st.one_of(st.just(0.0), HUGE), coupling=st.floats(0.0, 1000.0))
+@example(mu_t=1e200, mu_r=1e200, coupling=0.5)
+@example(mu_t=0.0, mu_r=0.0, coupling=800.0)
+def test_correlation_closed_forms_refuse_an_overflow(closed_form, mu_t, mu_r, coupling):
+    # float ** and math.sinh raised a bare OverflowError, and * returned inf
+    try:
+        value = closed_form(ModeParams(mu_t, mu_r, coupling))
+    except ValueError as exc:
+        assert re.search(r"\bmu_t\b.*\bmu_r\b.*\bcoupling\b", str(exc)), str(exc)
+        return
+    assert value is None or math.isfinite(value)
