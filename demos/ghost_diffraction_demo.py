@@ -3,13 +3,15 @@
 With the Reference detector on the focal plane (d3 = f_R) and a collection
 lens in the Test arm, the correlation at x_T = 0 samples the squared
 spectrum of the object: a width-a slit produces a sinc^2 with zeros every
-lambda d3 / a along the Reference detector.  Writes ghost_diffraction.csv.
+lambda d3 / a along the Reference detector.  The unseeded source is a flat
+GainProfile, so every momentum carries the same correlation amplitude.
+Writes ghost_diffraction.csv.
 """
 
 import numpy as np
 
 from thermalpdc import (
-    ConstantProfile,
+    GainProfile,
     GhostGeometry,
     ModeParams,
     MomentumGrid,
@@ -27,7 +29,7 @@ def main():
     qgrid = MomentumGrid(512, 2.0 * np.pi / (32.0 * slit_width))
     x = np.linspace(-640e-6, 640e-6, 1025)
     pattern = ghost_diffraction(geometry, single_slit(x, slit_width),
-                                ConstantProfile(ModeParams.from_npdc(0.0, 0.0, 1.0)),
+                                GainProfile(ModeParams.from_npdc(0.0, 0.0, 1.0)),
                                 qgrid)
 
     spacing = geometry.wavelength * geometry.d3 / slit_width

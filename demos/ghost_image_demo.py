@@ -6,7 +6,8 @@ satisfying the back-propagating thin-lens relation with magnification 3.
 The bucket-integrated correlation reproduces the slit pair inverted and
 magnified, and the normalized reconstruction is bit-for-bit the same
 whether the source is entangled (unseeded) or separable (bright seeds):
-only the overall correlation strength changes.
+only the overall correlation strength changes.  Each source is a flat
+GainProfile (phase-matching bandwidth 0): the same pair at every momentum.
 
 Writes ghost_image.csv and ghost_image_g2.pgm.
 """
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from thermalpdc import (
-    ConstantProfile,
+    GainProfile,
     GhostGeometry,
     ModeParams,
     MomentumGrid,
@@ -43,7 +44,7 @@ def main():
         ("entangled (no seeds, n_pdc=1)", ModeParams.from_npdc(0.0, 0.0, 1.0)),
         ("separable (mu=5, n_pdc=0.5)", ModeParams.from_npdc(5.0, 5.0, 0.5)),
     ):
-        image = ghost_image(geometry, obj, ConstantProfile(params), qgrid, x_r, x_t)
+        image = ghost_image(geometry, obj, GainProfile(params), qgrid, x_r, x_t)
         ncc = image.normalized @ target / math.sqrt(
             (image.normalized @ image.normalized) * (target @ target)
         )

@@ -41,7 +41,6 @@ from .gaussian import (
     symplectic_eigenvalues,
 )
 from .ghost import (
-    ConstantProfile,
     DiffractionPattern,
     G2Map,
     GainProfile,
@@ -49,8 +48,6 @@ from .ghost import (
     GhostGeometry,
     GhostImage,
     MomentumGrid,
-    SincProfile,
-    correlation_amplitude,
     g2_map,
     ghost_diffraction,
     ghost_image,

@@ -100,10 +100,3 @@ def write_bytes(path, chunks) -> str:
             fh.write(chunk)
     return digest.hexdigest()
 
-
-def sha256_of(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()

@@ -16,12 +16,11 @@ per-point reference it is tested against.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
-from .gaussian import ModeParams, _real, _reals
+from .gaussian import ModeParams, _real, _reals, _refuse_overflow
 
 
 def cross_covariance(p: ModeParams) -> float:
@@ -69,22 +68,6 @@ def noise_reduction_threshold(mu_t: float, mu_r: float) -> float:
     """
     mu_t, mu_r = _real("mu_t", mu_t, lambda v: v >= 0, ">= 0"), _real("mu_r", mu_r, lambda v: v >= 0, ">= 0")
     return _refuse_overflow(lambda: (mu_t ** 2 + mu_r ** 2) / (2.0 * (1.0 + mu_t + mu_r)), mu_t=mu_t, mu_r=mu_r)
-
-
-def _refuse_overflow(closed_form, **inputs):
-    """closed_form(), or ValueError naming the inputs when it overflows a float.
-
-    Python's float ** and math.sinh raise OverflowError where * gives inf;
-    either way no inf or NaN is returned.  None, for a 0/0 point, passes.
-    """
-    try:
-        value = closed_form()
-    except OverflowError:
-        value = math.inf
-    if value is None or math.isfinite(value):
-        return value
-    named = ", ".join(f"{name} {number!r}" for name, number in inputs.items())
-    raise ValueError(f"the closed form overflows a float at {named}")
 
 
 @np.errstate(over="raise")  # FloatingPointError rather than inf or NaN in a column

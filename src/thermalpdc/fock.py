@@ -39,7 +39,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .gaussian import ModeParams, _real, build_covariance
+from .gaussian import ModeParams, _real, _refuse_overflow, build_covariance
 
 # Floating-point floor added to 10x the trace deficit in validate_factorization.
 FACTORIZATION_TOL_FLOOR = 1e-8
@@ -295,18 +295,16 @@ def predicted_moments(p: ModeParams) -> MomentSet:
 
     Each arm keeps thermal statistics with mean mu + n_pdc (1 + mu_t + mu_r)
     and variance mean (mean + 1); the cross covariance equals the squared
-    covariance cross entry n_pdc (1 + n_pdc) (1 + mu_t + mu_r)^2.
+    covariance cross entry n_pdc (1 + n_pdc) (1 + mu_t + mu_r)^2.  Raises
+    ValueError, naming the inputs, where a moment overflows a float.
     """
-    s = 1.0 + p.mu_t + p.mu_r
-    mean_t = p.mu_t + p.n_pdc * s
-    mean_r = p.mu_r + p.n_pdc * s
-    return MomentSet(
-        mean_t,
-        mean_r,
-        mean_t * (mean_t + 1.0),
-        mean_r * (mean_r + 1.0),
-        p.n_pdc * (1.0 + p.n_pdc) * s ** 2,
-    )
+    def closed_forms():
+        s = 1.0 + p.mu_t + p.mu_r
+        mean_t = p.mu_t + p.n_pdc * s
+        mean_r = p.mu_r + p.n_pdc * s
+        return mean_t, mean_r, mean_t * (mean_t + 1.0), mean_r * (mean_r + 1.0), p.n_pdc * (1.0 + p.n_pdc) * s ** 2
+
+    return MomentSet(*_refuse_overflow(closed_forms, **vars(p)))
 
 
 

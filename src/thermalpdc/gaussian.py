@@ -76,6 +76,24 @@ def _reals(name, values, ok=lambda v: True, rule="") -> np.ndarray:
     raise ValueError(f"{name} must be finite real numbers{' ' + rule if rule else ''}, got {values!r}")
 
 
+def _refuse_overflow(closed_form, what="the closed form", **inputs):
+    """closed_form(), or ValueError naming what and the inputs when it
+    overflows a float.
+
+    Python's float ** and math.sinh raise OverflowError where * gives inf;
+    either way no inf or NaN is returned, in a number or in a tuple of
+    them.  None, for a 0/0 point, passes.
+    """
+    try:
+        value = closed_form()
+    except OverflowError:
+        value = math.inf
+    if value is None or np.isfinite(value).all():
+        return value
+    named = ", ".join(f"{name} {number!r}" for name, number in inputs.items())
+    raise ValueError(f"{what} overflows at {named}")
+
+
 @dataclass(frozen=True)
 class ModeParams:
     """Physical inputs for one (q, -q) mode pair.
@@ -173,8 +191,10 @@ def build_covariance(p: ModeParams) -> CovarianceBlock:
         A = [u^2 (2 mu_t + 1) + v^2 (2 mu_r + 1)] / 2      (X_T, Y_T variance)
         B = [u^2 (2 mu_r + 1) + v^2 (2 mu_t + 1)] / 2      (X_R, Y_R variance)
         C = u v (mu_t + mu_r + 1)                          (cross correlation)
+
+    Raises ValueError, naming the inputs, where an entry overflows a float.
     """
-    a, b, c = _covariance_entries(p)
+    a, b, c = _refuse_overflow(lambda: _covariance_entries(p), **vars(p))
     return CovarianceBlock(
         np.array(
             [
@@ -258,8 +278,11 @@ def symplectic_eigenvalues(block: CovarianceBlock) -> tuple[float, float]:
 
 
 def separability_margin(p: ModeParams) -> float:
-    """Closed-form left side of the separability inequality (>= 0: separable)."""
-    return p.mu_t * p.mu_r - p.n_pdc * (1.0 + p.mu_t + p.mu_r)
+    """Closed-form left side of the separability inequality (>= 0: separable).
+
+    Raises ValueError, naming the inputs, where it overflows a float.
+    """
+    return _refuse_overflow(lambda: p.mu_t * p.mu_r - p.n_pdc * (1.0 + p.mu_t + p.mu_r), **vars(p))
 
 
 def check_separability(p: ModeParams) -> SeparabilityVerdict:

@@ -7,9 +7,11 @@ single sum over transverse momentum:
     G2(x_R, x_T) = | sum_q  h_R(x_R, -q) h_T(x_T, q) C_q |^2
 
 where C_q = cosh|kappa| sinh|kappa| (1 + mu_t + mu_r) is the per-mode
-correlation amplitude and h_R, h_T are the Fourier-transformed impulse
-responses of the two arms.  Transverse coordinates are one dimensional; the
-two-dimensional case is the tensor product of identical kernels.
+correlation amplitude at the phase-matched coupling |kappa(q)| =
+kappa0 |sinc(bandwidth q^2)| of GainProfile (flat at bandwidth 0), and
+h_R, h_T are the Fourier-transformed impulse responses of the two arms.
+Transverse coordinates are one dimensional; the two-dimensional case is
+the tensor product of identical kernels.
 
 Geometry: the object sits a distance d1 from the source in the Test arm;
 the Reference arm propagates d2 to a lens of focal length f_r and then d3
@@ -40,12 +42,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .gaussian import ModeParams, _real, _reals
+from .gaussian import ModeParams, _real, _reals, _refuse_overflow
 from .objects import SampledObject
 
 # Geometry classification, relative to 1/d3: below DELTA_TOL the lens-detector
@@ -53,8 +55,6 @@ from .objects import SampledObject
 # ILL_CONDITIONED_TOL the imaging kernel blows up and the geometry is refused.
 DELTA_TOL = 1e-9
 ILL_CONDITIONED_TOL = 1e-6
-
-_PROFILE_SYMMETRY_RTOL = 1e-12
 
 # Largest distance, relative to the step, of a bucket's x_t from a uniform grid.
 _BUCKET_UNIFORMITY = 1e-9
@@ -140,88 +140,56 @@ class MomentumGrid:
         return np.arange(-self.n_half, self.n_half + 1) * self.dq
 
 
+@dataclass(frozen=True)
 class GainProfile:
-    """Per-momentum source parameters.
+    """Per-momentum source parameters under phase-matched gain.
 
-    Subclasses define mode_params(q) and its array form
-    correlation_amplitudes(q), the amplitude C_q of correlation_amplitude at
-    each momentum.  g2_map and ghost_diffraction check that C_q is even in q.
+    The coupling at momentum q is |kappa(q)| = params.coupling
+    |sinc(bandwidth q^2)|, the quadratic dependence of the longitudinal
+    momentum mismatch on q (Brambilla et al., PRA 69, 023802 (2004)), with
+    its first zero at q = sqrt(pi / |bandwidth|); bandwidth 0 is flat phase
+    matching, params at every q.  The seeds and phase of params hold at
+    every q.  C_q depends on q only through q^2, and MomentumGrid.values is
+    exactly sign-symmetric, so C_q is even in q bit for bit there, as the
+    kernels of g2_map and ghost_diffraction take it to be.  Raises
+    ValueError unless params is a ModeParams, bandwidth is a finite real
+    number and the peak C(0) is finite.
     """
 
-    def mode_params(self, q: float) -> ModeParams:
-        raise NotImplementedError
-
-    def correlation_amplitudes(self, q: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ConstantProfile(GainProfile):
-    """Same parameters for every momentum (flat phase matching)."""
-
     params: ModeParams
+    bandwidth: float = 0.0
 
     def __post_init__(self):
         if not isinstance(self.params, ModeParams):
             raise ValueError(f"params must be a ModeParams, got {self.params!r}")
-        try:
-            amplitude = correlation_amplitude(0.0, self)
-        except OverflowError:  # math.cosh or math.sinh of the coupling
-            amplitude = math.inf
-        if not math.isfinite(amplitude):
-            p = self.params
-            raise ValueError(
-                f"the peak correlation amplitude overflows at coupling {p.coupling}, mu_t {p.mu_t}, mu_r {p.mu_r}"
-            )
-
-    def mode_params(self, q: float) -> ModeParams:
-        return self.params
-
-    def correlation_amplitudes(self, q: np.ndarray) -> np.ndarray:
-        return np.full(len(q), correlation_amplitude(0.0, self))
-
-
-@dataclass(frozen=True)
-class SincProfile(GainProfile):
-    """Phase-matched gain |kappa(q)| = kappa0 |sinc(bandwidth q^2)|.
-
-    Models the quadratic dependence of the longitudinal momentum mismatch
-    on q; the first zero sits at q = sqrt(pi / bandwidth).
-    """
-
-    kappa0: float
-    bandwidth: float
-    mu_t: float = 0.0
-    mu_r: float = 0.0
-    phase: float = 0.0
-
-    def __post_init__(self):
         _real("bandwidth", self.bandwidth)
-        _real("kappa0", self.kappa0, lambda v: v >= 0, ">= 0")
-        ModeParams(self.mu_t, self.mu_r, self.kappa0, self.phase)  # the seeds and phase
-        if not np.isfinite(self.correlation_amplitudes(np.zeros(1))[0]):
-            raise ValueError(f"kappa0 {self.kappa0} is too large: the peak correlation amplitude overflows")
+        p = self.params
+        # |sinc| <= 1, so no coupling exceeds the peak's and no C_q overflows where C(0) does not
+        _refuse_overflow(lambda: self._amplitude(p.coupling), what="the peak correlation amplitude",
+                         coupling=p.coupling, mu_t=p.mu_t, mu_r=p.mu_r)
 
     def mode_params(self, q: float) -> ModeParams:
-        return ModeParams(self.mu_t, self.mu_r, float(self._couplings(_real("q", q))), self.phase)
+        """params with the coupling at momentum q."""
+        return replace(self.params, coupling=float(self._couplings(_real("q", q))))
 
     def correlation_amplitudes(self, q: np.ndarray) -> np.ndarray:
-        """Array form of correlation_amplitude: 1/2 sinh(2 kappa(q)) (1 + mu_t + mu_r)."""
-        with np.errstate(over="ignore"):
-            return 0.5 * np.sinh(2.0 * self._couplings(_reals("q", q))) * (1.0 + self.mu_t + self.mu_r)
+        """C_q = u v (1 + mu_t + mu_r) of mode_params(q) at each q, bit for bit:
+        evaluated in math once per distinct coupling, then gathered."""
+        q = _reals("q", q)
+        couplings, inverse = np.unique(self._couplings(q), return_inverse=True)
+        amplitudes = np.array([self._amplitude(k) for k in couplings.tolist()], dtype=float)
+        return amplitudes[inverse].reshape(q.shape)
+
+    def _amplitude(self, coupling: float) -> float:
+        p = self.params
+        return math.cosh(coupling) * math.sinh(coupling) * (1.0 + p.mu_t + p.mu_r)
 
     def _couplings(self, q) -> np.ndarray:
         """kappa(q) at each q, with the limits 1 of the sinc at arg = 0 and 0 where arg overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
             arg = self.bandwidth * q * q
             s = np.where(arg == 0, 1.0, np.where(np.isfinite(arg), np.sin(arg) / arg, 0.0))
-        return self.kappa0 * np.abs(s)
-
-
-def correlation_amplitude(q: float, profile: GainProfile) -> float:
-    """Per-mode pairwise correlation amplitude u v (1 + mu_t + mu_r)."""
-    p = profile.mode_params(_real("q", q))
-    return p.u * p.v * (1.0 + p.mu_t + p.mu_r)
+        return self.params.coupling * np.abs(s)
 
 
 @dataclass(frozen=True)
@@ -352,12 +320,7 @@ class DiffractionPattern:
     normalized: np.ndarray
 
 
-def _check_profile_symmetry(c_q: np.ndarray) -> None:
-    scale = max(float(np.abs(c_q).max()), 1.0)
-    if np.abs(c_q - c_q[::-1]).max() > _PROFILE_SYMMETRY_RTOL * scale:
-        raise ValueError("profile must be even in q: C(q) != C(-q)")
-
-
+@np.errstate(over="raise")  # FloatingPointError rather than inf or NaN in the map
 def g2_map(
     geometry: GhostGeometry,
     obj: SampledObject,
@@ -384,14 +347,13 @@ def g2_map(
     read-only window view of the one line |F|^2, so the map is never held.
     With a collection lens the map is |K @ (t dx exp(-i s x x_T))|^2 with
     s = 2 pi / (lam f_t), held with a weight of ones.  Raises ValueError
-    when x_r or x_t is empty or holds a NaN or an infinity, and
-    GeometryError on the Fourier branch, whose one route is
-    ghost_diffraction.
+    when x_r or x_t is empty or holds a NaN or an infinity,
+    FloatingPointError when the map overflows, and GeometryError on the
+    Fourier branch, whose one route is ghost_diffraction.
     """
     x_r, x_t = _detector_grids(x_r, x_t)
     q = qgrid.values
     c_q = profile.correlation_amplitudes(q)
-    _check_profile_symmetry(c_q)
     r = x_r * (geometry.lens_term / geometry.d3)
     x = x_t if geometry.f_t is None else obj.x
     focus = geometry.wavelength * (geometry.d1 + geometry.d2 + geometry.lens_term) / (4.0 * math.pi)
@@ -578,7 +540,6 @@ def ghost_diffraction(
         )
     q = qgrid.values
     c_q = profile.correlation_amplitudes(q)
-    _check_profile_symmetry(c_q)
     lattice = _kernel_lattice(qgrid, obj.x, np.zeros(1))
     # h_T(0, q_n) is ttilde(q_n) = dx exp(i q_n x_0) sum_j t_j exp(i dq h n j) times the
     # Test-arm quadratic phase; neither phase factor changes the modulus

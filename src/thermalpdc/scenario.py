@@ -31,8 +31,10 @@ geometrically.
       optional for ghost-image, which without it collects on the object
       plane
     profile.type = "constant", with n_pdc or coupling: one number >= 0;
-      or "sinc", with kappa0: number >= 0 and bandwidth: number, for a
-      coupling kappa0 |sinc(bandwidth q^2)|
+      or "sinc", with kappa0: number >= 0 and bandwidth: number.  Either
+      is a ghost.GainProfile of coupling kappa0 |sinc(bandwidth q^2)|; a
+      constant profile has bandwidth 0 and kappa0 = coupling =
+      asinh(sqrt(n_pdc))
     profile.mu_t = 0, profile.mu_r = 0: numbers >= 0
     object.type: "single-slit" (width: number > 0), "double-slit" (width,
       separation: number >= width), "grating" (period: number > 0, duty =
@@ -63,8 +65,8 @@ from . import correlations
 from .artifacts import write_bytes, write_csv, write_pgm
 from .fock import evolve_thermal_pair, input_tail_problem, moments, predicted_moments
 # check_separability_lossy is unused here; perfbench's tracer tests look it up in this namespace.
-from .gaussian import ModeParams, check_separability_lossy  # noqa: F401
-from .ghost import ConstantProfile, GainProfile, GhostGeometry, MomentumGrid, SincProfile
+from .gaussian import ModeParams, _real, check_separability_lossy  # noqa: F401
+from .ghost import GainProfile, GhostGeometry, MomentumGrid
 from .ghost import ghost_diffraction, ghost_image
 from .objects import SampledObject, double_slit, grating, load_object_csv, single_slit
 
@@ -308,7 +310,7 @@ def _parse_ghost(top: _Fields, kind: str, errors: list):
     prof = top.section("profile")
     ptype = prof.get("type", _choice(*PROFILE_GAINS), "constant")
     seeds = [prof.get(name, _number, 0.0) for name in ("mu_t", "mu_r")]
-    gain = [prof.get(name, _number, None if ptype == "constant" else _REQUIRED) for name in PROFILE_GAINS.get(ptype, ())]
+    gain = {name: prof.get(name, _number, None if ptype == "constant" else _REQUIRED) for name in PROFILE_GAINS.get(ptype, ())}
     if ptype == "constant" and ("n_pdc" in prof.obj) == ("coupling" in prof.obj):
         prof.errors.append("field profile: a constant profile takes one of n_pdc and coupling")
     grid = top.section("qgrid")
@@ -339,12 +341,7 @@ def _parse_ghost(top: _Fields, kind: str, errors: list):
     branch = geometry and _make(errors, "geometry.f_r", lambda: geometry.branch)
     if branch and branch != ("imaging" if kind == "ghost-image" else "fourier"):
         errors.append(f"field geometry.f_r: the {branch} branch (f_r {'!=' if branch == 'imaging' else '='} d3) is not for {kind}")
-    if ptype == "sinc":
-        profile = _make(errors, "profile", SincProfile, *gain, *seeds)
-    elif gain[0] is not None:
-        profile = _make(errors, "profile", lambda: ConstantProfile(ModeParams.from_npdc(*seeds, gain[0])))
-    else:
-        profile = _make(errors, "profile", lambda: ConstantProfile(ModeParams(*seeds, gain[1])))
+    profile = _make(errors, "profile", lambda: _gain_profile(seeds, **gain))
     qgrid = _make(errors, "qgrid", MomentumGrid, n_half, dq)
     if errors:
         return None
@@ -361,6 +358,13 @@ def _parse_ghost(top: _Fields, kind: str, errors: list):
         span = x_r_span if x_r_span is not None else default_span
         x_r = np.linspace(-span / 2.0, span / 2.0, x_r_count) if x_r_count > 1 else np.zeros(1)
     return GhostScenario(geometry, profile, qgrid, sampled, x_t, x_r)
+
+
+def _gain_profile(seeds, n_pdc=None, coupling=None, kappa0=None, bandwidth=0.0) -> GainProfile:
+    """A config's profile: a constant one is the sinc of bandwidth 0 at its n_pdc or coupling."""
+    if kappa0 is not None:  # named here, where ModeParams would name it coupling
+        coupling = _real("kappa0", kappa0, lambda v: v >= 0, ">= 0")
+    return GainProfile(ModeParams(*seeds, coupling) if n_pdc is None else ModeParams.from_npdc(*seeds, n_pdc), bandwidth)
 
 
 def validate_config(cfg: dict) -> list[str]:

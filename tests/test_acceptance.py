@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from thermalpdc import (
-    ConstantProfile,
+    GainProfile,
     GhostGeometry,
     ModeParams,
     MomentumGrid,
@@ -188,7 +188,7 @@ def test_criterion_6_ghost_image_and_entanglement_independence():
     images = {}
     worst_ncc = 1.0
     for label, params in (("entangled", entangled), ("separable", separable)):
-        image = ghost_image(geometry, obj, ConstantProfile(params), qgrid, x_r, x_t)
+        image = ghost_image(geometry, obj, GainProfile(params), qgrid, x_r, x_t)
         ncc = float(
             image.normalized @ target
             / math.sqrt((image.normalized @ image.normalized) * (target @ target))
@@ -205,7 +205,7 @@ def test_criterion_6_ghost_image_and_entanglement_independence():
 
 def test_criterion_7_ghost_diffraction_and_bucketless_imaging():
     slit_width = 40e-6
-    twin = ConstantProfile(ModeParams.from_npdc(0.0, 0.0, 1.0))
+    twin = GainProfile(ModeParams.from_npdc(0.0, 0.0, 1.0))
 
     fourier = GhostGeometry(wavelength=0.7e-6, d1=0.1, d2=0.1, d3=0.3, f_r=0.3, f_t=0.1)
     qgrid = MomentumGrid(512, 2.0 * math.pi / (32.0 * slit_width))

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermalpdc import (
-    ConstantProfile,
     G2Map,
     GainProfile,
     GeometryError,
@@ -17,8 +16,6 @@ from thermalpdc import (
     ModeParams,
     MomentumGrid,
     SampledObject,
-    SincProfile,
-    correlation_amplitude,
     double_slit,
     g2_map,
     ghost_diffraction,
@@ -41,7 +38,7 @@ IMAGING = GhostGeometry(wavelength=LAM, d1=0.1, d2=0.1, d3=0.6, f_r=0.15)
 # with a Test-arm collection lens
 IMAGING_B = GhostGeometry(wavelength=LAM, d1=0.1, d2=0.1, d3=0.6, f_r=0.15, f_t=0.2)
 FOURIER = GhostGeometry(wavelength=LAM, d1=0.1, d2=0.1, d3=0.3, f_r=0.3, f_t=0.1)
-TWIN = ConstantProfile(ModeParams.from_npdc(0.0, 0.0, 1.0))
+TWIN = GainProfile(ModeParams.from_npdc(0.0, 0.0, 1.0))
 
 
 def slit_at_30(x_t):
@@ -297,83 +294,89 @@ class TestMomentumGrid:
             assert MomentumGrid(4, step).values[-1] == 4 * float(step)
 
 
+def amplitude(profile, q):
+    """u v (1 + mu_t + mu_r) of profile.mode_params(q), in Python floats."""
+    p = profile.mode_params(q)
+    return p.u * p.v * (1.0 + p.mu_t + p.mu_r)
+
+
 class TestCorrelationAmplitude:
     def test_constant_twin_beam(self):
         q = np.linspace(-1e5, 1e5, 11)
         c = TWIN.correlation_amplitudes(q)
         assert np.allclose(c, math.sinh(ASINH1) * math.cosh(ASINH1))
 
+    def test_flat_profile_amplitude_is_pinned(self):
+        # the bits of the constant profile before it became the sinc of bandwidth 0
+        q = MomentumGrid(8, 1e4).values
+        assert TWIN.correlation_amplitudes(q).tolist() == [1.414213562373095] * q.size
+        seeded = GainProfile(ModeParams(0.5, 1.5, 0.75))
+        assert seeded.correlation_amplitudes(q).tolist() == [3.193919182642227] * q.size
+        assert seeded.mode_params(1e300) == ModeParams(0.5, 1.5, 0.75)
+
     def test_seeded_value(self):
-        prof = ConstantProfile(ModeParams(1.0, 1.0, ASINH1))
-        assert correlation_amplitude(0.0, prof) == pytest.approx(3.0 * math.sqrt(2.0), rel=1e-12)
+        prof = GainProfile(ModeParams(1.0, 1.0, ASINH1))
+        assert amplitude(prof, 0.0) == pytest.approx(3.0 * math.sqrt(2.0), rel=1e-12)
 
     def test_sinc_profile_first_zero(self):
-        prof = SincProfile(kappa0=0.9, bandwidth=1e-10)
+        prof = GainProfile(ModeParams(0.0, 0.0, 0.9), bandwidth=1e-10)
         q0 = math.sqrt(math.pi / 1e-10)
-        assert correlation_amplitude(q0, prof) == pytest.approx(0.0, abs=1e-12)
-        assert correlation_amplitude(0.0, prof) > 0.0
+        assert prof.correlation_amplitudes(np.array([q0]))[0] == pytest.approx(0.0, abs=1e-12)
+        assert prof.correlation_amplitudes(np.zeros(1))[0] > 0.0
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bandwidth", [1.0, -1.0, 1e300])
     def test_sinc_profile_overflowing_argument_gives_zero(self, bandwidth):
         # bandwidth q^2 overflows to +-inf, where sin(arg) / arg -> 0
-        prof = SincProfile(kappa0=0.9, bandwidth=bandwidth)
+        prof = GainProfile(ModeParams(0.0, 0.0, 0.9), bandwidth=bandwidth)
         assert prof.mode_params(1e200).coupling == 0.0
-        assert correlation_amplitude(1e200, prof) == 0.0
+        q = [-1e200, -1.0, 0.0, 1e-200, 1e200]
+        got = prof.correlation_amplitudes(np.array(q))
+        assert got.tolist() == [amplitude(prof, qi) for qi in q]
+        assert got[[0, 4]].tolist() == [0.0, 0.0] and got[2] > 0.0
 
     @pytest.mark.parametrize("params", [True, None, (0.0, 0.0, 1.0), 0.5], ids=["true", "none", "tuple", "float"])
-    def test_constant_profile_rejects_other_than_mode_params(self, params):
-        # ConstantProfile(True) raised AttributeError: 'bool' object has no attribute 'u'
+    def test_rejects_other_than_mode_params(self, params):
+        # a params of True raised AttributeError: 'bool' object has no attribute 'u'
         with pytest.raises(ValueError, match="params must be a ModeParams"):
-            ConstantProfile(params)
+            GainProfile(params)
 
-    @pytest.mark.parametrize("bandwidth", [True, False, "1", None, 1j], ids=["true", "false", "string", "none", "complex"])
-    def test_sinc_profile_rejects_bool_and_non_real_bandwidth(self, bandwidth):
+    @pytest.mark.parametrize("bandwidth", [True, False, "1", None, 1j, math.nan, math.inf],
+                             ids=["true", "false", "string", "none", "complex", "nan", "inf"])
+    def test_rejects_bool_and_non_real_bandwidth(self, bandwidth):
         # bandwidth=True built a bandwidth of 1, and a string raised a bare TypeError
+        params = ModeParams(0.0, 0.0, 0.5)
         with pytest.raises(ValueError, match="bandwidth must be a finite real number"):
-            SincProfile(0.5, bandwidth=bandwidth)
-        assert SincProfile(0.5, bandwidth=np.float64(1e-10)).mode_params(1e4) == SincProfile(0.5, 1e-10).mode_params(1e4)
+            GainProfile(params, bandwidth=bandwidth)
+        assert GainProfile(params, np.float64(1e-10)).mode_params(1e4) == GainProfile(params, 1e-10).mode_params(1e4)
 
-    @pytest.mark.parametrize("params", [ModeParams(0.0, 0.0, 800.0), ModeParams(1e10, 0.0, 355.0)],
-                             ids=["cosh-overflows", "product-overflows"])
-    def test_constant_profile_rejects_overflowing_peak(self, params):
-        # math.cosh(800) raises OverflowError; at 355 u v is finite and the seed factor overflows it
-        with pytest.raises(ValueError, match="peak correlation amplitude overflows"):
-            ConstantProfile(params)
-        assert math.isfinite(correlation_amplitude(0.0, ConstantProfile(ModeParams(0.0, 0.0, 354.0))))
-
-
-class TestSincAmplitudes:
-    """The array form of SincProfile.correlation_amplitudes against the scalar
-    correlation_amplitude route through mode_params."""
+    @pytest.mark.parametrize("params, bandwidth", [(ModeParams(0.0, 0.0, 800.0), 0.0),
+                                                   (ModeParams(1e10, 0.0, 355.0), 0.0),
+                                                   (ModeParams(0.0, 0.0, 400.0), 1e-12)],
+                             ids=["cosh-overflows", "product-overflows", "sinc-peak-overflows"])
+    def test_rejects_overflowing_peak(self, params, bandwidth):
+        # math.cosh(800) raises OverflowError; at 355 u v is finite and the seed factor overflows it;
+        # |sinc| <= 1, so the peak is where a sinc profile overflows first
+        with pytest.raises(ValueError, match=r"peak correlation amplitude overflows at coupling .*mu_t .*mu_r"):
+            GainProfile(params, bandwidth)
+        for finite in (GainProfile(ModeParams(0.0, 0.0, 354.0)), GainProfile(ModeParams(0.0, 0.0, 300.0), 1e-12)):
+            assert np.isfinite(finite.correlation_amplitudes(np.zeros(1))).all()
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.floats(0.0, 5.0), st.one_of(st.floats(-1e-8, 1e-8), st.floats(-1e300, 1e300)),
+        st.integers(1, 64), st.floats(1e-3, 1e7), st.floats(0.0, 5.0),
+        st.one_of(st.just(0.0), st.floats(-1e-8, 1e-8), st.floats(-1e300, 1e300)),
         st.floats(0.0, 10.0), st.floats(0.0, 10.0),
-        st.lists(st.floats(-1e7, 1e7), min_size=1, max_size=20),
     )
-    def test_matches_scalar_route(self, kappa0, bandwidth, mu_t, mu_r, q):
-        prof = SincProfile(kappa0=kappa0, bandwidth=bandwidth, mu_t=mu_t, mu_r=mu_r)
-        q = np.array(q)
-        want = np.array([correlation_amplitude(float(qi), prof) for qi in q])
-        got = prof.correlation_amplitudes(q)
-        # relative, down to the subnormal range, where values carry fewer digits
-        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want) + np.finfo(float).tiny)
-
-    @pytest.mark.filterwarnings("error")
-    def test_overflowing_argument_gives_zero(self):
-        prof = SincProfile(kappa0=0.9, bandwidth=1e300)
-        q = [-1e200, -1.0, 0.0, 1e-200, 1e200]
-        got = prof.correlation_amplitudes(np.array(q))
-        want = np.array([correlation_amplitude(qi, prof) for qi in q])
-        assert got[[0, 4]].tolist() == want[[0, 4]].tolist() == [0.0, 0.0]
-        assert np.abs(got - want).max() <= 1e-14 * want.max() and want[2] > 0.0
-
-    def test_overflowing_peak_rejected(self):
-        # 1/2 sinh(2 kappa0) overflows above kappa0 ~ 355, where the scalar route raises or gives inf
-        with pytest.raises(ValueError, match="kappa0 400.0 is too large"):
-            SincProfile(kappa0=400.0, bandwidth=1e-12)
-        assert np.isfinite(SincProfile(kappa0=300.0, bandwidth=1e-12).correlation_amplitudes(np.zeros(1))).all()
+    @example(8, 1e4, 0.9, 0.0, 0.0, 0.0)
+    @example(8, 1e4, 0.9, 1e-10, 0.3, 0.1)
+    def test_amplitudes_are_even_and_match_mode_params(self, n_half, dq, coupling, bandwidth, mu_t, mu_r):
+        # the evenness g2_map and ghost_diffraction take, bit for bit, and C_q of mode_params(q) exactly
+        prof = GainProfile(ModeParams(mu_t, mu_r, coupling), bandwidth)
+        q = MomentumGrid(n_half, dq).values
+        c = prof.correlation_amplitudes(q)
+        assert c.tolist() == c[::-1].tolist() == prof.correlation_amplitudes(q[::-1]).tolist()
+        assert c.tolist() == [amplitude(prof, qi) for qi in q.tolist()]
 
 
 class TestTransferFunctions:
@@ -429,7 +432,7 @@ class TestG2Map:
         assert g.values.max() == 0.0
 
     def test_uncoupled_source_dark_map(self):
-        off = ConstantProfile(ModeParams(0.0, 0.0, 0.0))
+        off = GainProfile(ModeParams(0.0, 0.0, 0.0))
         g = g2_map(IMAGING, self.obj, off, self.qgrid, self.x_r, self.x_t)
         assert g.values.max() == 0.0
 
@@ -438,23 +441,24 @@ class TestG2Map:
         assert g.values.min() >= 0.0
 
     def test_scaling_is_quadratic(self):
-        strong = ConstantProfile(ModeParams.from_npdc(0.0, 0.0, 4.0))
-        weak = ConstantProfile(ModeParams.from_npdc(0.0, 0.0, 1.0))
-        ratio = (
-            correlation_amplitude(0.0, strong) / correlation_amplitude(0.0, weak)
-        ) ** 2
+        strong = GainProfile(ModeParams.from_npdc(0.0, 0.0, 4.0))
+        weak = GainProfile(ModeParams.from_npdc(0.0, 0.0, 1.0))
+        ratio = (amplitude(strong, 0.0) / amplitude(weak, 0.0)) ** 2
         g_strong = g2_map(IMAGING, self.obj, strong, self.qgrid, self.x_r, self.x_t)
         g_weak = g2_map(IMAGING, self.obj, weak, self.qgrid, self.x_r, self.x_t)
         assert np.allclose(g_strong.values, ratio * g_weak.values, rtol=1e-12)
 
-    def test_rejects_asymmetric_profile(self):
-        class Lopsided(GainProfile):
-            def correlation_amplitudes(self, q):
-                return np.where(q >= 0, 0.3, 0.1)
-
-        lopsided = Lopsided()
-        with pytest.raises(ValueError, match="even"):
-            g2_map(IMAGING, self.obj, lopsided, self.qgrid, self.x_r, self.x_t)
+    @pytest.mark.parametrize("f_t", [None, 0.1], ids=["object-plane", "fourier-lens"])
+    def test_overflowing_map_raises(self, f_t):
+        # the demo ghost-image grids at coupling 300: C(0) is finite, |F|^2 is not.  g2_map
+        # warned "overflow encountered in square" and returned a map whose peak was NaN
+        qgrid = MomentumGrid(512, 2454.3692606171526)
+        x_t, x_r = np.linspace(-256e-6, 256e-6, 512), np.linspace(-768e-6, 768e-6, 512)
+        hot = GainProfile(ModeParams(0.0, 0.0, 300.0))
+        geometry = replace(IMAGING, f_t=f_t)
+        for build in (g2_map, ghost_image):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                build(geometry, double_slit(x_t, SLIT, 160e-6), hot, qgrid, x_r, x_t)
 
     def test_fft_engine_matches_direct(self):
         # (D/d3) x_r steps by k x_t steps: k = -1 on the matched grids, +1 reversed, +-2 on every
@@ -779,8 +783,8 @@ class TestGhostImage:
         assert values.min() > 0.9
 
     def test_entanglement_independent_shape(self):
-        entangled = ConstantProfile(ModeParams.from_npdc(0.0, 0.0, 1.0))
-        separable = ConstantProfile(ModeParams.from_npdc(5.0, 5.0, 0.5))
+        entangled = GainProfile(ModeParams.from_npdc(0.0, 0.0, 1.0))
+        separable = GainProfile(ModeParams.from_npdc(5.0, 5.0, 0.5))
         img_e = ghost_image(IMAGING, self.obj, entangled, self.qgrid, self.x_r, self.x_t)
         img_s = ghost_image(IMAGING, self.obj, separable, self.qgrid, self.x_r, self.x_t)
         assert np.abs(img_e.normalized - img_s.normalized).max() < 1e-12
@@ -922,8 +926,8 @@ class TestTransformRouteProperty:
         geometry = GhostGeometry(wavelength=LAM, d1=d1, d2=d2, d3=d3, f_r=f_r, f_t=f_t)
         qg = MomentumGrid(n_half, 2 * np.pi / (window * SLIT))
         # sinc: first zero at a fraction `strength` of the momentum window
-        profile = (SincProfile(kappa0=0.9, bandwidth=math.pi / (strength * n_half * qg.dq) ** 2) if sinc
-                   else ConstantProfile(ModeParams.from_npdc(0.0, 0.0, 4.0 * strength)))
+        profile = (GainProfile(ModeParams(0.0, 0.0, 0.9), math.pi / (strength * n_half * qg.dq) ** 2) if sinc
+                   else GainProfile(ModeParams.from_npdc(0.0, 0.0, 4.0 * strength)))
         matched_x_r, x_t = matched_image_grids(geometry, qg)
         # a stretch of 1e-6 or more moves the far phases of x_r off the lattice by far more than pi 1e-9
         x_r = matched_x_r[::stride] * (1.0 if stretch is None else 1.0 + stretch)
@@ -1066,10 +1070,10 @@ class TestValidateFactorization:
         assert checks[0].moment_error <= checks[0].tolerance
 
     def test_profile_sampling_at_multiple_momenta(self):
-        prof = SincProfile(kappa0=0.5, bandwidth=1e-10, mu_t=0.2, mu_r=0.1)
+        prof = GainProfile(ModeParams(0.2, 0.1, 0.5), bandwidth=1e-10)
         checks = validate_factorization([prof.mode_params(q) for q in (0.0, 5e4, 9e4)], cutoff=25)
         assert len(checks) == 3
         assert all(c.passed for c in checks)
         # the anomalous moment follows the profile's correlation amplitude
         for q, c in zip((0.0, 5e4, 9e4), checks):
-            assert c.cross_expected == pytest.approx(correlation_amplitude(q, prof), rel=1e-14)
+            assert c.cross_expected == pytest.approx(amplitude(prof, q), rel=1e-14)

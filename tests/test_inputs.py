@@ -19,18 +19,21 @@ from hypothesis import strategies as st
 
 import thermalpdc
 from thermalpdc import (
-    ConstantProfile,
+    GainProfile,
     GhostGeometry,
     ModeParams,
     MomentumGrid,
     SampledObject,
     build_covariance,
+    check_separability,
     correlation_index,
     cross_covariance,
     double_slit,
     matched_image_grids,
     noise_reduction_factor,
     noise_reduction_threshold,
+    predicted_moments,
+    separability_margin,
 )
 
 IMAGING = GhostGeometry(wavelength=0.7e-6, d1=0.1, d2=0.1, d3=0.6, f_r=0.15)
@@ -42,7 +45,7 @@ PAIR = ModeParams(0.1, 0.2, 0.1)
 def ghost_call():
     """Keyword arguments of a small matched g2_map or ghost_image call."""
     return dict(geometry=IMAGING, obj=double_slit(X_T, 40e-6, 160e-6),
-                profile=ConstantProfile(ModeParams.from_npdc(0.0, 0.0, 1.0)), qgrid=QGRID, x_r=X_R, x_t=X_T)
+                profile=GainProfile(ModeParams.from_npdc(0.0, 0.0, 1.0)), qgrid=QGRID, x_r=X_R, x_t=X_T)
 
 
 # public name -> (keyword arguments of a valid call, the physics parameters among them)
@@ -69,11 +72,10 @@ PHYSICS = {
         ("wavelength", "d1", "d2", "d3", "f_r", "f_t"),
     ),
     "MomentumGrid": (lambda: dict(n_half=16, dq=1e4), ("n_half", "dq")),
-    "SincProfile": (
-        lambda: dict(kappa0=0.9, bandwidth=1e-10, mu_t=0.5, mu_r=0.2, phase=0.1),
-        ("kappa0", "bandwidth", "mu_t", "mu_r", "phase"),
-    ),
-    "correlation_amplitude": (lambda: dict(q=1e4, profile=ConstantProfile(PAIR)), ("q",)),
+    "GainProfile": (lambda: dict(params=ModeParams(0.5, 0.2, 0.9, 0.1), bandwidth=1e-10), ("params", "bandwidth")),
+    # methods are called unbound, with self among the keyword arguments
+    "GainProfile.mode_params": (lambda: dict(self=GainProfile(PAIR, 1e-10), q=1e4), ("q",)),
+    "GainProfile.correlation_amplitudes": (lambda: dict(self=GainProfile(PAIR, 1e-10), q=QGRID.values), ("q",)),
     "g2_map": (ghost_call, ("x_r", "x_t")),
     "ghost_image": (ghost_call, ("x_r", "x_t")),
     "SampledObject": (lambda: dict(x=X_T, t=np.ones(X_T.size)), ("x", "t")),
@@ -86,8 +88,6 @@ PHYSICS = {
 NO_PHYSICS_VALUE = {
     "SYMPLECTIC_FORM": "a constant",
     "GeometryError": "an exception class",
-    "GainProfile": "an abstract base; its subclasses are walked",
-    "ConstantProfile": "takes a ModeParams, which checks its numbers, and refuses anything else",
     "SeparabilityVerdict": "a result record",
     "MomentSet": "a result record",
     "FactorizationCheck": "a result record",
@@ -113,8 +113,10 @@ NO_PHYSICS_VALUE = {
     **dict.fromkeys(("correlations", "fock", "gaussian", "ghost", "objects"), "a submodule, whose public names are these"),
 }
 
-CASES = [(name, param) for name in [*thermalpdc.__all__, "ModeParams.from_npdc"] if name in PHYSICS
-         for param in PHYSICS[name][1]]
+# public methods that take physics values of their own
+METHODS = ("ModeParams.from_npdc", "GainProfile.mode_params", "GainProfile.correlation_amplitudes")
+
+CASES = [(name, param) for name in [*thermalpdc.__all__, *METHODS] if name in PHYSICS for param in PHYSICS[name][1]]
 
 BAD = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, True, False, np.True_, None]),
@@ -165,7 +167,7 @@ def public(name):
 
 
 def test_every_public_name_is_walked_or_takes_no_physics_value():
-    assert set(PHYSICS) - {"ModeParams.from_npdc"} | set(NO_PHYSICS_VALUE) == set(thermalpdc.__all__)
+    assert set(PHYSICS) - set(METHODS) | set(NO_PHYSICS_VALUE) == set(thermalpdc.__all__)
     assert not set(PHYSICS) & set(NO_PHYSICS_VALUE)
 
 
@@ -220,8 +222,12 @@ def test_noise_reduction_threshold_refuses_an_overflow(mu_t, mu_r):
     assert math.isfinite(threshold)
 
 
-@pytest.mark.parametrize("closed_form", [cross_covariance, correlation_index, noise_reduction_factor],
-                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "closed_form",
+    [cross_covariance, correlation_index, noise_reduction_factor, separability_margin, build_covariance,
+     predicted_moments],
+    ids=lambda f: f.__name__,
+)
 @settings(max_examples=50, deadline=None)
 @given(mu_t=st.one_of(st.just(0.0), HUGE), mu_r=st.one_of(st.just(0.0), HUGE), coupling=st.floats(0.0, 1000.0))
 @example(mu_t=1e200, mu_r=1e200, coupling=0.5)
@@ -233,4 +239,28 @@ def test_correlation_closed_forms_refuse_an_overflow(closed_form, mu_t, mu_r, co
     except ValueError as exc:
         assert re.search(r"\bmu_t\b.*\bmu_r\b.*\bcoupling\b", str(exc)), str(exc)
         return
-    assert value is None or math.isfinite(value)
+    assert value is None or all(np.isfinite(array).all() for array in numbers_in(value))
+
+
+@pytest.mark.parametrize("params", [ModeParams(1e200, 1e200, 0.5), ModeParams(0.0, 0.0, 800.0)],
+                         ids=["seeds-overflow", "gain-overflows"])
+def test_separability_verdict_refuses_an_overflow(params):
+    # the margin read inf, so check_separability reported separable=True, margin=inf; at coupling
+    # 800 the margin and the covariance raised a bare OverflowError
+    for closed_form in (separability_margin, check_separability):
+        with pytest.raises(ValueError, match=r"\bmu_t\b.*\bmu_r\b.*\bcoupling\b"):
+            closed_form(params)
+
+
+@settings(max_examples=50, deadline=None)
+@given(mu_t=st.one_of(st.just(0.0), HUGE), mu_r=st.one_of(st.just(0.0), HUGE), coupling=st.floats(0.0, 1000.0),
+       bandwidth=st.sampled_from([0.0, 1e-10]))
+@example(mu_t=0.0, mu_r=0.0, coupling=800.0, bandwidth=0.0)
+@example(mu_t=1e10, mu_r=0.0, coupling=355.0, bandwidth=1e-10)
+def test_gain_profile_refuses_an_overflowing_peak(mu_t, mu_r, coupling, bandwidth):
+    try:
+        profile = GainProfile(ModeParams(mu_t, mu_r, coupling), bandwidth)
+    except ValueError as exc:
+        assert re.search(r"\bcoupling\b.*\bmu_t\b.*\bmu_r\b", str(exc)), str(exc)
+        return
+    assert np.isfinite(profile.correlation_amplitudes(QGRID.values)).all()

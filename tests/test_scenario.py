@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from thermalpdc import correlations, ghost
-from thermalpdc.artifacts import sha256_of, write_csv, write_pgm
+from thermalpdc.artifacts import write_csv, write_pgm
 from thermalpdc.scenario import ScenarioError, main, parse_config, run, validate_config
 
 NRF_SWEEP = {
@@ -153,7 +154,7 @@ class TestRunSweeps:
         assert lines[0] == "mu_t,mu_r,n_pdc,tau,gamma,nrf,margin,separable"
         assert len(lines) == 1 + 9 * 2
         listed = {entry["path"]: entry["sha256"] for entry in manifest["files"]}
-        assert listed["correlations.csv"] == sha256_of(csv_path)
+        assert listed["correlations.csv"] == hashlib.sha256(csv_path.read_bytes()).hexdigest()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -327,7 +328,7 @@ class TestPgmWriter:
         assert not m.flags.c_contiguous
         digests = [write_pgm(tmp_path / "f.pgm", unit_map(m)), write_pgm(tmp_path / "c.pgm", unit_map(np.ascontiguousarray(m)))]
         assert (tmp_path / "f.pgm").read_bytes() == (tmp_path / "c.pgm").read_bytes()
-        assert digests == [sha256_of(tmp_path / "c.pgm")] * 2
+        assert digests == [hashlib.sha256((tmp_path / "c.pgm").read_bytes()).hexdigest()] * 2
 
     @pytest.mark.parametrize(
         "shape, order, fill",
@@ -348,7 +349,7 @@ class TestPgmWriter:
         path = tmp_path / "m.pgm"
         digest = write_pgm(path, unit_map(m))
         assert path.read_bytes() == pgm_reference(m)
-        assert digest == sha256_of(path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_peak_memory_is_bounded(self, tmp_path):
         # the map is scaled a block of rows at a time: no full-size float or uint8 copy
@@ -439,7 +440,7 @@ class TestCsvWriter:
         writer.writerows(("" if x != x else repr(x), str(y), "true" if z else "false")
                          for x, y, z in zip(a.tolist(), b.tolist(), c.tolist()))
         assert path.read_bytes() == text.getvalue().encode()
-        assert digest == sha256_of(path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
     @settings(max_examples=300, deadline=None)
     @given(csv_columns())
@@ -452,7 +453,7 @@ class TestCsvWriter:
             path = Path(tmp) / "t.csv"
             digest = write_csv(path, columns)
             assert path.read_bytes() == csv_reference(columns)
-            assert digest == sha256_of(path)
+            assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\rb", "a\nb"])
     def test_rejects_a_name_that_needs_quoting(self, tmp_path, name):
@@ -712,7 +713,7 @@ class TestManifestDigests:
         manifest = run(cfg, out_dir=tmp_path)
         for entry in manifest["files"]:
             path = tmp_path / entry["path"]
-            assert entry["sha256"] == sha256_of(path)
+            assert entry["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
             assert entry["bytes"] == path.stat().st_size
 
 
