@@ -5,9 +5,11 @@ Gaussian-level results.  The pair generator
 kappa (e^{i phase} a_T^dag a_R^dag - h.c.) only adds or removes photon
 pairs, so it never changes the photon-number difference d = n_T - n_R and
 acts on each band of fixed d as a tridiagonal matrix that only couples
-even rungs to odd ones.  Each band is evolved by one unitary, built from one
-SVD of that even-odd coupling, and the thermal mixture of inputs on the band
-is U diag(w) U^dag.
+even rungs to odd ones.  Once rung r of a band carries the gauge
+e^{i phase r}, that matrix is kappa K with K real antisymmetric, so each
+band is evolved by one real orthogonal matrix O = e^{kappa K}, built from
+one SVD of K's even-odd block, and the thermal mixture of inputs on the
+band is e^{i phase (r - r')} (O diag(w) O^T)[r, r'].
 
 The generator is padded beyond the band's rungs so that its truncation
 edge does not reflect weight back into them.  The padding starts at
@@ -44,8 +46,8 @@ from .gaussian import ModeParams, _real, _refuse_overflow, build_covariance
 # Floating-point floor added to 10x the trace deficit in validate_factorization.
 FACTORIZATION_TOL_FLOOR = 1e-8
 # Largest weighted amplitude a padded band evolution may carry into the last
-# two rungs of its generator (see _edge_amplitudes), and the padding, in
-# rungs, that the first band tries.
+# two rungs of its generator (rows -2 and -1 of _evolution), and the
+# padding, in rungs, that the first band tries.
 EDGE_TOLERANCE = 1e-15
 FIRST_PAD = 8
 
@@ -116,12 +118,14 @@ class MomentSet:
 def evolve_thermal_pair(p: ModeParams, cutoff: int, max_trace_deficit: float = 1e-6) -> TwoModeFockState:
     """Output state for thermal seeds of means p.mu_t and p.mu_r.
 
-    Band d is U diag(w) U^dag, with w the product of geometric input weights
-    P(n) = mu^n / (1 + mu)^(n+1) of its rungs within the cutoff and U the
-    pair evolution on those rungs.  Raises ValueError for a cutoff or
-    max_trace_deficit out of range or if the input tails beyond the cutoff
-    exceed a tenth of max_trace_deficit (see input_tail_problem), and if the
-    trace deficit exceeds max_trace_deficit in magnitude.
+    Band d is e^{i phase (r - r')} (O diag(w) O^T)[r, r'], with w the product
+    of geometric input weights P(n) = mu^n / (1 + mu)^(n+1) of its rungs
+    within the cutoff and O the real pair evolution on those rungs (see
+    _evolution), so the pump phase enters only through that gauge.  Raises
+    ValueError for a cutoff or max_trace_deficit out of range or if the
+    input tails beyond the cutoff exceed a tenth of max_trace_deficit (see
+    input_tail_problem), and if the trace deficit exceeds max_trace_deficit
+    in magnitude.
     """
     problem = input_tail_problem(p.mu_t, p.mu_r, cutoff, max_trace_deficit)
     if problem:
@@ -130,6 +134,9 @@ def evolve_thermal_pair(p: ModeParams, cutoff: int, max_trace_deficit: float = 1
     w_t = _thermal_weights(p.mu_t, cutoff)
     w_r = _thermal_weights(p.mu_r, cutoff)
     bands = [None] * (2 * cutoff + 1)
+    # e^{i phase (r - r')} for rungs r, r' < dim, a view of the 2 dim - 1 phases it takes
+    phases = np.exp(1j * p.phase * np.arange(-cutoff, dim))
+    gauge = np.lib.stride_tricks.sliding_window_view(phases, dim)[:, ::-1]
     pad = min(FIRST_PAD, dim)
     for gap in range(dim):
         side = dim - gap
@@ -142,14 +149,14 @@ def evolve_thermal_pair(p: ModeParams, cutoff: int, max_trace_deficit: float = 1
         # either band, is within EDGE_TOLERANCE (a NaN weight fails the check);
         # at cutoff + 1 it stops growing
         top = np.maximum(weights[gap], weights[-gap])
-        factors = _band_svd(gap, (side + pad + 1) // 2)
-        while pad < dim and not _edge_amplitudes(p, factors, side) @ top <= EDGE_TOLERANCE:
+        o = _evolution(p, _band_svd(gap, (side + pad + 1) // 2), side)
+        while pad < dim and not (np.abs(o[-2]) + np.abs(o[-1])) @ top <= EDGE_TOLERANCE:
             pad = min(2 * pad, dim)
-            if (side + pad + 1) // 2 != len(factors[1]):  # else the padded generator is unchanged
-                factors = _band_svd(gap, (side + pad + 1) // 2)
-        u = _band_unitary(p, factors, side)
+            if 2 * ((side + pad + 1) // 2) != len(o):  # else the padded generator is unchanged
+                o = _evolution(p, _band_svd(gap, (side + pad + 1) // 2), side)
+        kept = o[:side]
         for d, w in weights.items():
-            bands[d + cutoff] = (u * w) @ u.conj().T
+            bands[d + cutoff] = gauge[:side, :side] * ((kept * w) @ kept.T)
     deficit = 1.0 - sum(float(np.trace(band).real) for band in bands)
     if abs(deficit) > max_trace_deficit:
         raise ValueError(
@@ -159,65 +166,47 @@ def evolve_thermal_pair(p: ModeParams, cutoff: int, max_trace_deficit: float = 1
 
 
 def _band_svd(gap: int, h: int):
-    """SVD B = P Sigma Q^T of the even-odd coupling of the bands d = +-gap on 2 h rungs.
+    """SVD B = P Sigma Q^T of the even-odd block of the generator K of the bands d = +-gap.
 
-    B[j, j] couples rung 2 j to 2 j + 1 and B[j + 1, j] couples 2 j + 1 to
-    2 j + 2, with sqrt((r + 1)(r + 1 + gap)) between rungs r and r + 1.
-    evolve_thermal_pair takes h = (side + pad + 1) // 2, so the generator is
-    padded by pad or pad + 1 rungs beyond the band's side rungs.
+    On 2 h rungs K = L - L^T, with L raising rung r by
+    sqrt((r + 1)(r + 1 + gap)), so B[j, j] = K[2 j, 2 j + 1] is negative and
+    B[j + 1, j] = K[2 j + 2, 2 j + 1] positive.  evolve_thermal_pair takes
+    h = (side + pad + 1) // 2, so the generator is padded by pad or pad + 1
+    rungs beyond the band's side rungs.
     """
     r = np.arange(2 * h - 1)
     off = np.sqrt((r + 1.0) * (r + 1.0 + gap))
-    return np.linalg.svd(np.diag(off[::2]) + np.diag(off[1::2], -1))
+    return np.linalg.svd(np.diag(-off[::2]) + np.diag(off[1::2], -1))
 
 
-def _band_unitary(p: ModeParams, factors, side: int) -> np.ndarray:
-    """Pair evolution among the bottom side rungs of the bands d = +-gap.
+def _evolution(p: ModeParams, factors, side: int) -> np.ndarray:
+    """O = e^{kappa K} on all 2 h rungs of the padded generator, from each of
+    the bottom side rungs of the bands d = +-gap: a float64 array of shape
+    (2 h, side).
 
-    factors is _band_svd(gap, h), from the generator on 2 h >= side rungs.
-    Conjugated by D = diag(e^{i r (phase + pi/2)}) the generator becomes
-    -i kappa S with S real symmetric, and S only couples even rungs to odd
-    ones: in that order
-    S = [[0, B], [B^T, 0]] with B square of side h.  From the SVD
-    B = P Sigma Q^T, e^{-i kappa S} has even block P cos(kappa Sigma) P^T,
-    odd block Q cos(kappa Sigma) Q^T and even-odd block
-    -i P sin(kappa Sigma) Q^T, so one SVD of side h replaces an
+    factors is _band_svd(gap, h).  K only couples even rungs to odd ones: in
+    that order K = [[0, B], [-B^T, 0]] with B square of side h.  From the SVD
+    B = P Sigma Q^T, e^{kappa K} has even block P cos(kappa Sigma) P^T, odd
+    block Q cos(kappa Sigma) Q^T, even-odd block P sin(kappa Sigma) Q^T and
+    odd-even block -Q sin(kappa Sigma) P^T, so one SVD of side h replaces an
     eigendecomposition of side 2 h.  The diagonal blocks are written as
     identity plus correction, so an uncoupled pair stays exactly unevolved.
+    Rows 2 h - 2 and 2 h - 1 carry each kept rung's amplitude into the last
+    two rungs, where the truncated coupling to rung 2 h would start to
+    reflect weight back.
     """
     p_even, sigma, q_t = factors
-    p_even = p_even[: (side + 1) // 2]
-    q_odd = q_t[:, : side // 2].T
-    cos_m1 = -2.0 * np.sin(0.5 * p.coupling * sigma) ** 2
-    u = np.empty((side, side), dtype=complex)
-    u[::2, ::2] = np.eye(len(p_even)) + (p_even * cos_m1) @ p_even.T
-    u[1::2, 1::2] = np.eye(len(q_odd)) + (q_odd * cos_m1) @ q_odd.T
-    u[::2, 1::2] = -1j * ((p_even * np.sin(p.coupling * sigma)) @ q_odd.T)
-    u[1::2, ::2] = u[::2, 1::2].T
-    rotation = np.exp(1j * (p.phase + math.pi / 2.0) * np.arange(side))
-    return rotation[:, None] * u * rotation.conj()
-
-
-def _edge_amplitudes(p: ModeParams, factors, side: int) -> np.ndarray:
-    """|U[2 h - 2, k]| + |U[2 h - 1, k]| for each rung k < side, from the
-    SVD factors of _band_unitary(p, factors, side).
-
-    U is e^{-i kappa S} on all 2 h rungs of the padded generator, so these are
-    the amplitudes each kept input rung carries into its last two rungs,
-    where the truncated coupling to rung 2 h would start to reflect weight
-    back.  D only changes phases.  With 2 h >= side + 2 both rungs lie above
-    the band, so no identity term enters.
-    """
-    p_even, sigma, q_t = factors
+    q_odd = q_t.T
+    p_kept, q_kept = p_even[: (side + 1) // 2], q_odd[: side // 2]
     cos_m1 = -2.0 * np.sin(0.5 * p.coupling * sigma) ** 2
     sin = np.sin(p.coupling * sigma)
-    p_kept = p_even[: (side + 1) // 2]
-    q_kept = q_t[:, : side // 2].T
-    p_last, q_last = p_even[-1], q_t[:, -1]
-    edge = np.empty(side)
-    edge[::2] = np.abs(p_kept @ (p_last * cos_m1)) + np.abs(p_kept @ (q_last * sin))
-    edge[1::2] = np.abs(q_kept @ (p_last * sin)) + np.abs(q_kept @ (q_last * cos_m1))
-    return edge
+    o = np.empty((2 * len(sigma), side))
+    o[::2, ::2] = (p_even * cos_m1) @ p_kept.T
+    o[1::2, 1::2] = (q_odd * cos_m1) @ q_kept.T
+    o[::2, 1::2] = (p_even * sin) @ q_kept.T
+    o[1::2, ::2] = -(q_odd * sin) @ p_kept.T
+    o[range(side), range(side)] += 1.0
+    return o
 
 
 def input_tail_problem(mu_t, mu_r, cutoff: int, max_trace_deficit: float) -> str | None:

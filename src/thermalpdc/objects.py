@@ -105,17 +105,25 @@ def grating(x, period, duty=0.5, center=0.0) -> SampledObject:
 
 
 def load_object_csv(path) -> SampledObject:
-    """Read (x, re(t), im(t)) rows; a non-numeric first row is a header."""
+    """Read (x, re(t), im(t)) rows; a non-numeric first row is a header.
+
+    Blank rows are skipped.  Raises ValueError, naming the path and the row,
+    for any other row that is not three numbers.
+    """
     rows = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
+        reader = csv.reader(fh)
+        for row in reader:
             try:
-                rows.append((float(row[0]), float(row[1]), float(row[2])))
-            except (ValueError, IndexError):
-                if rows:
-                    raise ValueError(f"{path}: row {row} is not x, re(t), im(t)") from None
+                values = [float(field) for field in row]
+            except ValueError:
+                if reader.line_num == 1:  # a header
+                    continue
+                values = []
+            if len(values) == 3:
+                rows.append(values)
+            elif row:
+                raise ValueError(f"{path}: row {row} is not x, re(t), im(t)")
     if not rows:
         raise ValueError(f"no data rows in {path}")
     data = np.array(rows)

@@ -72,26 +72,37 @@ def fixed_pad_bands(p, cutoff, pad):
     dim = cutoff + 1
     w_t = fock._thermal_weights(p.mu_t, cutoff)
     w_r = fock._thermal_weights(p.mu_r, cutoff)
+    phases = np.exp(1j * p.phase * np.arange(-cutoff, dim))
+    gauge = np.lib.stride_tricks.sliding_window_view(phases, dim)[:, ::-1]
     bands = {}
     for gap in range(dim):
         side = dim - gap
-        u = fock._band_unitary(p, fock._band_svd(gap, padded_rungs(side, pad) // 2), side)
+        o = fock._evolution(p, fock._band_svd(gap, padded_rungs(side, pad) // 2), side)[:side]
         for d in {gap, -gap}:
             n_t, n_r = fock._rungs(d, dim)
-            bands[d] = (u * (w_t[n_t] * w_r[n_r])) @ u.conj().T
+            bands[d] = gauge[:side, :side] * ((o * (w_t[n_t] * w_r[n_r])) @ o.T)
     return [bands[d] for d in range(-cutoff, dim)]
 
 
 def spy_rungs(rungs):
-    """A stand-in for fock._band_unitary that records the generator rungs 2 h
-    of each call."""
-    band_unitary = fock._band_unitary
-    return lambda p, factors, side: rungs.append(2 * len(factors[1])) or band_unitary(p, factors, side)
+    """A stand-in for fock._evolution that keeps in rungs[gap] the generator
+    rungs 2 h of the last call for the bands d = +-gap: the evolution runs
+    once per trial padding, so calls are keyed by the band's side."""
+    evolution = fock._evolution
+    by_side = {}
+
+    def spy(p, factors, side):
+        by_side[side] = 2 * len(factors[1])
+        rungs[:] = [by_side[s] for s in sorted(by_side, reverse=True)]
+        return evolution(p, factors, side)
+
+    return spy
 
 
 class TestDenseReference:
-    def test_bands_match_dense_evolution(self):
-        coupling, phase, mu_t, mu_r = 0.45, 0.7, 0.3, 0.2
+    @pytest.mark.parametrize("phase", [0.0, 0.7])
+    def test_bands_match_dense_evolution(self, phase):
+        coupling, mu_t, mu_r = 0.45, 0.3, 0.2
         dim = 26
         state = evolve_thermal_pair(ModeParams(mu_t, mu_r, coupling, phase), dim - 1)
         u = brute_force_unitary(coupling, phase, dim)
@@ -168,8 +179,8 @@ class TestEvolveThermalPair:
 
     def test_reports_inflated_trace(self, monkeypatch):
         # a band evolution that gains weight shows as a negative deficit
-        band_unitary = fock._band_unitary
-        monkeypatch.setattr(fock, "_band_unitary", lambda *args: 1.01 * band_unitary(*args))
+        evolution = fock._evolution
+        monkeypatch.setattr(fock, "_evolution", lambda *args: 1.01 * evolution(*args))
         with pytest.raises(ValueError, match=r"trace deficit -2\.\d+e-02 exceeds .* in magnitude"):
             evolve_thermal_pair(ModeParams.from_npdc(0.5, 0.5, 0.3), 40)
 
@@ -191,7 +202,7 @@ class TestEvolveThermalPair:
         # cutoff + 1 rungs and equals a fixed padding of cutoff + 1 bit for bit
         p = ModeParams.from_npdc(3.0, 3.0, 1.0)
         rungs = []
-        monkeypatch.setattr(fock, "_band_unitary", spy_rungs(rungs))
+        monkeypatch.setattr(fock, "_evolution", spy_rungs(rungs))
         state = evolve_thermal_pair(p, 100, 1e-3)
         monkeypatch.undo()
         assert rungs == [padded_rungs(101 - gap, 101) for gap in range(101)]
@@ -204,7 +215,7 @@ class TestEvolveThermalPair:
         cfg = json.loads(DEMO_ORACLE.read_text())
         dim = cfg["cutoff"] + 1
         rungs = []
-        monkeypatch.setattr(fock, "_band_unitary", spy_rungs(rungs))
+        monkeypatch.setattr(fock, "_evolution", spy_rungs(rungs))
         evolve_thermal_pair(ModeParams.from_npdc(**cfg["params"]), cfg["cutoff"], ORACLE_MAX_TRACE_DEFICIT)
         assert len(rungs) == dim
         assert all(rungs[gap] < padded_rungs(dim - gap, dim) for gap in range(dim))
@@ -226,7 +237,7 @@ class TestEvolveThermalPair:
         # error shows in the trace deficit
         p = ModeParams.from_npdc(mu_t, mu_r, n_pdc, phase)
         rungs = []
-        with mock.patch.object(fock, "_band_unitary", spy_rungs(rungs)):
+        with mock.patch.object(fock, "_evolution", spy_rungs(rungs)):
             state = evolve_thermal_pair(p, cutoff, 10.0)
         at_cap = fixed_pad_bands(p, cutoff, cutoff + 1)
         doubled = fixed_pad_bands(p, cutoff, 2 * (cutoff + 1))
@@ -235,6 +246,28 @@ class TestEvolveThermalPair:
                 assert band.tobytes() == at_cap[d + cutoff].tobytes(), d
             else:
                 assert np.abs(band - doubled[d + cutoff]).max() < 1e-14, d
+
+    def test_phase_zero_bands_are_real(self):
+        # the pump phase enters only through the gauge e^{i phase (r - r')}
+        cfg = json.loads(DEMO_ORACLE.read_text())
+        state = evolve_thermal_pair(ModeParams.from_npdc(**cfg["params"]), cfg["cutoff"], 1e-3)
+        assert all(not band.imag.any() for band in state.bands)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(0.0, 3.0),
+        st.floats(0.0, 3.0),
+        st.floats(0.0, 1.0),
+        st.floats(-math.pi, math.pi),
+        st.integers(1, 40),
+    )
+    def test_phase_is_a_gauge(self, mu_t, mu_r, n_pdc, phase, cutoff):
+        state = evolve_thermal_pair(ModeParams.from_npdc(mu_t, mu_r, n_pdc, phase), cutoff, 10.0)
+        real = evolve_thermal_pair(ModeParams.from_npdc(mu_t, mu_r, n_pdc), cutoff, 10.0)
+        for band, at_zero in zip(state.bands, real.bands):
+            r = np.arange(len(band))
+            want = np.exp(1j * phase * (r[:, None] - r)) * at_zero
+            assert np.abs(band - want).max() <= 1e-15 * np.abs(at_zero).max()
 
     def test_band_layout(self):
         state = evolve_thermal_pair(ModeParams(0.3, 0.6, 0.4, 0.2), 7, max_trace_deficit=1e-2)

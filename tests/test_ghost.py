@@ -220,6 +220,18 @@ class TestSampledObject:
         assert np.allclose(obj.x, x)
         assert np.allclose(obj.t, t)
 
+    def test_csv_loader_takes_a_header_only_as_the_first_row(self, tmp_path):
+        path = tmp_path / "obj.csv"
+        path.write_text("x,re,im\nfoo,bar\n-1e-6,1,0\n0,1,0\n1e-6,1,0\n")
+        with pytest.raises(ValueError, match=r"obj\.csv: row \['foo', 'bar'\] is not x, re\(t\), im\(t\)"):
+            load_object_csv(path)
+
+    def test_csv_loader_refuses_extra_fields(self, tmp_path):
+        path = tmp_path / "obj.csv"
+        path.write_text("-1e-6,1,0\n0,1,0\n1e-6,1,0,99\n")
+        with pytest.raises(ValueError, match=r"obj\.csv: row \['1e-6', '1', '0', '99'\] is not x, re\(t\), im\(t\)"):
+            load_object_csv(path)
+
 
 class TestGeometry:
     def test_classification(self):

@@ -649,6 +649,9 @@ class TestRejectedAfterOk:
         table.write_text("x,re,im\n0.0,1.0,0.0\n1e-6,1.0\n")
         problems = validate_config(mutated(GHOST_IMAGE, {"object": {"type": "csv", "path": str(table)}}))
         assert problems == [f"field object.path: {table}: row ['1e-6', '1.0'] is not x, re(t), im(t)"]
+        table.write_text("x,re,im\n0.0,1.0,0.0\n1e-6,1.0,0.0,99\n")
+        problems = validate_config(mutated(GHOST_IMAGE, {"object": {"type": "csv", "path": str(table)}}))
+        assert problems == [f"field object.path: {table}: row ['1e-6', '1.0', '0.0', '99'] is not x, re(t), im(t)"]
         # a subnormal dq would make the default x_t span, one transform period, infinite
         tiny_dq = mutated(GHOST_DIFFRACTION, {"qgrid.dq": 1e-320})
         assert validate_config(tiny_dq) == [
