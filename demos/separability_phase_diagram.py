@@ -14,6 +14,7 @@ from thermalpdc import (
     check_separability,
     check_separability_lossy,
     noise_reduction_threshold,
+    sweep_columns,
 )
 
 
@@ -22,9 +23,8 @@ def main():
     print(f"{'n_pdc':>8} {'mu boundary (scan)':>20} {'mu^2/(1+2mu) = n_pdc':>22}")
     seeds = np.linspace(0.0, 8.0, 3201)
     for gain in (0.1, 1.0 / 3.0, 1.0, 3.0):
-        verdicts = [check_separability(ModeParams.from_npdc(m, m, gain)).separable for m in seeds]
-        first = next(i for i, ok in enumerate(verdicts) if ok)
-        mu_star = seeds[first]
+        separable = sweep_columns(seeds, seeds, gain)["separable"]
+        mu_star = seeds[np.argmax(separable)]  # the first separable seed
         implied = mu_star ** 2 / (1.0 + 2.0 * mu_star)
         print(f"{gain:8.3f} {mu_star:20.4f} {implied:22.4f}")
 

@@ -27,7 +27,6 @@ from .fock import (
     validate_factorization,
 )
 from .gaussian import (
-    SYMPLECTIC_FORM,
     CovarianceBlock,
     ModeParams,
     SeparabilityVerdict,
@@ -35,10 +34,7 @@ from .gaussian import (
     build_covariance,
     check_separability,
     check_separability_lossy,
-    covariance_with_phase,
-    partial_transpose,
     separability_margin,
-    symplectic_eigenvalues,
 )
 from .ghost import (
     DiffractionPattern,

@@ -10,8 +10,10 @@ Degenerate 0/0 points return None from the scalar functions and NaN from
 sweep_columns, which evaluates whole grids as arrays and is the one grid
 route.  Where a closed form overflows a float, the scalar functions raise
 ValueError naming their inputs, and sweep_columns FloatingPointError.
-The scalar functions here and gaussian.check_separability_lossy are the
-per-point reference it is tested against.
+Its per-point reference is the scalar closed forms here and, for the
+partial-transpose eigenvalue, a numerical symplectic spectrum in the tests;
+its separability columns come from the kernel that
+gaussian.check_separability_lossy calls at one point.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gaussian import ModeParams, _real, _reals, _refuse_overflow
+from .gaussian import ModeParams, _real, _reals, _refuse_overflow, _separability_columns
 
 
 def cross_covariance(p: ModeParams) -> float:
@@ -83,11 +85,9 @@ def sweep_columns(mu_t, mu_r, n_pdc, tau=1.0) -> dict[str, np.ndarray]:
     nrf_threshold, margin, separable (bool) and
     min_pt_symplectic_eigenvalue; gamma and nrf are NaN where they are
     0/0, and margin, separable and the eigenvalue are taken after the loss
-    tau.  The CSV schemas of the sweep scenarios are subsets of these keys.
-    That eigenvalue comes from the two-mode invariants of the partially
-    transposed lossy covariance (Simon, PRL 84, 2726 (2000); Serafini et al.,
-    J. Phys. B 37, L21 (2004)): nu_-^2 = 2 det V / (D + sqrt(D^2 - 4 det V))
-    with D = a^2 + b^2 + 2 c^2 and det V = (a b - c^2)^2.
+    tau, by gaussian._separability_columns, the kernel of
+    gaussian.check_separability_lossy.  The CSV schemas of the sweep
+    scenarios are subsets of these keys.
     """
     seeds_gain = (_reals(name, x, lambda v: v >= 0, ">= 0") for name, x in zip(("mu_t", "mu_r", "n_pdc"), (mu_t, mu_r, n_pdc)))
     arrays = np.broadcast_arrays(*seeds_gain, _reals("tau", tau, lambda v: (v > 0) & (v <= 1), "in (0, 1]"))
@@ -100,20 +100,10 @@ def sweep_columns(mu_t, mu_r, n_pdc, tau=1.0) -> dict[str, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma = np.where(denom2 == 0.0, np.nan, big_gamma / np.sqrt(denom2))
         nrf = np.where(nrf_denom == 0.0, np.nan, (mu_t * (1.0 + mu_t) + mu_r * (1.0 + mu_r)) / nrf_denom)
-    margin = tau ** 2 * (mu_t * mu_r - n * s)
-    # a, b, c: entries of gaussian.build_covariance after apply_loss.  a b - c^2
-    # (= sqrt(det V)) and D^2 - 4 det V = (a + b)^2 ((a - b)^2 + 4 c^2) are
-    # expanded into non-negative terms, so neither cancels near tau -> 0.
-    loss = (1.0 - tau) / 2.0
-    c2 = tau ** 2 * big_gamma
-    a_plus_b = tau * (1.0 + 2.0 * n) * s + 2.0 * loss
-    a_minus_b = tau * (mu_t - mu_r)
-    delta = (a_plus_b ** 2 + a_minus_b ** 2) / 2.0 + 2.0 * c2
-    root_det = tau ** 2 * (mu_t + 0.5) * (mu_r + 0.5) + tau * loss * (1.0 + 2.0 * n) * s + loss ** 2
-    nu_minus = np.sqrt(2.0 * root_det ** 2 / (delta + a_plus_b * np.sqrt(a_minus_b ** 2 + 4.0 * c2)))
+    margin, separable, nu_minus = _separability_columns(mu_t, mu_r, n, tau)
     return dict(
         mu_t=mu_t, mu_r=mu_r, n_pdc=n, tau=tau, gamma=gamma, cross_covariance=big_gamma, nrf=nrf,
-        nrf_threshold=(mu_t ** 2 + mu_r ** 2) / (2.0 * s), margin=margin, separable=margin >= 0.0,
+        nrf_threshold=(mu_t ** 2 + mu_r ** 2) / (2.0 * s), margin=margin, separable=separable,
         min_pt_symplectic_eigenvalue=nu_minus,
     )
 

@@ -6,7 +6,9 @@ characterized by a real symmetric 4x4 covariance matrix over the quadrature
 basis (X_T, Y_T, X_R, Y_R), with the vacuum normalized to identity/2.  This
 module builds that matrix from the physical inputs, applies a beam-splitter
 loss channel, and classifies separability through the positivity of the
-partial transpose.
+partial transpose, read from the two-mode invariants of the lossy matrix.
+One array kernel gives the verdict: check_separability_lossy calls it at one
+point and correlations.sweep_columns on a whole grid.
 """
 
 from __future__ import annotations
@@ -17,25 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Absolute tolerance on symplectic eigenvalues for physicality/separability
-# comparisons; relative tolerance on matrix symmetry checks.
+# Tolerances relative to a block's largest entry (at least 1): on the lowest
+# eigenvalue of V + i Omega / 2 in the physicality check, and on symmetry.
 EIGENVALUE_TOL = 1e-9
 SYMMETRY_RTOL = 1e-12
 
 # Margin below which a verdict sits numerically on the separability boundary.
 BOUNDARY_BAND = 1e-6
 
-# Symplectic form for one (T, R) pair in the (X_T, Y_T, X_R, Y_R) ordering:
-# omega = [[0, 1], [-1, 0]] on each mode.  SYMPLECTIC_FORM @ SYMPLECTIC_FORM
-# equals -identity.
-SYMPLECTIC_FORM = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
-)
+# Symplectic form of one (T, R) pair in the (X_T, Y_T, X_R, Y_R) ordering:
+# [[0, 1], [-1, 0]] on each mode.
+_OMEGA = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _real(name, value, ok=lambda v: True, rule="", kind=numbers.Real):
@@ -80,13 +74,15 @@ def _refuse_overflow(closed_form, what="the closed form", **inputs):
     """closed_form(), or ValueError naming what and the inputs when it
     overflows a float.
 
-    Python's float ** and math.sinh raise OverflowError where * gives inf;
-    either way no inf or NaN is returned, in a number or in a tuple of
-    them.  None, for a 0/0 point, passes.
+    Python's float ** and math.sinh raise OverflowError where * gives inf,
+    and numpy raises FloatingPointError here; either way no inf or NaN is
+    returned, in a number or in a tuple of them.  None, for a 0/0 point,
+    passes.
     """
     try:
-        value = closed_form()
-    except OverflowError:
+        with np.errstate(over="raise"):  # an inf inside can leave a finite result
+            value = closed_form()
+    except (OverflowError, FloatingPointError):
         value = math.inf
     if value is None or np.isfinite(value).all():
         return value
@@ -151,12 +147,15 @@ class CovarianceBlock:
         object.__setattr__(self, "matrix", m)
 
     def is_physical(self) -> bool:
-        """Both symplectic eigenvalues at or above the vacuum level 1/2; a
-        block that is not positive definite is unphysical."""
-        try:
-            return symplectic_eigenvalues(self)[0] >= 0.5 - EIGENVALUE_TOL
-        except ValueError:
-            return False
+        """The uncertainty relation V + i Omega / 2 >= 0, which holds exactly
+        when both symplectic eigenvalues are at or above the vacuum level 1/2.
+
+        The Hermitian matrix V + i Omega / 2 is positive semidefinite exactly
+        when its real form [[V, -Omega / 2], [Omega / 2, V]] is.
+        """
+        m, half = self.matrix, _OMEGA / 2.0
+        lowest = np.linalg.eigvalsh(np.block([[m, -half], [half, m]]))[0]
+        return lowest >= -EIGENVALUE_TOL * max(np.abs(m).max(), 1.0)
 
 
 @dataclass(frozen=True)
@@ -183,8 +182,8 @@ def build_covariance(p: ModeParams) -> CovarianceBlock:
     """Covariance matrix of the pair emerging from the seeded interaction.
 
     The pump phase is gauged away (a phase-space rotation of the Reference
-    mode), so the off-diagonal block is diagonal with entries (C, -C).  Use
-    covariance_with_phase to restore an explicit nonzero pump phase.
+    mode), so the off-diagonal block is diagonal with entries (C, -C).  That
+    local rotation changes neither the symplectic spectrum nor the verdict.
 
     Entries, with u = cosh|kappa| and v = sinh|kappa|:
 
@@ -216,25 +215,6 @@ def _covariance_entries(p: ModeParams):
     return a, b, c
 
 
-def _local_rotation(phase: float) -> np.ndarray:
-    """Symplectic rotation of the Reference-mode quadratures by `phase`."""
-    c, s = math.cos(phase), math.sin(phase)
-    out = np.eye(4)
-    out[2:, 2:] = [[c, -s], [s, c]]
-    return out
-
-
-def covariance_with_phase(p: ModeParams) -> CovarianceBlock:
-    """Covariance with the pump phase kept explicit.
-
-    Equals the zero-phase matrix conjugated by the symplectic rotation of the
-    Reference quadratures by p.phase, so symplectic spectra and the
-    separability verdict are unchanged.
-    """
-    r = _local_rotation(p.phase)
-    return CovarianceBlock(r @ build_covariance(p).matrix @ r.T)
-
-
 def apply_loss(block: CovarianceBlock, tau: float) -> CovarianceBlock:
     """Propagate through an overall transmission tau on both channels.
 
@@ -243,38 +223,6 @@ def apply_loss(block: CovarianceBlock, tau: float) -> CovarianceBlock:
     """
     _real("tau", tau, lambda v: 0 < v <= 1, "in (0, 1]")
     return CovarianceBlock(tau * block.matrix + (1.0 - tau) / 2.0 * np.eye(4))
-
-
-def partial_transpose(block: CovarianceBlock) -> CovarianceBlock:
-    """Covariance of the partially transposed state.
-
-    Transposing the Reference mode flips the sign of its momentum
-    quadrature, Y_R -> -Y_R; all other quadratures are untouched.  Applying
-    it twice returns the original matrix exactly.
-    """
-    flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    return CovarianceBlock(flip @ block.matrix @ flip)
-
-
-def symplectic_eigenvalues(block: CovarianceBlock) -> tuple[float, float]:
-    """Symplectic spectrum (nu1, nu2) of a 4x4 covariance block, ascending.
-
-    The eigenvalues of SYMPLECTIC_FORM @ V come in pairs +-i*nu; the
-    returned nu are their absolute values.  A physical state has both
-    >= 1/2.  With the Cholesky factor V = L L^T, SYMPLECTIC_FORM @ V is
-    similar to the real antisymmetric L^T SYMPLECTIC_FORM L, so the nu are
-    the moduli of the eigenvalues of the Hermitian i L^T SYMPLECTIC_FORM L;
-    a Hermitian eigensolver always converges, where the general one fails
-    on some lossy blocks near the vacuum.  Raises ValueError if the block
-    is not positive definite (no physical covariance is).
-    """
-    try:
-        chol = np.linalg.cholesky(block.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance block is not positive definite") from exc
-    nu = np.sort(np.abs(np.linalg.eigvalsh(1j * chol.T @ SYMPLECTIC_FORM @ chol)))
-    # pairs (nu1, nu1, nu2, nu2) after taking moduli
-    return float((nu[0] + nu[1]) / 2.0), float((nu[2] + nu[3]) / 2.0)
 
 
 def separability_margin(p: ModeParams) -> float:
@@ -294,12 +242,42 @@ def check_separability_lossy(p: ModeParams, tau: float) -> SeparabilityVerdict:
     """Classify the pair after an overall transmission tau on both arms.
 
     The verdict is the sign of the closed-form margin, tau^2 times the
-    lossless one, so it is independent of tau for every tau in (0, 1].  Also
-    computes the smallest symplectic eigenvalue of the partially transposed
-    lossy covariance; the two routes agree away from the boundary and tests
-    treat any disagreement as a failure.
+    lossless one, so it is independent of tau for every tau in (0, 1].  It
+    is the row of correlations.sweep_columns at this point, bit for bit:
+    both read _separability_columns.  Raises ValueError, naming the inputs,
+    where the margin or the eigenvalue overflows a float.
     """
-    lossy = apply_loss(build_covariance(p), tau)  # checks tau before tau ** 2 below reads it
-    margin = tau ** 2 * separability_margin(p)
-    nu_min = symplectic_eigenvalues(partial_transpose(lossy))[0]
-    return SeparabilityVerdict(margin >= 0.0, margin, nu_min)
+    tau = _real("tau", tau, lambda v: 0 < v <= 1, "in (0, 1]")
+    # one-element float arrays: numpy scalars do not round as the grid does
+    columns = _refuse_overflow(
+        lambda: _separability_columns(*(np.array([x], dtype=float) for x in (p.mu_t, p.mu_r, p.n_pdc, tau))),
+        **vars(p), tau=tau,
+    )
+    margin, separable, nu_minus = (column.item() for column in columns)
+    return SeparabilityVerdict(separable, margin, nu_minus)
+
+
+def _separability_columns(mu_t, mu_r, n, tau):
+    """margin, separable and nu_- at each point of float arrays of the seed
+    means, gains n_pdc and transmissions, after the loss tau.
+
+    nu_- is the smallest symplectic eigenvalue of the partially transposed
+    lossy covariance, from its two-mode invariants (Simon, PRL 84, 2726
+    (2000); Serafini et al., J. Phys. B 37, L21 (2004)):
+    nu_-^2 = 2 det V / (D + sqrt(D^2 - 4 det V)) with D = a^2 + b^2 + 2 c^2
+    and det V = (a b - c^2)^2.  An overflow gives inf, or raises
+    FloatingPointError under np.errstate(over="raise").
+    """
+    s = 1.0 + mu_t + mu_r
+    margin = tau ** 2 * (mu_t * mu_r - n * s)
+    # a, b, c: entries of build_covariance after apply_loss.  a b - c^2
+    # (= sqrt(det V)) and D^2 - 4 det V = (a + b)^2 ((a - b)^2 + 4 c^2) are
+    # expanded into non-negative terms, so neither cancels near tau -> 0.
+    loss = (1.0 - tau) / 2.0
+    c2 = tau ** 2 * (n * (1.0 + n) * s ** 2)
+    a_plus_b = tau * (1.0 + 2.0 * n) * s + 2.0 * loss
+    a_minus_b = tau * (mu_t - mu_r)
+    delta = (a_plus_b ** 2 + a_minus_b ** 2) / 2.0 + 2.0 * c2
+    root_det = tau ** 2 * (mu_t + 0.5) * (mu_r + 0.5) + tau * loss * (1.0 + 2.0 * n) * s + loss ** 2
+    nu_minus = np.sqrt(2.0 * root_det ** 2 / (delta + a_plus_b * np.sqrt(a_minus_b ** 2 + 4.0 * c2)))
+    return margin, margin >= 0.0, nu_minus

@@ -8,13 +8,13 @@ import math
 
 import numpy as np
 import pytest
+from gaussian_oracle import SYMPLECTIC_FORM, partial_transpose, symplectic_eigenvalues
 
 from thermalpdc import (
     GainProfile,
     GhostGeometry,
     ModeParams,
     MomentumGrid,
-    SYMPLECTIC_FORM,
     build_covariance,
     check_separability,
     check_separability_lossy,
@@ -26,11 +26,9 @@ from thermalpdc import (
     moments,
     noise_reduction_factor,
     noise_reduction_threshold,
-    partial_transpose,
     predicted_moments,
     separability_margin,
     single_slit,
-    symplectic_eigenvalues,
     validate_factorization,
 )
 

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from gaussian_oracle import partial_transpose, symplectic_eigenvalues
 
 from thermalpdc import (
     ModeParams,
+    apply_loss,
+    build_covariance,
     check_separability_lossy,
     correlation_index,
     cross_covariance,
@@ -244,7 +247,8 @@ TAUS = st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=3)
 
 
 class TestSweepColumns:
-    """The array route against the per-point reference route."""
+    """The array route against the scalar closed forms and the numerical
+    symplectic spectrum of the partially transposed lossy covariance."""
 
     @settings(max_examples=200, deadline=None)
     @given(AXIS, AXIS, AXIS, TAUS)
@@ -256,8 +260,13 @@ class TestSweepColumns:
             assert (columns["mu_t"][i], columns["mu_r"][i], columns["n_pdc"][i], columns["tau"][i]) == (mt, mr, n, tau)
             p = ModeParams.from_npdc(mt, mr, n)
             verdict = check_separability_lossy(p, tau)
+            # the scalar verdict is the sweep row at its own point, bit for bit
+            row = sweep_columns(p.mu_t, p.mu_r, p.n_pdc, tau)
+            assert (verdict.separable, verdict.margin, verdict.min_pt_symplectic_eigenvalue) == (
+                row["separable"][0], row["margin"][0], row["min_pt_symplectic_eigenvalue"][0])
             assert_close(columns["margin"][i], verdict.margin, 1e-12)
-            assert_close(columns["min_pt_symplectic_eigenvalue"][i], verdict.min_pt_symplectic_eigenvalue, 1e-9)
+            spectrum = symplectic_eigenvalues(partial_transpose(apply_loss(build_covariance(p), tau)))
+            assert_close(columns["min_pt_symplectic_eigenvalue"][i], spectrum[0], 1e-9)
             if abs(verdict.margin) > BOUNDARY_BAND:
                 assert columns["separable"][i] == verdict.separable
             assert_close(columns["cross_covariance"][i], cross_covariance(p), 1e-12)

@@ -489,7 +489,7 @@ def ladder_moment(state, powers):
 class TestCovarianceFromOracle:
     @pytest.mark.parametrize("phase", [0.0, 0.8])
     def test_full_covariance_matches_gaussian_construction(self, phase):
-        from thermalpdc import covariance_with_phase
+        from gaussian_oracle import covariance_with_phase
 
         p = ModeParams.from_npdc(0.5, 0.3, 0.4, phase)
         state = evolve_thermal_pair(p, 35)

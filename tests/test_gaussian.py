@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from thermalpdc import (
+from gaussian_oracle import (
     SYMPLECTIC_FORM,
+    _local_rotation,
+    covariance_with_phase,
+    partial_transpose,
+    symplectic_eigenvalues,
+)
+from thermalpdc import (
     CovarianceBlock,
     ModeParams,
     apply_loss,
     build_covariance,
     check_separability,
     check_separability_lossy,
-    covariance_with_phase,
-    gaussian,
-    partial_transpose,
     separability_margin,
-    symplectic_eigenvalues,
 )
 
 ASINH1 = math.asinh(1.0)
@@ -143,6 +145,27 @@ class TestCovarianceBlock:
             m[where] = bad
             with pytest.raises(ValueError, match="matrix must be finite real numbers"):
                 CovarianceBlock(m)
+
+    def test_is_physical_agrees_with_the_spectrum(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            v = build_covariance(ModeParams.from_npdc(*rng.uniform(0, 10, 3)))
+            for block in (v, apply_loss(v, rng.uniform(1e-3, 1.0))):
+                assert block.is_physical() == (symplectic_eigenvalues(block)[0] >= 0.5 - 1e-9)
+                # the partial transpose is unphysical exactly when the pair is entangled
+                nu_pt = symplectic_eigenvalues(partial_transpose(block))[0]
+                if abs(nu_pt - 0.5) > 1e-6:
+                    assert partial_transpose(block).is_physical() == (nu_pt >= 0.5)
+
+    @pytest.mark.parametrize(
+        "block",
+        [CovarianceBlock(np.diag([1.0, 1.0, 1.0, -1.0])), CovarianceBlock(np.zeros((4, 4))),
+         partial_transpose(build_covariance(ModeParams(0, 0, ASINH1)))],
+        ids=["indefinite", "zero", "transposed-squeezed-vacuum"],
+    )
+    def test_is_physical_rejects(self, block):
+        # the transposed squeezed vacuum is positive definite, with nu_- = (3 - 2 sqrt(2))/2 < 1/2
+        assert not block.is_physical()
 
 
 class TestApplyLoss:
@@ -336,7 +359,7 @@ class TestPhaseRotation:
         assert np.allclose(covariance_with_phase(p).matrix, build_covariance(p).matrix)
 
     def test_rotation_is_symplectic(self):
-        r = gaussian._local_rotation(0.83)
+        r = _local_rotation(0.83)
         assert np.allclose(r @ SYMPLECTIC_FORM @ r.T, SYMPLECTIC_FORM, atol=1e-14)
 
     def test_verdict_invariant_under_phase(self):

@@ -26,6 +26,7 @@ from thermalpdc import (
     SampledObject,
     build_covariance,
     check_separability,
+    check_separability_lossy,
     correlation_index,
     cross_covariance,
     double_slit,
@@ -86,7 +87,6 @@ PHYSICS = {
 
 # public name -> why it takes no physics value of its own
 NO_PHYSICS_VALUE = {
-    "SYMPLECTIC_FORM": "a constant",
     "GeometryError": "an exception class",
     "SeparabilityVerdict": "a result record",
     "MomentSet": "a result record",
@@ -96,15 +96,12 @@ NO_PHYSICS_VALUE = {
     "GhostImage": "a result record",
     "DiffractionPattern": "a result record",
     "build_covariance": "takes a ModeParams",
-    "covariance_with_phase": "takes a ModeParams",
     "separability_margin": "takes a ModeParams",
     "check_separability": "takes a ModeParams",
     "cross_covariance": "takes a ModeParams",
     "correlation_index": "takes a ModeParams",
     "noise_reduction_factor": "takes a ModeParams",
     "predicted_moments": "takes a ModeParams",
-    "partial_transpose": "takes a CovarianceBlock",
-    "symplectic_eigenvalues": "takes a CovarianceBlock",
     "moments": "takes a TwoModeFockState",
     "cross_amplitude": "takes a TwoModeFockState",
     "matched_image_grids": "takes a GhostGeometry and a MomentumGrid",
@@ -242,14 +239,33 @@ def test_correlation_closed_forms_refuse_an_overflow(closed_form, mu_t, mu_r, co
     assert value is None or all(np.isfinite(array).all() for array in numbers_in(value))
 
 
-@pytest.mark.parametrize("params", [ModeParams(1e200, 1e200, 0.5), ModeParams(0.0, 0.0, 800.0)],
-                         ids=["seeds-overflow", "gain-overflows"])
-def test_separability_verdict_refuses_an_overflow(params):
-    # the margin read inf, so check_separability reported separable=True, margin=inf; at coupling
-    # 800 the margin and the covariance raised a bare OverflowError
-    for closed_form in (separability_margin, check_separability):
-        with pytest.raises(ValueError, match=r"\bmu_t\b.*\bmu_r\b.*\bcoupling\b"):
-            closed_form(params)
+SEED = st.one_of(st.just(0.0), HUGE, st.floats(0.0, 1e20))
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["check_separability", "check_separability_lossy"])
+@settings(max_examples=100, deadline=None)
+@given(mu_t=SEED, mu_r=SEED, coupling=st.floats(0.0, 1000.0), tau=st.floats(0.0, 1.0, exclude_min=True))
+@example(mu_t=1e200, mu_r=1e200, coupling=0.5, tau=1.0)
+@example(mu_t=0.0, mu_r=0.0, coupling=800.0, tau=1.0)
+@example(mu_t=1e154, mu_r=0.0, coupling=0.5, tau=0.7)
+@example(mu_t=0.0, mu_r=0.0, coupling=354.0, tau=0.7)
+@example(mu_t=1e300, mu_r=0.0, coupling=0.5, tau=0.7)
+@example(mu_t=1e18, mu_r=0.0, coupling=0.5, tau=0.7)
+def test_separability_verdict_refuses_an_overflow(lossy, mu_t, mu_r, coupling, tau):
+    # the margin read inf (separable=True), or the Cholesky spectrum cancelled: nu_- 3.07e137 for the
+    # entangled (1e154, 0, 0.5), 1.0e291 at coupling 354, "not positive definite" at (1e300, 0, 0.5)
+    p = ModeParams(mu_t, mu_r, coupling)
+    try:
+        verdict = check_separability_lossy(p, tau) if lossy else check_separability(p)
+    except ValueError as exc:
+        assert re.search(r"\bmu_t\b.*\bmu_r\b.*\bcoupling\b", str(exc)), str(exc)
+        return
+    nu_minus, margin = verdict.min_pt_symplectic_eigenvalue, verdict.margin
+    assert math.isfinite(nu_minus) and math.isfinite(margin)
+    scale = (tau if lossy else 1.0) ** 2 * (mu_t * mu_r + p.n_pdc * (1.0 + mu_t + mu_r))
+    # nu_- resolves its distance from 1/2 only to a few ulps: at tau 5e-63, 0.5 - 2.6e-63 reads 0.5
+    if abs(margin) > 1e-9 * scale and abs(nu_minus - 0.5) > 1e-15:
+        assert (nu_minus >= 0.5) == (margin >= 0.0), verdict
 
 
 @settings(max_examples=50, deadline=None)
