@@ -6,27 +6,31 @@ kappa (e^{i phase} a_T^dag a_R^dag - h.c.) only adds or removes photon
 pairs, so it never changes the photon-number difference d = n_T - n_R and
 acts on each band of fixed d as a tridiagonal matrix that only couples
 even rungs to odd ones.  Once rung r of a band carries the gauge
-e^{i phase r}, that matrix is kappa K with K real antisymmetric, so each
-band is evolved by one real orthogonal matrix O = e^{kappa K}, built from
-one SVD of K's even-odd block, and the thermal mixture of inputs on the
-band is e^{i phase (r - r')} (O diag(w) O^T)[r, r'].
+e^{i phase r}, that matrix is kappa K with K real antisymmetric, and it
+depends on d only through the gap |d|.  So bands d and -d are evolved by
+one real orthogonal matrix O = e^{kappa K}, built from one SVD of K's
+even-odd block, and the thermal mixture of inputs on band d is
+e^{i phase (r - r')} (O diag(w_d) O^T)[r, r'].
 
 The generator is padded beyond the band's rungs so that its truncation
 edge does not reflect weight back into them.  The padding starts at
 FIRST_PAD rungs and doubles, up to cutoff + 1, until the thermally weighted
 amplitude that the padded evolution carries to its last two rungs is at
-most EDGE_TOLERANCE; each band starts from the previous band's padding.
+most EDGE_TOLERANCE; each gap starts from the previous gap's padding.
 Dim seeds keep a few rungs of padding; bright seeds, where that check does
 not pass, are padded by cutoff + 1 rungs.
 
 The output density matrix is truncated at a photon-number cutoff per mode.
 The truncated weight is reported as a trace deficit, never hidden.
 
-The output state is block diagonal with one block (band) per d.  It is kept
-as those 2 cutoff + 1 bands and never as the dense matrix of side
-(cutoff + 1)^2: about 16 sum_d (cutoff + 1 - |d|)^2 bytes, 2.3 MiB at cutoff
-60 where the dense matrix takes 211 MiB.  Every diagnostic reads one band
-at a time.
+The output state is kept factored: per gap, the float64 rows of O on the
+band's rungs and the input weights of bands +-gap, about
+8 sum_side (side^2 + 2 side) bytes for side 1 to cutoff + 1 (0.6 MiB at
+cutoff 60, where the 2 cutoff + 1 complex bands would take 2.3 MiB and the
+dense matrix of side (cutoff + 1)^2 211 MiB).  Every diagnostic the
+oracle reads is a function of those factors: the joint distribution is
+(O o O) w per band and the anomalous moment a weighted first
+sub-diagonal.  The bands themselves are built only on demand.
 
 validate_factorization checks the Gaussian moment factorization behind the
 ghost correlation map against this evolution, one mode pair at a time.
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -54,24 +58,66 @@ FIRST_PAD = 8
 
 @dataclass(frozen=True)
 class TwoModeFockState:
-    """Truncated two-mode density matrix, stored as photon-difference bands.
+    """Truncated two-mode density matrix, factored per photon-difference gap.
 
-    bands[d + cutoff] is the block of photon-number difference
-    d = n_T - n_R, for d from -cutoff to cutoff; it has side
-    cutoff + 1 - |d|, and its rung r is the product state |n_T>_T |n_R>_R
-    with (n_T, n_R) = (r + max(d, 0), r + max(-d, 0)).  Entries between
-    different bands are zero.  trace_deficit = 1 - trace collects both the
-    unseeded input tail and the evolved weight pushed beyond the cutoff.
+    The state is block diagonal in d = n_T - n_R, for d from -cutoff to
+    cutoff.  Band d has side cutoff + 1 - |d|, and its rung r is the
+    product state |n_T>_T |n_R>_R with
+    (n_T, n_R) = (r + max(d, 0), r + max(-d, 0)); entries between different
+    bands are zero.  For side = cutoff + 1 - gap, evolutions[gap] is the
+    (side, side) float64 evolution O of bands d = +-gap on their rungs and
+    weights[gap] the (side, 2) input weights w of the rungs of band gap
+    (column 0) and band -gap (column 1).  Band d is
+    e^{i phase (r - r')} (O diag(w) O^T)[r, r'].  Its diagonal, the joint
+    distribution, is computed once from (O o O) w; trace_deficit = 1 - trace
+    collects both the unseeded input tail and the evolved weight pushed
+    beyond the cutoff.  bands, matrix, hermiticity_defect and min_eigenvalue
+    build the bands on every call.
     """
 
     cutoff: int
-    bands: tuple[np.ndarray, ...]
-    trace_deficit: float
+    phase: float
+    evolutions: tuple[np.ndarray, ...]
+    weights: tuple[np.ndarray, ...]
+    trace_deficit: float = field(init=False)
+    _joint: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        want = [(self.cutoff + 1 - abs(d),) * 2 for d in range(-self.cutoff, self.cutoff + 1)]
-        if [band.shape for band in self.bands] != want:
-            raise ValueError(f"bands must be squares of side cutoff + 1 - |d| for cutoff {self.cutoff}")
+        dim = self.cutoff + 1
+        sides = range(dim, 0, -1)
+        shapes = ([o.shape for o in self.evolutions], [w.shape for w in self.weights])
+        if shapes != ([(s, s) for s in sides], [(s, 2) for s in sides]):
+            raise ValueError(
+                f"evolutions and weights must have shapes (side, side) and (side, 2) for side "
+                f"cutoff + 1 - gap, gap from 0 to cutoff {self.cutoff}"
+            )
+        # band d is the diagonal P[r + max(d, 0), r + max(-d, 0)], written through a flat stride
+        joint = np.zeros((dim, dim))
+        flat = joint.reshape(-1)
+        for gap, (o, w) in enumerate(zip(self.evolutions, self.weights)):
+            diagonals = (o * o) @ w
+            flat[gap * dim :: dim + 1] = diagonals[:, 0]
+            flat[gap : (dim - gap) * dim : dim + 1] = diagonals[:, 1]
+        joint.flags.writeable = False
+        object.__setattr__(self, "_joint", joint)
+        object.__setattr__(self, "trace_deficit", 1.0 - float(joint.sum()))
+
+    @property
+    def bands(self) -> tuple[np.ndarray, ...]:
+        """The 2 cutoff + 1 complex bands, d from -cutoff to cutoff, built on
+        every access; each band's diagonal is read from joint_distribution."""
+        dim = self.cutoff + 1
+        # e^{i phase (r - r')} for rungs r, r' < dim, a view of the 2 dim - 1 phases it takes
+        phases = np.exp(1j * self.phase * np.arange(-self.cutoff, dim))
+        gauge = np.lib.stride_tricks.sliding_window_view(phases, dim)[:, ::-1]
+        bands = [None] * (2 * self.cutoff + 1)
+        for gap, (o, w) in enumerate(zip(self.evolutions, self.weights)):
+            side = dim - gap
+            for d, column in ((gap, 0), (-gap, 1)) if gap else ((0, 0),):
+                band = gauge[:side, :side] * ((o * w[:, column]) @ o.T)
+                band.reshape(-1)[:: side + 1] = np.diagonal(self._joint, -d)
+                bands[d + self.cutoff] = band
+        return tuple(bands)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -92,12 +138,9 @@ class TwoModeFockState:
         return max(float(np.abs(band - band.conj().T).max()) for band in self.bands)
 
     def joint_distribution(self) -> np.ndarray:
-        """P(n_T, n_R) as a (cutoff+1, cutoff+1) array from the band diagonals."""
-        dim = self.cutoff + 1
-        p = np.zeros((dim, dim))
-        for d, band in zip(range(-self.cutoff, dim), self.bands):
-            p[_rungs(d, dim)] = np.real(np.diagonal(band))
-        return p
+        """P(n_T, n_R) as a (cutoff+1, cutoff+1) array: band d is its diagonal
+        P[r + max(d, 0), r + max(-d, 0)], read from the factors as (O o O) w."""
+        return self._joint.copy()
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue, the minimum over the bands; a positivity check."""
@@ -121,7 +164,8 @@ def evolve_thermal_pair(p: ModeParams, cutoff: int, max_trace_deficit: float = 1
     Band d is e^{i phase (r - r')} (O diag(w) O^T)[r, r'], with w the product
     of geometric input weights P(n) = mu^n / (1 + mu)^(n+1) of its rungs
     within the cutoff and O the real pair evolution on those rungs (see
-    _evolution), so the pump phase enters only through that gauge.  Raises
+    _evolution), so the pump phase enters only through that gauge; the
+    state keeps O and the weights of bands +-gap once per gap.  Raises
     ValueError for a cutoff or max_trace_deficit out of range or if the
     input tails beyond the cutoff exceed a tenth of max_trace_deficit (see
     input_tail_problem), and if the trace deficit exceeds max_trace_deficit
@@ -133,36 +177,32 @@ def evolve_thermal_pair(p: ModeParams, cutoff: int, max_trace_deficit: float = 1
     dim = cutoff + 1
     w_t = _thermal_weights(p.mu_t, cutoff)
     w_r = _thermal_weights(p.mu_r, cutoff)
-    bands = [None] * (2 * cutoff + 1)
-    # e^{i phase (r - r')} for rungs r, r' < dim, a view of the 2 dim - 1 phases it takes
-    phases = np.exp(1j * p.phase * np.arange(-cutoff, dim))
-    gauge = np.lib.stride_tricks.sliding_window_view(phases, dim)[:, ::-1]
+    evolutions, weights = [], []
     pad = min(FIRST_PAD, dim)
     for gap in range(dim):
         side = dim - gap
-        weights = {}
-        for d in {gap, -gap}:
-            n_t, n_r = _rungs(d, dim)
-            weights[d] = w_t[n_t] * w_r[n_r]
-        # bands d and -d share their generator; its padding grows from the last
-        # band's until the weight its evolution carries to the edge, from
+        # rung r of band gap is (r + gap, r), of band -gap (r, r + gap)
+        w = np.empty((side, 2))
+        np.multiply(w_t[gap:], w_r[:side], out=w[:, 0])
+        np.multiply(w_t[:side], w_r[gap:], out=w[:, 1])
+        # bands gap and -gap share their generator; its padding grows from the
+        # last gap's until the weight its evolution carries to the edge, from
         # either band, is within EDGE_TOLERANCE (a NaN weight fails the check);
         # at cutoff + 1 it stops growing
-        top = np.maximum(weights[gap], weights[-gap])
+        top = np.maximum(w[:, 0], w[:, 1])
         o = _evolution(p, _band_svd(gap, (side + pad + 1) // 2), side)
         while pad < dim and not (np.abs(o[-2]) + np.abs(o[-1])) @ top <= EDGE_TOLERANCE:
             pad = min(2 * pad, dim)
             if 2 * ((side + pad + 1) // 2) != len(o):  # else the padded generator is unchanged
                 o = _evolution(p, _band_svd(gap, (side + pad + 1) // 2), side)
-        kept = o[:side]
-        for d, w in weights.items():
-            bands[d + cutoff] = gauge[:side, :side] * ((kept * w) @ kept.T)
-    deficit = 1.0 - sum(float(np.trace(band).real) for band in bands)
-    if abs(deficit) > max_trace_deficit:
+        evolutions.append(o[:side].copy())  # a copy, so the padded rows are freed
+        weights.append(w)
+    state = TwoModeFockState(cutoff, p.phase, tuple(evolutions), tuple(weights))
+    if abs(state.trace_deficit) > max_trace_deficit:
         raise ValueError(
-            f"trace deficit {deficit:.3e} exceeds {max_trace_deficit:.3e} in magnitude; raise the cutoff"
+            f"trace deficit {state.trace_deficit:.3e} exceeds {max_trace_deficit:.3e} in magnitude; raise the cutoff"
         )
-    return TwoModeFockState(cutoff, tuple(bands), deficit)
+    return state
 
 
 def _band_svd(gap: int, h: int):
@@ -176,7 +216,11 @@ def _band_svd(gap: int, h: int):
     """
     r = np.arange(2 * h - 1)
     off = np.sqrt((r + 1.0) * (r + 1.0 + gap))
-    return np.linalg.svd(np.diag(-off[::2]) + np.diag(off[1::2], -1))
+    b = np.zeros((h, h))
+    flat = b.reshape(-1)
+    flat[:: h + 1] = -off[::2]
+    flat[h :: h + 1] = off[1::2]
+    return np.linalg.svd(b)
 
 
 def _evolution(p: ModeParams, factors, side: int) -> np.ndarray:
@@ -205,7 +249,7 @@ def _evolution(p: ModeParams, factors, side: int) -> np.ndarray:
     o[1::2, 1::2] = (q_odd * cos_m1) @ q_kept.T
     o[::2, 1::2] = (p_even * sin) @ q_kept.T
     o[1::2, ::2] = -(q_odd * sin) @ p_kept.T
-    o[range(side), range(side)] += 1.0
+    o.reshape(-1)[: side * (side + 1) : side + 1] += 1.0
     return o
 
 
@@ -269,14 +313,16 @@ def cross_amplitude(state: TwoModeFockState) -> complex:
 
     Equals sum over (n, m) of sqrt((n+1)(m+1)) rho[(n+1, m+1), (n, m)]; in
     each band that is the first sub-diagonal, weighted by sqrt(n_T n_R) of
-    its upper rung.
+    its upper rung.  In bands d = +-gap that weight is
+    sqrt((r + 1)(r + 1 + gap)) and the sub-diagonal is
+    e^{i phase} sum_k O[r + 1, k] w_k O[r, k], read from the factors.
     """
-    dim = state.cutoff + 1
-    total = 0.0j
-    for d, band in zip(range(-state.cutoff, dim), state.bands):
-        n_t, n_r = _rungs(d, dim)
-        total += np.sqrt(n_t[1:] * n_r[1:]) @ np.diagonal(band, -1)
-    return complex(total)
+    total = 0.0
+    for gap, (o, w) in enumerate(zip(state.evolutions, state.weights)):
+        r = np.arange(1.0, len(o))
+        sub = (o[1:] * o[:-1]) @ (w if gap else w[:, :1])  # gap 0 is the one band d = 0
+        total += np.sqrt(r * (r + gap)) @ sub.sum(axis=1)
+    return complex(np.exp(1j * state.phase) * total)
 
 
 def predicted_moments(p: ModeParams) -> MomentSet:

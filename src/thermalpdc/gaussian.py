@@ -24,7 +24,8 @@ import numpy as np
 EIGENVALUE_TOL = 1e-9
 SYMMETRY_RTOL = 1e-12
 
-# Margin below which a verdict sits numerically on the separability boundary.
+# Distance of 2 nu_- from 1 within which a verdict sits numerically on the
+# separability boundary.
 BOUNDARY_BAND = 1e-6
 
 # Symplectic form of one (T, R) pair in the (X_T, Y_T, X_R, Y_R) ordering:
@@ -107,9 +108,10 @@ class ModeParams:
     phase: float = 0.0
 
     def __post_init__(self):
+        # stored as the floats _real returns, so a numpy float32 input computes in float64
         for name in ("mu_t", "mu_r", "coupling"):
-            _real(name, getattr(self, name), lambda v: v >= 0, ">= 0")
-        _real("phase", self.phase)
+            object.__setattr__(self, name, _real(name, getattr(self, name), lambda v: v >= 0, ">= 0"))
+        object.__setattr__(self, "phase", _real("phase", self.phase))
 
     @classmethod
     def from_npdc(cls, mu_t, mu_r, n_pdc, phase=0.0) -> "ModeParams":
@@ -175,7 +177,9 @@ class SeparabilityVerdict:
 
     @property
     def near_boundary(self) -> bool:
-        return abs(self.margin) <= BOUNDARY_BAND
+        """2 nu_- within BOUNDARY_BAND of 1, a test that, unlike the margin,
+        does not scale with the seeds or with tau."""
+        return abs(2.0 * self.min_pt_symplectic_eigenvalue - 1.0) <= BOUNDARY_BAND
 
 
 def build_covariance(p: ModeParams) -> CovarianceBlock:

@@ -78,6 +78,14 @@ class TestModeParams:
         p = ModeParams(np.float64(1.0), np.int64(0), np.float32(0.5), np.float64(0.25))
         assert p.coupling == 0.5 and p.mu_r == 0
 
+    def test_float32_fields_compute_in_float64(self):
+        # kept as given, float32 seeds made the closed forms compute in float32 (-0.33300242)
+        p = ModeParams(np.float32(0.1), np.float32(0.2), np.float32(0.5), np.float32(0.25))
+        assert all(type(getattr(p, name)) is float for name in ("mu_t", "mu_r", "coupling", "phase"))
+        want = ModeParams(float(np.float32(0.1)), float(np.float32(0.2)), float(np.float32(0.5)))
+        margin = separability_margin(p)
+        assert type(margin) is float and margin == separability_margin(want)
+
 
 class TestSymplecticForm:
     def test_antisymmetric_and_squares_to_minus_identity(self):
@@ -309,6 +317,16 @@ class TestSeparability:
 
     def test_boundary_flag(self):
         assert check_separability(ModeParams.from_npdc(1, 1, 1.0 / 3.0)).near_boundary
+
+    def test_boundary_flag_is_scale_free(self):
+        # the margin scales as tau^2 and as the seeds squared; 2 nu_- - 1 does not
+        lossy = check_separability_lossy(ModeParams.from_npdc(0, 0, 1), 1e-3)
+        assert abs(lossy.margin) <= 1e-6 and abs(2 * lossy.min_pt_symplectic_eigenvalue - 1) > 8e-4
+        assert not lossy.near_boundary
+        mu = 1e4
+        bright = check_separability(ModeParams.from_npdc(mu, mu, mu * mu / (1 + 2 * mu) * (1 + 1e-12)))
+        assert abs(bright.margin) > 1e-6
+        assert bright.near_boundary
 
     def test_verdict_fields_populated(self):
         v = check_separability(ModeParams.from_npdc(2, 2, 0.1))
