@@ -56,7 +56,7 @@ EDGE_TOLERANCE = 1e-15
 FIRST_PAD = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoModeFockState:
     """Truncated two-mode density matrix, factored per photon-difference gap.
 

@@ -133,7 +133,7 @@ class ModeParams:
         return math.sinh(self.coupling)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceBlock:
     """Real symmetric 4x4 covariance matrix of one (T, R) pair."""
 

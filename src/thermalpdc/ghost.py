@@ -134,6 +134,9 @@ class MomentumGrid:
         _real("n_half", self.n_half, lambda v: 1 <= v < 2**62, "in [1, 2**62)", numbers.Integral)
         _real("dq", self.dq, lambda v: v > 0 and math.isfinite(2.0 * math.pi / v),
               "> 0 with a finite transform period 2 pi / dq")
+        q_max = self.n_half * float(self.dq)
+        if not math.isfinite(q_max * q_max):  # g2_map's quadratic phase squares every q
+            raise ValueError(f"the largest momentum n_half dq = {q_max!r} must square to a finite number")
 
     @property
     def values(self) -> np.ndarray:
@@ -192,7 +195,7 @@ class GainProfile:
         return self.params.coupling * np.abs(s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class G2Map:
     """Sampled fourth-order correlation over detector coordinates.
 
@@ -300,7 +303,7 @@ def _bucket_step(x_t: np.ndarray) -> float:
     return float(x_t[1] - x_t[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GhostImage:
     """Reduced reconstruction over the Reference coordinate."""
 
@@ -310,7 +313,7 @@ class GhostImage:
     g2: G2Map
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffractionPattern:
     """Object-spectrum reconstruction on the Fourier branch at x_T = 0."""
 

@@ -19,7 +19,7 @@ import numpy as np
 from .gaussian import _real, _reals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledObject:
     """Complex transmission t(x) on a uniform grid, finite support inside it.
 

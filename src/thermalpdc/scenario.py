@@ -14,7 +14,7 @@ count values from start to stop spaced evenly or (log, bounds > 0)
 geometrically.
 
   kind: one of the five below;  output_dir = "out": string, overridden by
-  --out, then THERMALPDC_OUT;  seed = 0: integer, recorded in the manifest
+  --out, then THERMALPDC_OUT
   separability-sweep, nrf-sweep (all grid combinations, tau innermost)
     grids.mu_t, grids.mu_r, grids.n_pdc: grids of values >= 0
     grids.tau = [1.0]: grid of values in (0, 1]
@@ -40,9 +40,11 @@ geometrically.
       separation: number >= width), "grating" (period: number > 0, duty =
       0.5: number in (0, 1)), each with center = 0: number; or "csv" (path:
       string, a file of x, re t, im t rows)
-    qgrid.n_half: integer >= 1 (2 n_half + 1 momenta); qgrid.dq: number > 0
+    qgrid.n_half: integer >= 1 (2 n_half + 1 momenta); qgrid.dq: number > 0;
+      the largest momentum n_half dq must square to a finite number
     detector.x_t_count = 512: integer >= 2; detector.x_t_span = 2 pi / dq:
-      number > 0; the Test grid, which also samples slits and gratings
+      number > 0 whose square is finite; the Test grid, which also samples
+      slits and gratings
     detector.x_r_count = 512: integer >= 1; detector.x_r_span =
       magnification times the x_t span: number > 0 (ghost-image only); a
       single Reference pixel sits at x_r = 0
@@ -279,7 +281,6 @@ def parse_config(cfg) -> tuple:
     top = _Fields(cfg, "", errors)
     kind = top.get("kind", _choice(*KINDS))
     top.get("output_dir", _string, None)
-    top.get("seed", _integer, 0)
     if kind is None:  # no key of an unknown kind is known to be wrong
         top.read.update(cfg)
     if kind in ("separability-sweep", "nrf-sweep"):
@@ -347,6 +348,10 @@ def _parse_ghost(top: _Fields, kind: str, errors: list):
         return None
     # default: one transform period of the momentum grid
     half = x_t_span / 2.0 if x_t_span is not None else math.pi / qgrid.dq
+    if not math.isfinite(4.0 * half * half):  # a sampled object's transform reaches the span; a pattern squares it
+        errors.append(f"field {'qgrid.dq' if x_t_span is None else 'detector.x_t_span'}: "
+                      f"the Test grid span {2.0 * half!r} must square to a finite number")
+        return None
     x_t = np.linspace(-half, half, x_t_count)
     if otype == "csv":
         sampled = _make(errors, "object.path", load_object_csv, csv_path)
@@ -389,13 +394,12 @@ def run(cfg: dict, out_dir=None, workers: int = 1) -> dict:
 
 
 def _execute(scenario, cfg: dict, out_dir) -> dict:
-    """Write a parsed scenario's artifacts and manifest; cfg gives its digest, kind, seed, output_dir."""
+    """Write a parsed scenario's artifacts and manifest; cfg gives its digest, kind, output_dir."""
     out = Path(out_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.get("output_dir", "out"))
     out.mkdir(parents=True, exist_ok=True)
     written, passed = scenario._write(out)
     manifest = {
         "kind": cfg["kind"],
-        "seed": cfg.get("seed", 0),
         "passed": passed,
         "config_sha256": hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
         "files": [{"path": p.name, "sha256": digest, "bytes": p.stat().st_size} for p, digest in written.items()],

@@ -296,6 +296,11 @@ class TestMomentumGrid:
         for dq in (math.nan, math.inf, 1e-320):
             with pytest.raises(ValueError, match="finite transform period"):
                 MomentumGrid(4, dq)
+        # g2_map's quadratic phase squares every q
+        for n_half, dq in ((4, 1e300), (2**61, 1e150)):
+            with pytest.raises(ValueError, match="the largest momentum n_half dq = .* must square to a finite number"):
+                MomentumGrid(n_half, dq)
+        assert MomentumGrid(4, 1e150).values[-1] == 4e150
 
     @pytest.mark.parametrize("dq", [True, "1.0", None, 1j])
     def test_rejects_bool_and_non_real_step(self, dq):

@@ -30,11 +30,17 @@ from thermalpdc import (
     correlation_index,
     cross_covariance,
     double_slit,
+    evolve_thermal_pair,
+    g2_map,
+    ghost_diffraction,
+    ghost_image,
     matched_image_grids,
     noise_reduction_factor,
     noise_reduction_threshold,
     predicted_moments,
     separability_margin,
+    single_slit,
+    validate_factorization,
 )
 
 IMAGING = GhostGeometry(wavelength=0.7e-6, d1=0.1, d2=0.1, d3=0.6, f_r=0.15)
@@ -166,6 +172,40 @@ def public(name):
 def test_every_public_name_is_walked_or_takes_no_physics_value():
     assert set(PHYSICS) - set(METHODS) | set(NO_PHYSICS_VALUE) == set(thermalpdc.__all__)
     assert not set(PHYSICS) & set(NO_PHYSICS_VALUE)
+
+
+FOURIER = GhostGeometry(wavelength=0.7e-6, d1=0.1, d2=0.1, d3=0.3, f_r=0.3, f_t=0.1)
+
+# public record -> a call that builds one; two calls build two records from the same inputs
+RECORDS = {
+    **{name: lambda name=name: public(name)(**PHYSICS[name][0]())
+       for name in ("ModeParams", "CovarianceBlock", "GhostGeometry", "MomentumGrid", "GainProfile", "SampledObject")},
+    "SeparabilityVerdict": lambda: check_separability(PAIR),
+    "MomentSet": lambda: predicted_moments(PAIR),
+    "TwoModeFockState": lambda: evolve_thermal_pair(PAIR, 12, 1e-3),
+    "FactorizationCheck": lambda: validate_factorization([PAIR], 12)[0],
+    "G2Map": lambda: g2_map(**ghost_call()),
+    "GhostImage": lambda: ghost_image(**ghost_call()),
+    "DiffractionPattern": lambda: ghost_diffraction(FOURIER, single_slit(X_T, 40e-6), GainProfile(PAIR), QGRID),
+}
+
+# records that hold arrays compare and hash by identity; those of numbers by value
+ARRAY_RECORDS = {"CovarianceBlock", "DiffractionPattern", "G2Map", "GhostImage", "SampledObject", "TwoModeFockState"}
+
+
+def test_every_public_record_is_compared():
+    assert set(RECORDS) == {name for name in thermalpdc.__all__ if dataclasses.is_dataclass(public(name))}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_equality(name):
+    # the generated __eq__ of an array record raised ValueError, and its __hash__ TypeError
+    a, b = RECORDS[name](), RECORDS[name]()
+    assert type(a) is type(b) is public(name)
+    by_value = name not in ARRAY_RECORDS
+    assert (a == b) is by_value and (a != b) is not by_value
+    assert (hash(a) == hash(b)) is by_value and len({a, b}) == 2 - by_value
+    assert (a in [b]) is by_value and a in [a]
 
 
 @pytest.mark.parametrize("name, param", CASES, ids=[f"{name}-{param}" for name, param in CASES])

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -475,6 +476,24 @@ def run_cli(args, env_extra=None, cwd=None):
     )
 
 
+# Ghost configs that overflow, each with the head of its one stderr line.  The peak
+# amplitude at these couplings is finite, but |F|^2 (or, at 354, the FFT) overflows: run
+# used to exit 0 with empty value fields, or end in a traceback under -W error.  The last
+# two overflowed in q^2 and in the object grid's scale, and run blamed the profile.
+OVERFLOWS = {
+    "image-coupling-300": ("ghost_image", {"profile": {"type": "constant", "coupling": 300}},
+                           "error: field profile: the ghost correlation overflows"),
+    "image-coupling-354": ("ghost_image", {"profile": {"type": "constant", "coupling": 354}},
+                           "error: field profile: the ghost correlation overflows"),
+    "diffraction-coupling-300": ("ghost_diffraction", {"profile": {"type": "constant", "coupling": 300}},
+                                 "error: field profile: the ghost correlation overflows"),
+    "image-dq": ("ghost_image", {"qgrid.dq": 1e300},
+                 "invalid: field qgrid: the largest momentum n_half dq = 5.12e+302 must square to a finite number"),
+    "diffraction-x_t_span": ("ghost_diffraction", {"detector.x_t_span": 1e300},
+                             "invalid: field detector.x_t_span: the Test grid span 1e+300 must square to a finite number"),
+}
+
+
 class TestCli:
     def test_validate_ok(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -522,20 +541,22 @@ class TestCli:
             assert proc.stderr.startswith(head) and len(proc.stderr.splitlines()) == 1
             assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("base, coupling", [("ghost_image", 300), ("ghost_image", 354), ("ghost_diffraction", 300)])
-    def test_overflowing_ghost_correlation_is_one_error_line(self, tmp_path, base, coupling):
-        # the peak amplitude is finite, but |F|^2 (or, at 354, the FFT) overflows; run used to
-        # exit 0 with empty value fields, or end in a traceback under -W error
-        cfg = mutated(demo(base), {"profile": {"type": "constant", "coupling": coupling}})
+    @pytest.mark.parametrize("base, changes, head", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+    def test_overflowing_ghost_correlation_is_one_error_line(self, tmp_path, base, changes, head):
+        cfg = mutated(demo(base), changes)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         strict = {"PYTHONWARNINGS": "error"}
-        assert run_cli(["validate", str(cfg_path)], strict).stdout == "ok\n"
+        validated = run_cli(["validate", str(cfg_path)], strict)
         proc = run_cli(["run", str(cfg_path), "--out", str(tmp_path / "o")], strict)
+        if head.startswith("invalid: "):
+            assert (validated.returncode, validated.stderr) == (1, proc.stderr)
+        else:
+            assert validated.stdout == "ok\n"
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error: field profile: the ghost correlation overflows")
+        assert proc.stderr.startswith(head)
         assert len(proc.stderr.splitlines()) == 1
-        with pytest.raises(ScenarioError, match="overflows"):
+        with pytest.raises(ScenarioError, match=re.escape(head.split(": ", 1)[1])):
             run(cfg, out_dir=tmp_path / "lib")
 
     def test_failing_scenario_exit_code(self, tmp_path):
@@ -602,12 +623,13 @@ REJECTED_AFTER_OK = {
     "period-zero": ("ghost_image", {"object": {"type": "grating", "period": 0}}, "field object: period must be a finite real number > 0"),
     "n_pdc-numeric-string": ("ghost_image", {"profile.n_pdc": "1"}, "field profile.n_pdc: expected a finite number"),
     "n_half-bool": ("ghost_image", {"qgrid.n_half": True}, "field qgrid.n_half: expected an integer"),
-    "seed-bool": ("nrf_sweep", {"seed": True}, "field seed: expected an integer"),
     "count-fraction": ("separability_sweep", {"grids.mu_t": dict(RANGE, count=2.7)}, "field grids.mu_t: expected an"),
     "log-string": ("separability_sweep", {"grids.mu_t": dict(RANGE, log="no")}, "field grids.mu_t: expected a bool"),
     "range-typo": ("separability_sweep", {"grids.mu_t": dict(RANGE, lg=True)}, "field grids.mu_t: a range takes"),
     "unknown-cutof": ("oracle_validate", {"cutof": 40}, "field cutof: unknown field"),
     "unknown-threshold": ("oracle_validate", {"max_relative_eror": 1e-3}, "field max_relative_eror: unknown field"),
+    # the manifest was all that read seed
+    "seed-removed": ("nrf_sweep", {"seed": 0}, "field seed: unknown field"),
 }
 
 
@@ -656,6 +678,10 @@ class TestRejectedAfterOk:
         tiny_dq = mutated(GHOST_DIFFRACTION, {"qgrid.dq": 1e-320})
         assert validate_config(tiny_dq) == [
             "field qgrid: dq must be a finite real number > 0 with a finite transform period 2 pi / dq, got 1e-320"
+        ]
+        # the default x_t span, one transform period, must square to a finite number
+        assert validate_config(mutated(GHOST_DIFFRACTION, {"qgrid.dq": 1e-160})) == [
+            "field qgrid.dq: the Test grid span 6.283185307179587e+160 must square to a finite number"
         ]
 
 
@@ -714,6 +740,8 @@ class TestManifestDigests:
     def test_recorded_digests_match_the_files(self, tmp_path, cfg):
         # the writers hash the bytes as they write them; reading the files back must agree
         manifest = run(cfg, out_dir=tmp_path)
+        assert json.loads((tmp_path / "manifest.json").read_text()) == manifest
+        assert "seed" not in manifest
         for entry in manifest["files"]:
             path = tmp_path / entry["path"]
             assert entry["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
