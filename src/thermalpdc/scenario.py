@@ -169,7 +169,10 @@ class GhostScenario:
             else:
                 result = ghost_image(self.geometry, self.obj, self.profile, self.qgrid, self.x_r, self.x_t)
         except FloatingPointError as exc:
-            raise ScenarioError(f"field profile: the ghost correlation overflows ({exc})") from exc
+            # the map scales as C(0)^2 at its peak: where that square is finite, the object's transform overflowed
+            peak = float(self.profile.correlation_amplitudes(np.zeros(1))[0])
+            blamed = "profile" if math.isinf(peak * peak) else "object"
+            raise ScenarioError(f"field {blamed}: the ghost correlation overflows ({exc})") from exc
         table = out / ("pattern.csv" if self.x_r is None else "image.csv")
         written = {table: write_csv(table, {"x_r": result.x_r, "value_raw": result.raw, "value_normalized": result.normalized})}
         if self.x_r is not None:
@@ -373,7 +376,11 @@ def _gain_profile(seeds, n_pdc=None, coupling=None, kappa0=None, bandwidth=0.0) 
 
 
 def validate_config(cfg: dict) -> list[str]:
-    """Return a list of problems; empty means the scenario can run."""
+    """Return a list of problems; empty means the scenario can run.
+
+    The package reads parse_config(cfg)[1] itself; this alias stays only
+    while perfbench/tests calls it.
+    """
     return parse_config(cfg)[1]
 
 

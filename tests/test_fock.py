@@ -293,8 +293,10 @@ class TestEvolveThermalPair:
         assert run(cfg, out_dir=tmp_path)["passed"]
 
     def test_banded_memory_at_cutoff_60(self):
-        # the dense matrix at this cutoff alone would take 211 MiB
+        # the dense matrix at this cutoff alone would take 211 MiB; the
+        # cleared factor table is filled within the traced peak
         p = ModeParams.from_npdc(0.5, 0.5, 0.3)
+        fock._FACTORS.clear()
         tracemalloc.start()
         try:
             state = evolve_thermal_pair(p, 60)
@@ -307,8 +309,10 @@ class TestEvolveThermalPair:
 
     def test_factored_memory_at_cutoff_200(self):
         # the oracle keeps one real evolution per gap and never builds a band:
-        # the 401 complex bands at this cutoff alone would take 83 MiB
+        # the 401 complex bands at this cutoff alone would take 83 MiB; the
+        # cleared factor table is filled to its budget within the traced peak
         p = ModeParams.from_npdc(1.0, 1.0, 0.25)
+        fock._FACTORS.clear()
         tracemalloc.start()
         try:
             state = evolve_thermal_pair(p, 200)
@@ -317,6 +321,77 @@ class TestEvolveThermalPair:
         finally:
             tracemalloc.stop()
         assert peak < 30e6
+
+
+def held_bytes(table):
+    """The bytes of the arrays a factor table holds, summed afresh."""
+    return sum(a.nbytes for arrays in table._entries.values() for a in arrays)
+
+
+class TestFactorTable:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(0.0, 5.0),
+        st.floats(0.0, 5.0),
+        st.floats(0.0, 2.0),
+        st.floats(-math.pi, math.pi),
+        st.integers(1, 40),
+        st.sampled_from([fock._FACTORS.budget, 100_000, 10_000, 0]),
+    )
+    @example(0.5, 0.5, 0.3, 0.0, 40, fock._FACTORS.budget)
+    # the factors of cutoff 40 take 0.5 to 0.7 MB, so these budgets fill during the first evolution
+    @example(0.5, 0.5, 0.3, 1.0, 40, 100_000)
+    @example(5.0, 5.0, 1.0, 0.4, 40, 10_000)
+    def test_warm_evolution_matches_cold(self, mu_t, mu_r, n_pdc, phase, cutoff, budget):
+        # the reference computes every SVD afresh: a table of budget 0 holds nothing
+        p = ModeParams.from_npdc(mu_t, mu_r, n_pdc, phase)
+        with mock.patch.object(fock, "_FACTORS", fock._FactorTable(0)):
+            fresh = evolve_thermal_pair(p, cutoff, 10.0)
+        table = fock._FactorTable(budget)
+        with mock.patch.object(fock, "_FACTORS", table):
+            cold = evolve_thermal_pair(p, cutoff, 10.0)
+            assert 0 <= table.nbytes == held_bytes(table) <= budget
+            held = dict(table._entries)
+            warm = evolve_thermal_pair(p, cutoff, 10.0)
+        # a full table admits nothing more and evicts nothing
+        assert table._entries == held and table.nbytes == held_bytes(table) <= budget
+        for state in (cold, warm):
+            assert all(np.array_equal(a, b) for a, b in zip(state.evolutions, fresh.evolutions))
+            assert all(np.array_equal(a, b) for a, b in zip(state.weights, fresh.weights))
+            assert state.trace_deficit == fresh.trace_deficit
+
+    def test_cutoff_200_stays_within_the_budget(self):
+        # these factors take 12 MiB: the table fills with the first (largest)
+        # ones and a second evolution replaces none of them
+        p = ModeParams.from_npdc(1.0, 1.0, 0.25)
+        table = fock._FactorTable(fock._FACTORS.budget)
+        with mock.patch.object(fock, "_FACTORS", table):
+            cold = evolve_thermal_pair(p, 200)
+            held = dict(table._entries)
+            assert table.nbytes == held_bytes(table) <= table.budget
+            assert table.nbytes > table.budget - 2 * 8 * (2 * 105 ** 2 + 105)  # within two of the largest entries
+            warm = evolve_thermal_pair(p, 200)
+        assert table._entries == held and table.nbytes == held_bytes(table)
+        assert all(np.array_equal(a, b) for a, b in zip(cold.evolutions, warm.evolutions))
+
+    @pytest.mark.parametrize("budget", [fock._FACTORS.budget, 0])
+    def test_factors_are_read_only(self, budget):
+        # held or not, every caller gets arrays it cannot write through
+        with mock.patch.object(fock, "_FACTORS", fock._FactorTable(budget)):
+            for factors in (fock._band_svd(3, 10), fock._band_svd(3, 10)):
+                for a in factors:
+                    assert not a.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[0] = 0.0
+
+    def test_demo_oracle_twice_in_one_process_is_byte_identical(self, tmp_path):
+        from thermalpdc.scenario import run
+
+        cfg = json.loads(DEMO_ORACLE.read_text())
+        fock._FACTORS.clear()
+        for out in ("cold", "warm"):
+            run(cfg, out_dir=tmp_path / out)
+        assert (tmp_path / "cold" / "oracle_report.json").read_bytes() == (tmp_path / "warm" / "oracle_report.json").read_bytes()
 
 
 class TestMoments:

@@ -20,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 from thermalpdc import correlations, ghost
 from thermalpdc.artifacts import write_csv, write_pgm
-from thermalpdc.scenario import ScenarioError, main, parse_config, run, validate_config
+from thermalpdc.scenario import ScenarioError, main, parse_config, run
 
 NRF_SWEEP = {
     "kind": "nrf-sweep",
@@ -64,36 +64,36 @@ ORACLE = {
 class TestValidateConfig:
     def test_valid_configs(self):
         for cfg in (NRF_SWEEP, GHOST_IMAGE, GHOST_DIFFRACTION, ORACLE):
-            assert validate_config(cfg) == []
+            assert parse_config(cfg)[1] == []
 
     def test_unknown_kind(self):
-        problems = validate_config({"kind": "spectroscopy"})
+        problems = parse_config({"kind": "spectroscopy"})[1]
         assert any("kind" in p for p in problems)
 
     def test_missing_fields_are_named(self):
-        problems = validate_config({"kind": "nrf-sweep", "grids": {"mu_t": [1.0]}})
+        problems = parse_config({"kind": "nrf-sweep", "grids": {"mu_t": [1.0]}})[1]
         joined = " ".join(problems)
         assert "grids.mu_r" in joined and "grids.n_pdc" in joined
 
     def test_bad_tau_range(self):
         cfg = json.loads(json.dumps(NRF_SWEEP))
         cfg["grids"]["tau"] = [0.0]
-        assert any("tau" in p for p in validate_config(cfg))
+        assert any("tau" in p for p in parse_config(cfg)[1])
 
     def test_negative_grid_rejected(self):
         cfg = json.loads(json.dumps(NRF_SWEEP))
         cfg["grids"]["mu_t"] = [-1.0]
-        assert any("mu_t" in p for p in validate_config(cfg))
+        assert any("mu_t" in p for p in parse_config(cfg)[1])
 
     def test_diffraction_requires_fourier_lens(self):
         cfg = json.loads(json.dumps(GHOST_DIFFRACTION))
         del cfg["geometry"]["f_t"]
-        assert validate_config(cfg) == ["missing field: geometry.f_t"]
+        assert parse_config(cfg)[1] == ["missing field: geometry.f_t"]
 
     def test_missing_object_file(self):
         cfg = json.loads(json.dumps(GHOST_IMAGE))
         cfg["object"] = {"type": "csv", "path": "/nonexistent/object.csv"}
-        assert any("object.path" in p for p in validate_config(cfg))
+        assert any("object.path" in p for p in parse_config(cfg)[1])
 
     def test_run_raises_on_invalid(self, tmp_path):
         with pytest.raises(ScenarioError, match="grids"):
@@ -136,12 +136,12 @@ class TestNoTracebackAfterOk:
         assert proc.stderr.startswith(("invalid: field cutoff", "error: "))
 
     def test_input_tail_rejected_by_validate(self):
-        problems = validate_config(FAILS_AFTER_VALIDATION["input-tail"])
+        problems = parse_config(FAILS_AFTER_VALIDATION["input-tail"])[1]
         assert problems == ["field cutoff: cutoff 10 too small: input tail 4.224e-02 exceeds 1.000e-04"]
 
     @pytest.mark.parametrize("name", ["trace-deficit", "sweep-overflow"])
     def test_run_raises_scenario_error(self, tmp_path, name):
-        assert validate_config(FAILS_AFTER_VALIDATION[name]) == []
+        assert parse_config(FAILS_AFTER_VALIDATION[name])[1] == []
         with pytest.raises(ScenarioError):
             run(FAILS_AFTER_VALIDATION[name], out_dir=tmp_path)
 
@@ -262,7 +262,7 @@ class TestRunGhost:
         assert run(cfg, out_dir=tmp_path / "lens")["files"] != run(demo("ghost_image"), out_dir=tmp_path / "plain")["files"]
         for variant in ("object-plane", "fourier-lens"):
             cfg["geometry"]["variant"] = variant
-            assert validate_config(cfg) == [
+            assert parse_config(cfg)[1] == [
                 "field geometry.variant: unknown field; expected one of d1, d2, d3, f_r, f_t, wavelength"
             ]
 
@@ -479,7 +479,10 @@ def run_cli(args, env_extra=None, cwd=None):
 # Ghost configs that overflow, each with the head of its one stderr line.  The peak
 # amplitude at these couplings is finite, but |F|^2 (or, at 354, the FFT) overflows: run
 # used to exit 0 with empty value fields, or end in a traceback under -W error.  The last
-# two overflowed in q^2 and in the object grid's scale, and run blamed the profile.
+# two overflowed in q^2 and in the object grid's scale, and run blamed the profile.  The
+# profile is blamed where C(0)^2 overflows (at couplings 300 and 354), the object where it
+# is finite: at a 1e152 grating period over a 1.3e154 span, C(0) is about 5.7 and the
+# object transform, about 6e153, overflows the map.
 OVERFLOWS = {
     "image-coupling-300": ("ghost_image", {"profile": {"type": "constant", "coupling": 300}},
                            "error: field profile: the ghost correlation overflows"),
@@ -487,6 +490,10 @@ OVERFLOWS = {
                            "error: field profile: the ghost correlation overflows"),
     "diffraction-coupling-300": ("ghost_diffraction", {"profile": {"type": "constant", "coupling": 300}},
                                  "error: field profile: the ghost correlation overflows"),
+    "diffraction-object-transform": ("ghost_diffraction",
+                                     {"detector.x_t_span": 1.3e154, "object": {"type": "grating", "period": 1e152},
+                                      "profile": {"type": "constant", "n_pdc": 1, "mu_t": 3}},
+                                     "error: field object: the ghost correlation overflows"),
     "image-dq": ("ghost_image", {"qgrid.dq": 1e300},
                  "invalid: field qgrid: the largest momentum n_half dq = 5.12e+302 must square to a finite number"),
     "diffraction-x_t_span": ("ghost_diffraction", {"detector.x_t_span": 1e300},
@@ -652,35 +659,35 @@ class TestRejectedAfterOk:
 
     def test_demo_configs_validate(self):
         for path in sorted(DEMO_CONFIGS.glob("*.json")):
-            assert validate_config(json.loads(path.read_text())) == [], path.name
+            assert parse_config(json.loads(path.read_text()))[1] == [], path.name
 
     def test_unknown_keys_are_named_once(self):
         cfg = mutated(GHOST_IMAGE, {"profile.n_pfc": 1.0, "object.witdh": 1.0, "extra": {}})
-        assert sorted(p.split(":")[0] for p in validate_config(cfg)) == [
+        assert sorted(p.split(":")[0] for p in parse_config(cfg)[1]) == [
             "field extra", "field object.witdh", "field profile.n_pfc",
         ]
 
     def test_constant_profile_takes_one_gain(self):
         cfg = mutated(GHOST_IMAGE, {"profile.coupling": 0.5})
-        assert validate_config(cfg) == ["field profile: a constant profile takes one of n_pdc and coupling"]
+        assert parse_config(cfg)[1] == ["field profile: a constant profile takes one of n_pdc and coupling"]
 
     def test_library_checks_report_against_their_section(self, tmp_path):
         sinc = mutated(GHOST_IMAGE, {"profile": dict(SINC, kappa0=-1.0)})
-        assert validate_config(sinc) == ["field profile: kappa0 must be a finite real number >= 0, got -1.0"]
+        assert parse_config(sinc)[1] == ["field profile: kappa0 must be a finite real number >= 0, got -1.0"]
         table = tmp_path / "object.csv"
         table.write_text("x,re,im\n0.0,1.0,0.0\n1e-6,1.0\n")
-        problems = validate_config(mutated(GHOST_IMAGE, {"object": {"type": "csv", "path": str(table)}}))
+        problems = parse_config(mutated(GHOST_IMAGE, {"object": {"type": "csv", "path": str(table)}}))[1]
         assert problems == [f"field object.path: {table}: row ['1e-6', '1.0'] is not x, re(t), im(t)"]
         table.write_text("x,re,im\n0.0,1.0,0.0\n1e-6,1.0,0.0,99\n")
-        problems = validate_config(mutated(GHOST_IMAGE, {"object": {"type": "csv", "path": str(table)}}))
+        problems = parse_config(mutated(GHOST_IMAGE, {"object": {"type": "csv", "path": str(table)}}))[1]
         assert problems == [f"field object.path: {table}: row ['1e-6', '1.0', '0.0', '99'] is not x, re(t), im(t)"]
         # a subnormal dq would make the default x_t span, one transform period, infinite
         tiny_dq = mutated(GHOST_DIFFRACTION, {"qgrid.dq": 1e-320})
-        assert validate_config(tiny_dq) == [
+        assert parse_config(tiny_dq)[1] == [
             "field qgrid: dq must be a finite real number > 0 with a finite transform period 2 pi / dq, got 1e-320"
         ]
         # the default x_t span, one transform period, must square to a finite number
-        assert validate_config(mutated(GHOST_DIFFRACTION, {"qgrid.dq": 1e-160})) == [
+        assert parse_config(mutated(GHOST_DIFFRACTION, {"qgrid.dq": 1e-160}))[1] == [
             "field qgrid.dq: the Test grid span 6.283185307179587e+160 must square to a finite number"
         ]
 
@@ -689,10 +696,10 @@ class TestHugeGrids:
     @pytest.mark.parametrize("count", [1e15, 10**15], ids=["float", "int"])
     def test_validate_checks_range_bounds_only(self, count):
         cfg = {"kind": "nrf-sweep", "grids": {"mu_t": [1.0], "mu_r": [1.0], "n_pdc": dict(RANGE, count=count)}}
-        assert validate_config(cfg) == []
+        assert parse_config(cfg)[1] == []
 
     def test_validate_leaves_momentum_grid_unexpanded(self):
-        assert validate_config(mutated(GHOST_DIFFRACTION, {"qgrid.n_half": 10**12})) == []
+        assert parse_config(mutated(GHOST_DIFFRACTION, {"qgrid.n_half": 10**12}))[1] == []
 
     def test_out_of_memory_is_one_error_line(self, tmp_path, monkeypatch):
         def exhausted(*args):
