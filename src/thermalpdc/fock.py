@@ -56,7 +56,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .gaussian import ModeParams, _real, _refuse_overflow, build_covariance
+from .gaussian import ModeParams, _real, _row, _statistics_columns, build_covariance
 
 # Floating-point floor added to 10x the trace deficit in validate_factorization.
 FACTORIZATION_TOL_FLOOR = 1e-8
@@ -388,18 +388,12 @@ def predicted_moments(p: ModeParams) -> MomentSet:
     """Closed-form moments of the seeded pair.
 
     Each arm keeps thermal statistics with mean mu + n_pdc (1 + mu_t + mu_r)
-    and variance mean (mean + 1); the cross covariance equals the squared
-    covariance cross entry n_pdc (1 + n_pdc) (1 + mu_t + mu_r)^2.  Raises
-    ValueError, naming the inputs, where a moment overflows a float.
+    and variance mean (mean + 1); the cross covariance is C^2 =
+    n_pdc (1 + n_pdc) (1 + mu_t + mu_r)^2.  All five are the kernel row that
+    correlations reads: ValueError, naming the inputs, where it overflows.
     """
-    def closed_forms():
-        s = 1.0 + p.mu_t + p.mu_r
-        mean_t = p.mu_t + p.n_pdc * s
-        mean_r = p.mu_r + p.n_pdc * s
-        return mean_t, mean_r, mean_t * (mean_t + 1.0), mean_r * (mean_r + 1.0), p.n_pdc * (1.0 + p.n_pdc) * s ** 2
-
-    return MomentSet(*_refuse_overflow(closed_forms, **vars(p)))
-
+    s = _row(_statistics_columns, p)
+    return MomentSet(s["mean_t"], s["mean_r"], s["var_t"], s["var_r"], s["cross_covariance"])
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ basis (X_T, Y_T, X_R, Y_R), with the vacuum normalized to identity/2.  This
 module builds that matrix from the physical inputs, applies a beam-splitter
 loss channel, and classifies separability through the positivity of the
 partial transpose, read from the two-mode invariants of the lossy matrix.
-One array kernel gives the verdict: check_separability_lossy calls it at one
-point and correlations.sweep_columns on a whole grid.
+One array kernel in two column groups holds every closed form of a pair in
+n_pdc: correlations.sweep_columns evaluates it on a grid, and each scalar
+diagnostic reads its group at one point through _row.
 """
 
 from __future__ import annotations
@@ -77,15 +78,16 @@ def _refuse_overflow(closed_form, what="the closed form", **inputs):
 
     Python's float ** and math.sinh raise OverflowError where * gives inf,
     and numpy raises FloatingPointError here; either way no inf or NaN is
-    returned, in a number or in a tuple of them.  None, for a 0/0 point,
-    passes.
+    returned, in a number or in a tuple or dict of them.  None, for a 0/0
+    point, passes, alone or in one.
     """
     try:
         with np.errstate(over="raise"):  # an inf inside can leave a finite result
             value = closed_form()
     except (OverflowError, FloatingPointError):
         value = math.inf
-    if value is None or np.isfinite(value).all():
+    numbers = value.values() if isinstance(value, dict) else value if isinstance(value, tuple) else (value,)
+    if all(v is None or math.isfinite(v) for v in numbers):
         return value
     named = ", ".join(f"{name} {number!r}" for name, number in inputs.items())
     raise ValueError(f"{what} overflows at {named}")
@@ -193,9 +195,10 @@ def build_covariance(p: ModeParams) -> CovarianceBlock:
 
         A = [u^2 (2 mu_t + 1) + v^2 (2 mu_r + 1)] / 2      (X_T, Y_T variance)
         B = [u^2 (2 mu_r + 1) + v^2 (2 mu_t + 1)] / 2      (X_R, Y_R variance)
-        C = u v (mu_t + mu_r + 1)                          (cross correlation)
+        C = u v (1 + mu_t + mu_r)                          (cross correlation)
 
-    Raises ValueError, naming the inputs, where an entry overflows a float.
+    C is GainProfile's C_q bit for bit; ValueError, naming the inputs, where
+    an entry overflows a float.
     """
     a, b, c = _refuse_overflow(lambda: _covariance_entries(p), **vars(p))
     return CovarianceBlock(
@@ -215,8 +218,11 @@ def _covariance_entries(p: ModeParams):
     v2 = p.v ** 2
     a = (u2 * (2.0 * p.mu_t + 1.0) + v2 * (2.0 * p.mu_r + 1.0)) / 2.0
     b = (u2 * (2.0 * p.mu_r + 1.0) + v2 * (2.0 * p.mu_t + 1.0)) / 2.0
-    c = p.u * p.v * (p.mu_t + p.mu_r + 1.0)
-    return a, b, c
+    return a, b, _cross_entry(p, p.coupling)
+
+
+def _cross_entry(p: ModeParams, coupling: float) -> float:
+    return math.cosh(coupling) * math.sinh(coupling) * (1.0 + p.mu_t + p.mu_r)
 
 
 def apply_loss(block: CovarianceBlock, tau: float) -> CovarianceBlock:
@@ -230,11 +236,9 @@ def apply_loss(block: CovarianceBlock, tau: float) -> CovarianceBlock:
 
 
 def separability_margin(p: ModeParams) -> float:
-    """Closed-form left side of the separability inequality (>= 0: separable).
-
-    Raises ValueError, naming the inputs, where it overflows a float.
-    """
-    return _refuse_overflow(lambda: p.mu_t * p.mu_r - p.n_pdc * (1.0 + p.mu_t + p.mu_r), **vars(p))
+    """Closed-form left side of the separability inequality (>= 0: separable):
+    check_separability's margin, refused (ValueError) where that overflows."""
+    return check_separability(p).margin
 
 
 def check_separability(p: ModeParams) -> SeparabilityVerdict:
@@ -252,16 +256,46 @@ def check_separability_lossy(p: ModeParams, tau: float) -> SeparabilityVerdict:
     where the margin or the eigenvalue overflows a float.
     """
     tau = _real("tau", tau, lambda v: 0 < v <= 1, "in (0, 1]")
-    # one-element float arrays: numpy scalars do not round as the grid does
-    columns = _refuse_overflow(
-        lambda: _separability_columns(*(np.array([x], dtype=float) for x in (p.mu_t, p.mu_r, p.n_pdc, tau))),
-        **vars(p), tau=tau,
-    )
-    margin, separable, nu_minus = (column.item() for column in columns)
-    return SeparabilityVerdict(separable, margin, nu_minus)
+    return SeparabilityVerdict(**_row(_separability_columns, p, tau, **vars(p), tau=tau))
 
 
-def _separability_columns(mu_t, mu_r, n, tau):
+def _row(group, p: ModeParams, *tau, **inputs):
+    """group's row at (p.mu_t, p.mu_r, p.n_pdc, *tau), the sweep_columns row
+    there bit for bit, as a dict by column: one-element float arrays in
+    (numpy scalars do not round as the grid does), floats out, NaN (0/0) as
+    None.  ValueError, naming inputs (default vars(p)), where the group
+    overflows a float."""
+    def row():
+        columns = group(*(np.array([x], dtype=float) for x in (p.mu_t, p.mu_r, p.n_pdc, *tau)))
+        return {name: None if math.isnan(column[0]) else column.item() for name, column in columns.items()}
+
+    return _refuse_overflow(row, **(inputs or vars(p)))
+
+
+def _statistics_columns(mu_t, mu_r, n) -> dict:
+    """The closed forms of fock.predicted_moments and correlations (gamma, nrf
+    NaN where 0/0) at each point of float arrays of the seed means and gains
+    n_pdc.  An overflow gives inf, or FloatingPointError under errstate."""
+    s = 1.0 + mu_t + mu_r
+    mean_t, mean_r = mu_t + n * s, mu_r + n * s
+    var_t, var_r = mean_t * (mean_t + 1.0), mean_r * (mean_r + 1.0)
+    denom2 = var_t * mean_r * (mean_r + 1.0)  # not var_t * var_r: that rounds gamma otherwise
+    nrf_denom = mu_t + mu_r + 2.0 * n * s
+    cross = _squared_cross_entry(n, s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # below the normal floats denom2 has lost its digits: there each root divides in turn
+        ratio = np.where(denom2 < np.finfo(float).tiny, cross / np.sqrt(var_t) / np.sqrt(var_r), cross / np.sqrt(denom2))
+        gamma = np.where(np.minimum(var_t, var_r) == 0.0, np.nan, ratio)
+        nrf = np.where(nrf_denom == 0.0, np.nan, (mu_t * (1.0 + mu_t) + mu_r * (1.0 + mu_r)) / nrf_denom)
+    return dict(mean_t=mean_t, mean_r=mean_r, var_t=var_t, var_r=var_r, cross_covariance=cross, gamma=gamma, nrf=nrf,
+                nrf_threshold=(mu_t ** 2 + mu_r ** 2) / (2.0 * s))
+
+
+def _squared_cross_entry(n, s):  # the cross covariance C^2, for both groups
+    return n * (1.0 + n) * s ** 2
+
+
+def _separability_columns(mu_t, mu_r, n, tau) -> dict:
     """margin, separable and nu_- at each point of float arrays of the seed
     means, gains n_pdc and transmissions, after the loss tau.
 
@@ -278,10 +312,10 @@ def _separability_columns(mu_t, mu_r, n, tau):
     # (= sqrt(det V)) and D^2 - 4 det V = (a + b)^2 ((a - b)^2 + 4 c^2) are
     # expanded into non-negative terms, so neither cancels near tau -> 0.
     loss = (1.0 - tau) / 2.0
-    c2 = tau ** 2 * (n * (1.0 + n) * s ** 2)
+    c2 = tau ** 2 * _squared_cross_entry(n, s)
     a_plus_b = tau * (1.0 + 2.0 * n) * s + 2.0 * loss
     a_minus_b = tau * (mu_t - mu_r)
     delta = (a_plus_b ** 2 + a_minus_b ** 2) / 2.0 + 2.0 * c2
     root_det = tau ** 2 * (mu_t + 0.5) * (mu_r + 0.5) + tau * loss * (1.0 + 2.0 * n) * s + loss ** 2
     nu_minus = np.sqrt(2.0 * root_det ** 2 / (delta + a_plus_b * np.sqrt(a_minus_b ** 2 + 4.0 * c2)))
-    return margin, margin >= 0.0, nu_minus
+    return dict(margin=margin, separable=margin >= 0.0, min_pt_symplectic_eigenvalue=nu_minus)

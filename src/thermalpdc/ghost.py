@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gaussian import ModeParams, _real, _reals, _refuse_overflow
+from .gaussian import ModeParams, _cross_entry, _real, _reals, _refuse_overflow
 from .objects import SampledObject
 
 # Geometry classification, relative to 1/d3: below DELTA_TOL the lens-detector
@@ -168,7 +168,7 @@ class GainProfile:
         _real("bandwidth", self.bandwidth)
         p = self.params
         # |sinc| <= 1, so no coupling exceeds the peak's and no C_q overflows where C(0) does not
-        _refuse_overflow(lambda: self._amplitude(p.coupling), what="the peak correlation amplitude",
+        _refuse_overflow(lambda: _cross_entry(p, p.coupling), what="the peak correlation amplitude",
                          coupling=p.coupling, mu_t=p.mu_t, mu_r=p.mu_r)
 
     def mode_params(self, q: float) -> ModeParams:
@@ -176,16 +176,12 @@ class GainProfile:
         return replace(self.params, coupling=float(self._couplings(_real("q", q))))
 
     def correlation_amplitudes(self, q: np.ndarray) -> np.ndarray:
-        """C_q = u v (1 + mu_t + mu_r) of mode_params(q) at each q, bit for bit:
-        evaluated in math once per distinct coupling, then gathered."""
+        """C_q, the cross entry of build_covariance(mode_params(q)), at each q,
+        bit for bit: evaluated once per distinct coupling, then gathered."""
         q = _reals("q", q)
         couplings, inverse = np.unique(self._couplings(q), return_inverse=True)
-        amplitudes = np.array([self._amplitude(k) for k in couplings.tolist()], dtype=float)
+        amplitudes = np.array([_cross_entry(self.params, k) for k in couplings.tolist()], dtype=float)
         return amplitudes[inverse].reshape(q.shape)
-
-    def _amplitude(self, coupling: float) -> float:
-        p = self.params
-        return math.cosh(coupling) * math.sinh(coupling) * (1.0 + p.mu_t + p.mu_r)
 
     def _couplings(self, q) -> np.ndarray:
         """kappa(q) at each q, with the limits 1 of the sinc at arg = 0 and 0 where arg overflows."""

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from gaussian_oracle import partial_transpose, symplectic_eigenvalues
+from gaussian_oracle import closed_forms, partial_transpose, symplectic_eigenvalues
 
 from thermalpdc import (
     ModeParams,
     apply_loss,
     build_covariance,
+    check_separability,
     check_separability_lossy,
     correlation_index,
     cross_covariance,
@@ -17,11 +18,12 @@ from thermalpdc import (
     moments,
     noise_reduction_factor,
     noise_reduction_threshold,
+    predicted_moments,
     separability_margin,
     sweep_columns,
 )
 from thermalpdc.artifacts import write_csv
-from thermalpdc.gaussian import BOUNDARY_BAND
+from thermalpdc.gaussian import BOUNDARY_BAND, _statistics_columns
 from thermalpdc.scenario import NRF_COLUMNS
 
 
@@ -247,35 +249,32 @@ TAUS = st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=3)
 
 
 class TestSweepColumns:
-    """The array route against the scalar closed forms and the numerical
-    symplectic spectrum of the partially transposed lossy covariance."""
+    """The array route against the closed forms and the numerical symplectic
+    spectrum of the partially transposed lossy covariance, both written out
+    in tests/gaussian_oracle.py."""
 
     @settings(max_examples=200, deadline=None)
     @given(AXIS, AXIS, AXIS, TAUS)
+    # gamma's denominator below the normal floats read NaN here, and 1.0000056 at n_pdc 1e-160
+    @example([0.0], [0.375], [5e-324], [1.0])
+    @example([0.0], [0.0], [1e-160], [1.0])
     def test_matches_per_point_reference(self, mu_ts, mu_rs, n_pdcs, taus):
         columns = sweep_columns(*np.meshgrid(mu_ts, mu_rs, n_pdcs, taus, indexing="ij"))
         points = [(mt, mr, n, tau) for mt in mu_ts for mr in mu_rs for n in n_pdcs for tau in taus]
         assert len(columns["margin"]) == len(points)
         for i, (mt, mr, n, tau) in enumerate(points):
             assert (columns["mu_t"][i], columns["mu_r"][i], columns["n_pdc"][i], columns["tau"][i]) == (mt, mr, n, tau)
-            p = ModeParams.from_npdc(mt, mr, n)
-            verdict = check_separability_lossy(p, tau)
-            # the scalar verdict is the sweep row at its own point, bit for bit
-            row = sweep_columns(p.mu_t, p.mu_r, p.n_pdc, tau)
-            assert (verdict.separable, verdict.margin, verdict.min_pt_symplectic_eigenvalue) == (
-                row["separable"][0], row["margin"][0], row["min_pt_symplectic_eigenvalue"][0])
-            assert_close(columns["margin"][i], verdict.margin, 1e-12)
-            spectrum = symplectic_eigenvalues(partial_transpose(apply_loss(build_covariance(p), tau)))
-            assert_close(columns["min_pt_symplectic_eigenvalue"][i], spectrum[0], 1e-9)
-            if abs(verdict.margin) > BOUNDARY_BAND:
-                assert columns["separable"][i] == verdict.separable
-            assert_close(columns["cross_covariance"][i], cross_covariance(p), 1e-12)
-            assert_close(columns["nrf_threshold"][i], noise_reduction_threshold(mt, mr), 1e-12)
-            for name, want in (("gamma", correlation_index(p)), ("nrf", noise_reduction_factor(p))):
+            reference = closed_forms(mt, mr, n, tau)
+            for name, want in reference.items():
                 got = columns[name][i]
                 assert math.isnan(got) == (want is None), (name, got, want)
                 if want is not None:
                     assert_close(got, want, 1e-12)
+            if abs(reference["margin"]) > BOUNDARY_BAND:
+                assert columns["separable"][i] == (reference["margin"] >= 0.0)
+            p = ModeParams.from_npdc(mt, mr, n)
+            spectrum = symplectic_eigenvalues(partial_transpose(apply_loss(build_covariance(p), tau)))
+            assert_close(columns["min_pt_symplectic_eigenvalue"][i], spectrum[0], 1e-9)
 
     @pytest.mark.parametrize(
         "mu, n, tau", [(0.7, 2.0, 1e-6), (0.7, 2.0, 1e-9), (0.7, 2.0, 1e-12), (0.0, 1e-8, 1e-5), (0.0, 1e-12, 0.5)]
@@ -306,3 +305,50 @@ class TestSweepColumns:
     def test_overflow_raises(self):
         with pytest.raises(FloatingPointError):
             sweep_columns(1e200, 1e200, 1e200)
+
+
+def float_bits(value):
+    """A float's exact bits as float.hex (which tells -0.0 from 0.0), NaN and None alike as None."""
+    return None if value is None or math.isnan(value) else float(value).hex()
+
+
+class TestScalarsAreSweepRows:
+    """Every scalar diagnostic reads the kernel that sweep_columns evaluates,
+    so it is the sweep row at its point, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mu_t=st.one_of(SEED_OR_GAIN, st.floats(0.0, 1e30)),
+        mu_r=st.one_of(SEED_OR_GAIN, st.floats(0.0, 1e30)),
+        coupling=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+        tau=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    # with a formula of its own, each scalar read one ulp off its row: gamma 0.8529934680599329 against
+    # 0.852993468059933, the threshold 1.7216153047139613 against 1.721615304713961, and the cross
+    # covariance (and the predicted moment) 4.4271419996809875 against 4.427141999680987
+    @example(mu_t=0.6, mu_r=1.3, coupling=math.asinh(math.sqrt(0.7)), tau=1.0)
+    @example(mu_t=4.551896633133473, mu_r=2.888087218768689, coupling=0.0, tau=1.0)
+    @example(mu_t=0.5850122005068198, mu_r=1.2398950078659148, coupling=0.5945073105017731, tau=1.0)
+    def test_every_scalar_is_its_sweep_row(self, mu_t, mu_r, coupling, tau):
+        p = ModeParams(mu_t, mu_r, coupling)
+        rows = sweep_columns(p.mu_t, p.mu_r, p.n_pdc, [1.0, tau])
+        row = {name: column[0].item() for name, column in rows.items()}
+        for value, column in (
+            (cross_covariance(p), "cross_covariance"),
+            (correlation_index(p), "gamma"),
+            (noise_reduction_factor(p), "nrf"),
+            (noise_reduction_threshold(mu_t, mu_r), "nrf_threshold"),
+            (separability_margin(p), "margin"),
+        ):
+            assert float_bits(value) == float_bits(row[column]), (column, value, row[column])
+        for verdict, i in ((check_separability(p), 0), (check_separability_lossy(p, tau), 1)):
+            assert verdict.separable is rows["separable"][i].item()
+            assert float_bits(verdict.margin) == float_bits(rows["margin"][i])
+            assert float_bits(verdict.min_pt_symplectic_eigenvalue) == float_bits(
+                rows["min_pt_symplectic_eigenvalue"][i])
+        kernel = _statistics_columns(*(np.array([x]) for x in (p.mu_t, p.mu_r, p.n_pdc)))
+        moments_now = predicted_moments(p)
+        for name in ("mean_t", "mean_r", "var_t", "var_r"):
+            assert float_bits(getattr(moments_now, name)) == float_bits(kernel[name][0]), name
+        assert float_bits(moments_now.cross) == float_bits(kernel["cross_covariance"][0]) == float_bits(
+            row["cross_covariance"])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaussian_oracle import (
     SYMPLECTIC_FORM,
@@ -12,6 +14,7 @@ from gaussian_oracle import (
 )
 from thermalpdc import (
     CovarianceBlock,
+    GainProfile,
     ModeParams,
     apply_loss,
     build_covariance,
@@ -132,6 +135,15 @@ class TestBuildCovariance:
             p = ModeParams.from_npdc(mu_t, mu_r, rng.uniform(0, 10))
             nu_min = symplectic_eigenvalues(build_covariance(p))[0]
             assert nu_min >= 0.5 - 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(mu_t=st.floats(0.0, 1e6), mu_r=st.floats(0.0, 1e6), coupling=st.floats(0.0, 50.0))
+    # u v (mu_t + mu_r + 1) read 60.98909230028715, one ulp above C_q
+    @example(mu_t=1.4020437899301996, mu_r=2.4259548721581754, coupling=1.9614743996024773)
+    def test_cross_entry_is_the_ghost_amplitude(self, mu_t, mu_r, coupling):
+        p = ModeParams(mu_t, mu_r, coupling)
+        c = build_covariance(p).matrix[0, 2]
+        assert c.hex() == GainProfile(p).correlation_amplitudes(np.zeros(1))[0].hex()
 
 
 class TestCovarianceBlock:

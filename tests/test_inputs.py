@@ -42,6 +42,7 @@ from thermalpdc import (
     single_slit,
     validate_factorization,
 )
+from thermalpdc.gaussian import _separability_columns, _statistics_columns
 
 IMAGING = GhostGeometry(wavelength=0.7e-6, d1=0.1, d2=0.1, d3=0.6, f_r=0.15)
 QGRID = MomentumGrid(32, 2 * math.pi / 1.28e-3)
@@ -259,6 +260,20 @@ def test_noise_reduction_threshold_refuses_an_overflow(mu_t, mu_r):
     assert math.isfinite(threshold)
 
 
+# the sweep_columns column that each closed form reads at its point
+SWEEP_COLUMN = {cross_covariance: "cross_covariance", correlation_index: "gamma", noise_reduction_factor: "nrf",
+                separability_margin: "margin"}
+
+
+def kernel_row(p, column):
+    """column's one-element array from its own group of the kernel at p, lossless; FloatingPointError where
+    that group overflows."""
+    point = [np.array([x]) for x in (p.mu_t, p.mu_r, p.n_pdc)]
+    with np.errstate(over="raise"):
+        group = _separability_columns(*point, np.ones(1)) if column == "margin" else _statistics_columns(*point)
+    return group[column]
+
+
 @pytest.mark.parametrize(
     "closed_form",
     [cross_covariance, correlation_index, noise_reduction_factor, separability_margin, build_covariance,
@@ -269,14 +284,34 @@ def test_noise_reduction_threshold_refuses_an_overflow(mu_t, mu_r):
 @given(mu_t=st.one_of(st.just(0.0), HUGE), mu_r=st.one_of(st.just(0.0), HUGE), coupling=st.floats(0.0, 1000.0))
 @example(mu_t=1e200, mu_r=1e200, coupling=0.5)
 @example(mu_t=0.0, mu_r=0.0, coupling=800.0)
+@example(mu_t=1.0, mu_r=1.0, coupling=math.asinh(math.sqrt(1e77)))
 def test_correlation_closed_forms_refuse_an_overflow(closed_form, mu_t, mu_r, coupling):
-    # float ** and math.sinh raised a bare OverflowError, and * returned inf
+    # float ** and math.sinh raised a bare OverflowError, and * returned inf; gamma read 0.0 at
+    # n_pdc 1e77, where its denominator overflowed to inf and the cross covariance over it passed
+    p = ModeParams(mu_t, mu_r, coupling)
     try:
-        value = closed_form(ModeParams(mu_t, mu_r, coupling))
+        value = closed_form(p)
     except ValueError as exc:
         assert re.search(r"\bmu_t\b.*\bmu_r\b.*\bcoupling\b", str(exc)), str(exc)
+        try:
+            n_pdc = p.n_pdc
+        except OverflowError:
+            return
+        # a refusal is one the sweep makes too
+        with pytest.raises(FloatingPointError):
+            thermalpdc.sweep_columns(p.mu_t, p.mu_r, n_pdc)
         return
     assert value is None or all(np.isfinite(array).all() for array in numbers_in(value))
+    if closed_form in SWEEP_COLUMN:
+        column = SWEEP_COLUMN[closed_form]
+        try:
+            row = thermalpdc.sweep_columns(p.mu_t, p.mu_r, p.n_pdc)[column][0]
+        except FloatingPointError:  # either group overflows; then the value's own group must not
+            try:
+                row = kernel_row(p, column)[0]
+            except FloatingPointError:
+                pytest.fail(f"{closed_form.__name__} returned {value!r} where {column} overflows")
+        assert (None if math.isnan(row) else row.hex()) == (None if value is None else value.hex()), (value, row)
 
 
 SEED = st.one_of(st.just(0.0), HUGE, st.floats(0.0, 1e20))
