@@ -52,11 +52,15 @@ def _fields(values: np.ndarray) -> list[str]:
         return ["true" if v else "false" for v in values.tolist()]
     if values.dtype.kind in "iu":
         return [str(v) for v in values.tolist()]
-    # repr each distinct bit pattern once (so -0.0 and 0.0 stay apart), then gather
+    # repr each distinct magnitude once and gather; repr(-x) is "-" + repr(x)
+    # for every float but NaN, so -0.0 and 0.0 stay apart
     v = values.astype(float).ravel()
-    distinct, inverse = np.unique(v.view(np.int64), return_inverse=True)
+    distinct, inverse = np.unique(np.abs(v).view(np.int64), return_inverse=True)
     text = np.array(["" if x != x else repr(x) for x in distinct.view(float).tolist()], dtype=object)
-    return text[inverse.ravel()].tolist()
+    fields = text[inverse.ravel()]
+    negative = np.signbit(v) & ~np.isnan(v)
+    fields[negative] = "-" + fields[negative]
+    return fields.tolist()
 
 
 def write_pgm(path, g2) -> str:

@@ -8,27 +8,21 @@ acts on each band of fixed d as a tridiagonal matrix that only couples
 even rungs to odd ones.  Once rung r of a band carries the gauge
 e^{i phase r}, that matrix is kappa K with K real antisymmetric, and it
 depends on d only through the gap |d|.  So bands d and -d are evolved by
-one real orthogonal matrix O = e^{kappa K}, built from one SVD of K's
-even-odd block, and the thermal mixture of inputs on band d is
-e^{i phase (r - r')} (O diag(w_d) O^T)[r, r'].
+one real orthogonal matrix O = e^{kappa K}, and the thermal mixture of
+inputs on band d is e^{i phase (r - r')} (O diag(w_d) O^T)[r, r'].
 
-The generator is padded beyond the band's rungs so that its truncation
-edge does not reflect weight back into them.  The padding starts at
-FIRST_PAD rungs and doubles, up to cutoff + 1, until the thermally weighted
-amplitude that the padded evolution carries to its last two rungs is at
-most EDGE_TOLERANCE; each gap starts from the previous gap's padding.
-Dim seeds keep a few rungs of padding; bright seeds, where that check does
-not pass, are padded by cutoff + 1 rungs.
+O is a representation matrix of SU(1,1), known in closed form (the
+disentangling theorem; Wodkiewicz and Eberly, JOSA B 2, 458 (1985)): with
+t = tanh kappa, c = cosh kappa and delta = m - n >= 0,
 
-The SVD of a gap's even-odd block depends on the gap and the padded size
-alone, never on the seeds, gain or phase, so each process keeps the
-factors, read-only, in one table of at most 4 MiB (_FACTORS), whose held
-bytes are counted as entries are admitted; a full table admits no more and
-evicts nothing.  The same LAPACK call on the same block gives the same
-factors, so an evolution is the same bit for bit whether it computes them or
-reads them.  After the first evolution, every later one at the same cutoff
-and padding pays only _evolution: the cutoff-60 demo oracle evolves in
-about 7.8 ms cold and 2.3 ms warm (BLAS on one thread).
+    O[m, n] = t^delta c^-(gap+1) sqrt(n! (m+gap)! / (m! (n+gap)!)) P_n^(delta, gap)(1 - 2 t^2)
+
+and O[n, m] = (-1)^delta O[m, n], with P_n^(a, b) a Jacobi polynomial.
+These are the entries of the untruncated evolution, so every column is
+exact without a padded generator, and _evolutions evaluates all of them by
+one Jacobi degree recurrence over every gap and diagonal at once; it keeps
+nothing between calls.  The cutoff-60 demo oracle evolves in about 2 ms,
+and bright seeds mu = (3, 3), n_pdc 1 at cutoff 120 in about 10 ms.
 
 The output density matrix is truncated at a photon-number cutoff per mode.
 The truncated weight is reported as a trace deficit, never hidden.
@@ -50,7 +44,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -60,11 +53,9 @@ from .gaussian import ModeParams, _real, _row, _statistics_columns, build_covari
 
 # Floating-point floor added to 10x the trace deficit in validate_factorization.
 FACTORIZATION_TOL_FLOOR = 1e-8
-# Largest weighted amplitude a padded band evolution may carry into the last
-# two rungs of its generator (rows -2 and -1 of _evolution), and the
-# padding, in rungs, that the first band tries.
-EDGE_TOLERANCE = 1e-15
-FIRST_PAD = 8
+# A chain of _evolutions whose start lies below 2^-_SCALE_BITS is carried
+# scaled to about that size until its terms reach it.
+_SCALE_BITS = 500
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +166,7 @@ def evolve_thermal_pair(p: ModeParams, cutoff: int, max_trace_deficit: float = 1
     Band d is e^{i phase (r - r')} (O diag(w) O^T)[r, r'], with w the product
     of geometric input weights P(n) = mu^n / (1 + mu)^(n+1) of its rungs
     within the cutoff and O the real pair evolution on those rungs (see
-    _evolution), so the pump phase enters only through that gauge; the
+    _evolutions), so the pump phase enters only through that gauge; the
     state keeps O and the weights of bands +-gap once per gap.  Raises
     ValueError for a cutoff or max_trace_deficit out of range or if the
     input tails beyond the cutoff exceed a tenth of max_trace_deficit (see
@@ -188,27 +179,15 @@ def evolve_thermal_pair(p: ModeParams, cutoff: int, max_trace_deficit: float = 1
     dim = cutoff + 1
     w_t = _thermal_weights(p.mu_t, cutoff)
     w_r = _thermal_weights(p.mu_r, cutoff)
-    evolutions, weights = [], []
-    pad = min(FIRST_PAD, dim)
+    weights = []
     for gap in range(dim):
         side = dim - gap
         # rung r of band gap is (r + gap, r), of band -gap (r, r + gap)
         w = np.empty((side, 2))
         np.multiply(w_t[gap:], w_r[:side], out=w[:, 0])
         np.multiply(w_t[:side], w_r[gap:], out=w[:, 1])
-        # bands gap and -gap share their generator; its padding grows from the
-        # last gap's until the weight its evolution carries to the edge, from
-        # either band, is within EDGE_TOLERANCE (a NaN weight fails the check);
-        # at cutoff + 1 it stops growing
-        top = np.maximum(w[:, 0], w[:, 1])
-        o = _evolution(p, _band_svd(gap, (side + pad + 1) // 2), side)
-        while pad < dim and not (np.abs(o[-2]) + np.abs(o[-1])) @ top <= EDGE_TOLERANCE:
-            pad = min(2 * pad, dim)
-            if 2 * ((side + pad + 1) // 2) != len(o):  # else the padded generator is unchanged
-                o = _evolution(p, _band_svd(gap, (side + pad + 1) // 2), side)
-        evolutions.append(o[:side].copy())  # a copy, so the padded rows are freed
         weights.append(w)
-    state = TwoModeFockState(cutoff, p.phase, tuple(evolutions), tuple(weights))
+    state = TwoModeFockState(cutoff, p.phase, _evolutions(p.coupling, cutoff), tuple(weights))
     if abs(state.trace_deficit) > max_trace_deficit:
         raise ValueError(
             f"trace deficit {state.trace_deficit:.3e} exceeds {max_trace_deficit:.3e} in magnitude; raise the cutoff"
@@ -216,100 +195,106 @@ def evolve_thermal_pair(p: ModeParams, cutoff: int, max_trace_deficit: float = 1
     return state
 
 
-class _FactorTable:
-    """Read-only arrays by key, holding at most budget bytes in all.
+def _centred(f):
+    """f = m 2^e exactly, with m in [1/sqrt 2, sqrt 2) (0 for f = 0) and e an integer."""
+    e = np.frexp(np.multiply(f, math.sqrt(2.0)))[1] - 1
+    return np.ldexp(f, -e), e
 
-    The held bytes are counted as entries are admitted.  A full table
-    admits nothing more and evicts nothing: a scan through more factors
-    than the budget holds (a cutoff-200 run) cannot push out the factors
-    already held, and a repeated scan reuses its first, largest factors
-    instead of missing on every lookup, as it would under LRU.  A process
-    whose cutoffs change keeps the factors it met first; they stay exact,
-    and the rest are computed on every call as without the table.
+
+def _evolutions(coupling: float, cutoff: int, first_gap: int = 0) -> tuple[np.ndarray, ...]:
+    """O = e^{coupling K} of the bands d = +-gap on their side = cutoff + 1 - gap
+    rungs, for gap from first_gap to cutoff: float64 arrays of shape (side, side).
+
+    With t = tanh coupling, c = cosh coupling and delta = m - n >= 0, the
+    entry O[m, n] = t^delta c^-(gap+1) sqrt(n! (m+gap)! / (m! (n+gap)!))
+    P_n^(delta, gap)(x), x = 1 - 2 t^2, is the term e_n of the chain
+    (gap, delta) that the Jacobi degree recurrence (DLMF 18.9.2) gives, scaled
+    to carry the entry itself: with s = 2 n + delta + gap and
+    q_n = sqrt(n (n + delta) (n + gap) (n + delta + gap)),
+
+        q_n e_n = (s - 1) (s x + (delta^2 - gap^2) / (s - 2)) / 2 e_{n-1} - s / (s - 2) q_{n-1} e_{n-2},
+
+    where (delta^2 - gap^2) / (s - 2) reads delta - gap at n = 1, and
+    O[n, m] = (-1)^delta O[m, n].  The chains are ordered by gap + delta, so
+    those still within the cutoff at degree n, gap + delta + n <= cutoff,
+    are a prefix; each degree is written into the gaps' matrices, views of
+    one buffer, through per-chain flat offsets.
+
+    The start e_0 = t^delta c^-(gap+1) sqrt(C(gap + delta, delta)) is formed
+    as a mantissa and a power of two.  A chain whose start lies below
+    2^-_SCALE_BITS carries it scaled by 2^shift, and sheds shift as its terms
+    grow, so an entry underflows only where its exact value does.
     """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.nbytes = 0
-        self._entries = {}
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        return self._entries.get(key)
-
-    def admit(self, key, arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        """Make arrays read-only and hold them under key if they fit; returns them."""
-        for a in arrays:
-            a.flags.writeable = False
-        size = sum(a.nbytes for a in arrays)
-        with self._lock:
-            if key not in self._entries and self.nbytes + size <= self.budget:
-                self._entries[key] = arrays
-                self.nbytes += size
-        return arrays
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-            self.nbytes = 0
-
-
-# The band SVDs of one process, by (gap, h); 4 MiB holds every factor of a
-# dim-seed evolution, padded by 8 or 9 rungs, up to cutoff 135 (3.9 MiB).
-_FACTORS = _FactorTable(4 << 20)
-
-
-def _band_svd(gap: int, h: int) -> tuple[np.ndarray, ...]:
-    """SVD B = P Sigma Q^T of the even-odd block of the generator K of the bands d = +-gap.
-
-    On 2 h rungs K = L - L^T, with L raising rung r by
-    sqrt((r + 1)(r + 1 + gap)), so B[j, j] = K[2 j, 2 j + 1] is negative and
-    B[j + 1, j] = K[2 j + 2, 2 j + 1] positive.  evolve_thermal_pair takes
-    h = (side + pad + 1) // 2, so the generator is padded by pad or pad + 1
-    rungs beyond the band's side rungs.  B depends on gap and h alone, so
-    the read-only factors (P, Sigma, Q^T) are kept in _FACTORS while it has
-    room and shared by every later evolution in the process.
-    """
-    factors = _FACTORS.get((gap, h))
-    if factors is not None:
-        return factors
-    r = np.arange(2 * h - 1)
-    off = np.sqrt((r + 1.0) * (r + 1.0 + gap))
-    b = np.zeros((h, h))
-    flat = b.reshape(-1)
-    flat[:: h + 1] = -off[::2]
-    flat[h :: h + 1] = off[1::2]
-    return _FACTORS.admit((gap, h), np.linalg.svd(b))
-
-
-def _evolution(p: ModeParams, factors, side: int) -> np.ndarray:
-    """O = e^{kappa K} on all 2 h rungs of the padded generator, from each of
-    the bottom side rungs of the bands d = +-gap: a float64 array of shape
-    (2 h, side).
-
-    factors is _band_svd(gap, h).  K only couples even rungs to odd ones: in
-    that order K = [[0, B], [-B^T, 0]] with B square of side h.  From the SVD
-    B = P Sigma Q^T, e^{kappa K} has even block P cos(kappa Sigma) P^T, odd
-    block Q cos(kappa Sigma) Q^T, even-odd block P sin(kappa Sigma) Q^T and
-    odd-even block -Q sin(kappa Sigma) P^T, so one SVD of side h replaces an
-    eigendecomposition of side 2 h.  The diagonal blocks are written as
-    identity plus correction, so an uncoupled pair stays exactly unevolved.
-    Rows 2 h - 2 and 2 h - 1 carry each kept rung's amplitude into the last
-    two rungs, where the truncated coupling to rung 2 h would start to
-    reflect weight back.
-    """
-    p_even, sigma, q_t = factors
-    q_odd = q_t.T
-    p_kept, q_kept = p_even[: (side + 1) // 2], q_odd[: side // 2]
-    cos_m1 = -2.0 * np.sin(0.5 * p.coupling * sigma) ** 2
-    sin = np.sin(p.coupling * sigma)
-    o = np.empty((2 * len(sigma), side))
-    o[::2, ::2] = (p_even * cos_m1) @ p_kept.T
-    o[1::2, 1::2] = (q_odd * cos_m1) @ q_kept.T
-    o[::2, 1::2] = (p_even * sin) @ q_kept.T
-    o[1::2, ::2] = -(q_odd * sin) @ p_kept.T
-    o.reshape(-1)[: side * (side + 1) : side + 1] += 1.0
-    return o
+    dim = cutoff + 1
+    t, c = math.tanh(coupling), math.cosh(coupling)
+    half_x = 0.5 - t * t
+    gaps = np.arange(first_gap, dim)
+    count = len(gaps)  # gaps, and degrees
+    sides = dim - gaps
+    offsets = np.concatenate(([0], np.cumsum(sides * sides)))
+    flat = np.empty(offsets[-1])
+    # the start as mantissa 2^exponent on the (gap, delta) square: c^-(gap+1)
+    # times the product over j <= delta of t sqrt((gap + j) / j)
+    j = np.arange(1, count)
+    mant = np.empty((count, count))
+    expo = np.empty((count, count), dtype=np.int64)
+    mant[:, 1:], expo[:, 1:] = _centred(t * np.sqrt((gaps[:, None] + j) / j))
+    c_mant, c_exp = _centred(c)
+    mant[:, 0] = c_mant ** -(gaps + 1.0)
+    expo[:, 0] = -c_exp * (gaps + 1)
+    np.cumprod(mant, axis=1, out=mant)
+    np.cumsum(expo, axis=1, out=expo)
+    # chain i of anti-diagonal a = gap + delta - first_gap is (first_gap + i, a - i)
+    a = np.repeat(np.arange(count), np.arange(1, count + 1))
+    i = np.arange(len(a)) - a * (a + 1) // 2
+    delta = a - i
+    mant, expo = mant[i, delta], expo[i, delta]
+    shift = np.maximum(0, -_SCALE_BITS - expo - np.frexp(mant)[1])
+    scaled = np.flatnonzero(shift)
+    e1 = np.ldexp(mant, expo + shift)  # e_{n-1}, times 2^shift
+    e2 = np.zeros(len(a))  # e_{n-2}, times 2^shift
+    g, d = gaps[i] + 0.0, delta + 0.0
+    half_diff = 0.5 * (d - g)
+    # carried from degree to degree: r = s - 1 and u = n (n + delta + gap), so
+    # that q_n^2 = u (u + delta gap) and (s - 2) times the e_{n-1} coefficient
+    # is r (x r^2 + delta^2 - gap^2 - x) / 2
+    r, u, product = g + d - 1.0, np.zeros(len(a)), g * d
+    offset = half_diff * (g + d) - half_x
+    # flat offsets of O[delta + n, n] and O[n, delta + n], their step per degree, and the sign of the second
+    lower, upper, step = offsets[i] + delta * sides[i], offsets[i] + delta, sides[i] + 1
+    sign = 1.0 - 2.0 * (delta & 1)
+    for n in range(count):
+        k = (count - n) * (count - n + 1) // 2  # the chains with gap + delta + n <= cutoff
+        if n:
+            rk, uk = r[:k], u[:k]
+            rk += 2.0
+            uk += rk
+            q = np.sqrt((uk + product[:k]) * uk)
+            if n == 1:
+                new = (half_x * (rk + 1.0) + half_diff[:k]) * rk * e1[:k]
+                np.divide(new, q, out=e2[:k])
+            else:
+                new = (half_x * (rk * rk) + offset[:k]) * rk * e1[:k]
+                new -= (rk + 1.0) * q_last[:k] * e2[:k]
+                np.divide(new, (rk - 1.0) * q, out=e2[:k])
+            e1, e2, q_last = e2, e1, q
+            lower[:k] += step[:k]
+            upper[:k] += step[:k]
+            if scaled.size:
+                # a scaled chain's terms stay below 2^-_SCALE_BITS until its shift is spent
+                scaled = scaled[scaled < k]
+                drop = np.minimum(np.maximum(np.frexp(e1[scaled])[1] + _SCALE_BITS, 0), shift[scaled])
+                e1[scaled] = np.ldexp(e1[scaled], -drop)
+                e2[scaled] = np.ldexp(e2[scaled], -drop)
+                shift[scaled] -= drop
+                scaled = scaled[shift[scaled] > 0]
+        flat[lower[:k]] = e1[:k]
+        flat[upper[:k]] = e1[:k] * sign[:k]
+        if scaled.size:
+            true = np.ldexp(e1[scaled], -shift[scaled])
+            flat[lower[scaled]] = true
+            flat[upper[scaled]] = true * sign[scaled]
+    return tuple(flat[lo:hi].reshape(side, side) for lo, hi, side in zip(offsets[:-1], offsets[1:], sides))
 
 
 def input_tail_problem(mu_t, mu_r, cutoff: int, max_trace_deficit: float) -> str | None:
@@ -424,9 +409,8 @@ def validate_factorization(params: Iterable[ModeParams], cutoff: int = 40) -> li
     and the anomalous moment must equal exp(i phase) times the covariance
     cross entry C = u v (1 + mu_t + mu_r) of gaussian.build_covariance.
     Errors are compared against 10x the trace deficit plus
-    FACTORIZATION_TOL_FLOOR.  The pairs share the band SVD factors of the
-    process's table (see _band_svd), so at one cutoff only the first pair,
-    or a padding not met before, pays for them.
+    FACTORIZATION_TOL_FLOOR.  Each pair is evolved afresh, in closed form
+    (see _evolutions).
     """
     checks = []
     for p in params:

@@ -2,7 +2,6 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +17,8 @@ from thermalpdc import (
     moments,
     predicted_moments,
 )
+
+from fock_oracle import jacobi_entry, reference_evolution
 
 ASINH1 = math.asinh(1.0)
 DEMO_ORACLE = Path(__file__).resolve().parents[1] / "demos" / "configs" / "oracle_validate.json"
@@ -60,43 +61,6 @@ def brute_force_unitary(coupling, phase, dim):
     return series_expm(1j * gen)
 
 
-def padded_rungs(side, pad):
-    """Rungs 2 h of the generator that evolve_thermal_pair builds for a band
-    of side rungs padded by pad rungs."""
-    return 2 * ((side + pad + 1) // 2)
-
-
-def fixed_pad_bands(p, cutoff, pad):
-    """Every band of the state whose evolutions are each padded by the same
-    pad rungs, bypassing the edge check of evolve_thermal_pair."""
-    dim = cutoff + 1
-    w_t = fock._thermal_weights(p.mu_t, cutoff)
-    w_r = fock._thermal_weights(p.mu_r, cutoff)
-    evolutions, weights = [], []
-    for gap in range(dim):
-        side = dim - gap
-        evolutions.append(fock._evolution(p, fock._band_svd(gap, padded_rungs(side, pad) // 2), side)[:side])
-        rungs = (fock._rungs(gap, dim), fock._rungs(-gap, dim))
-        weights.append(np.stack([w_t[n_t] * w_r[n_r] for n_t, n_r in rungs], axis=1))
-    return TwoModeFockState(cutoff, p.phase, tuple(evolutions), tuple(weights)).bands
-
-
-def spy_rungs(rungs):
-    """A stand-in for fock._evolution that keeps in rungs[gap] the generator
-    rungs 2 h of the last call for the evolution of gap, which the bands
-    d = +-gap share: it runs once per trial padding, so calls are keyed by
-    the gap's side."""
-    evolution = fock._evolution
-    by_side = {}
-
-    def spy(p, factors, side):
-        by_side[side] = 2 * len(factors[1])
-        rungs[:] = [by_side[s] for s in sorted(by_side, reverse=True)]
-        return evolution(p, factors, side)
-
-    return spy
-
-
 class TestDenseReference:
     @pytest.mark.parametrize("phase", [0.0, 0.7])
     def test_bands_match_dense_evolution(self, phase):
@@ -114,6 +78,57 @@ class TestDenseReference:
             kept = np.maximum(n_t, n_r) <= dim - 9
             idx = (n_t * dim + n_r)[kept]
             assert np.abs(band[np.ix_(kept, kept)] - rho[np.ix_(idx, idx)]).max() < 1e-12, d
+
+
+class TestClosedFormEvolutions:
+    """The band evolutions O against the SVD of the padded generator and the
+    explicit Jacobi sum (tests/fock_oracle.py)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.0, 2.0), st.integers(1, 40), st.integers(0, 40))
+    # the state's O at this gap once read 0.364 where the exact entry is -0.005,
+    # in a column of negligible input weight
+    @example(0.3, 60, 59)
+    @example(2.0, 40, 0)
+    def test_every_column_matches_the_svd_reference(self, n_pdc, cutoff, gap):
+        # within the reference's own rounding, which reaches 3.4e-14 at these sizes
+        gap = min(gap, cutoff)
+        coupling = math.asinh(math.sqrt(n_pdc))
+        state = evolve_thermal_pair(ModeParams(0.0, 0.0, coupling), cutoff, 10.0)
+        assert np.abs(state.evolutions[gap] - reference_evolution(coupling, gap, cutoff + 1 - gap)).max() <= 5e-14
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(0.0, 3.0), st.integers(1, 16), st.integers(0, 16))
+    @example(0.0, 16, 0)
+    @example(1.0, 16, 3)  # x = 1 - 2 t^2 is 0
+    def test_entries_match_the_explicit_jacobi_sum(self, n_pdc, cutoff, gap):
+        gap = min(gap, cutoff)
+        coupling = math.asinh(math.sqrt(n_pdc))
+        o = fock._evolutions(coupling, cutoff)[gap]
+        want = [[jacobi_entry(coupling, gap, m, n) for n in range(len(o))] for m in range(len(o))]
+        assert np.abs(o - want).max() <= 1e-14
+
+    def test_uncoupled_pair_is_exactly_unevolved(self):
+        assert all(np.array_equal(o, np.eye(len(o))) for o in fock._evolutions(0.0, 40))
+
+    def test_later_gaps_alone_are_the_same_chains(self):
+        coupling = math.asinh(math.sqrt(0.7))
+        every = fock._evolutions(coupling, 50)
+        assert all(np.array_equal(a, b) for a, b in zip(every[20:], fock._evolutions(coupling, 50, first_gap=20)))
+
+    def test_underflowing_start_keeps_normal_entries(self):
+        # at n_pdc 100 every chain of gap 335 starts at c^-336 = e^-775, below
+        # the float range, and its entries from about degree 20 on are normal
+        # floats; the gaps from 335 on are evaluated without the whole state
+        coupling = math.asinh(10.0)
+        assert math.cosh(coupling) ** -336.0 == 0.0
+        o = fock._evolutions(coupling, 365, first_gap=335)[0]
+        want = np.array([[jacobi_entry(coupling, 335, m, n) for n in range(31)] for m in range(31)])
+        normal = np.abs(want) >= np.finfo(float).tiny
+        assert normal.sum() > 300
+        assert not (o[normal] == 0.0).any()
+        # relative to the entry, down to the spacing of the subnormal floats
+        assert (np.abs(o - want) <= 1e-13 * np.abs(want) + 2 * np.finfo(float).smallest_subnormal).all()
 
 
 class TestEvolveThermalPair:
@@ -177,73 +192,10 @@ class TestEvolveThermalPair:
 
     def test_reports_inflated_trace(self, monkeypatch):
         # a band evolution that gains weight shows as a negative deficit
-        evolution = fock._evolution
-        monkeypatch.setattr(fock, "_evolution", lambda *args: 1.01 * evolution(*args))
+        evolutions = fock._evolutions
+        monkeypatch.setattr(fock, "_evolutions", lambda *args: tuple(1.01 * o for o in evolutions(*args)))
         with pytest.raises(ValueError, match=r"trace deficit -2\.\d+e-02 exceeds .* in magnitude"):
             evolve_thermal_pair(ModeParams.from_npdc(0.5, 0.5, 0.3), 40)
-
-    def test_padding_is_converged(self):
-        # these seeds pad every band by cutoff + 1 rungs (the cap, see
-        # test_bright_seeds_pad_to_the_cap); doubling the padding moves no
-        # band entry, while halving it would
-        p = ModeParams.from_npdc(3.0, 3.0, 1.0)
-        state = evolve_thermal_pair(p, 100, 1e-3)
-
-        def moved(pad):
-            return max(float(np.abs(a - b).max()) for a, b in zip(state.bands, fixed_pad_bands(p, 100, pad)))
-
-        assert moved(202) < 1e-15
-        assert moved(50) > 1e-13
-
-    def test_bright_seeds_pad_to_the_cap(self, monkeypatch):
-        # the edge check never passes here, so every band is padded by
-        # cutoff + 1 rungs and equals a fixed padding of cutoff + 1 bit for bit
-        p = ModeParams.from_npdc(3.0, 3.0, 1.0)
-        rungs = []
-        monkeypatch.setattr(fock, "_evolution", spy_rungs(rungs))
-        state = evolve_thermal_pair(p, 100, 1e-3)
-        monkeypatch.undo()
-        assert rungs == [padded_rungs(101 - gap, 101) for gap in range(101)]
-        for band, want in zip(state.bands, fixed_pad_bands(p, 100, 101)):
-            assert band.tobytes() == want.tobytes()
-
-    def test_demo_oracle_pads_below_the_cap(self, monkeypatch):
-        from thermalpdc.scenario import ORACLE_MAX_TRACE_DEFICIT
-
-        cfg = json.loads(DEMO_ORACLE.read_text())
-        dim = cfg["cutoff"] + 1
-        rungs = []
-        monkeypatch.setattr(fock, "_evolution", spy_rungs(rungs))
-        evolve_thermal_pair(ModeParams.from_npdc(**cfg["params"]), cfg["cutoff"], ORACLE_MAX_TRACE_DEFICIT)
-        assert len(rungs) == dim
-        assert all(rungs[gap] < padded_rungs(dim - gap, dim) for gap in range(dim))
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.floats(0.0, 5.0),
-        st.floats(0.0, 5.0),
-        st.floats(0.0, 2.0),
-        st.floats(-math.pi, math.pi),
-        st.integers(1, 40),
-    )
-    @example(0.5, 0.5, 0.3, 0.0, 40)
-    @example(0.0, 0.0, 0.5, 1.0, 40)
-    @example(5.0, 5.0, 1.0, 0.4, 40)
-    def test_bound_chosen_pads_match_double_padding(self, mu_t, mu_r, n_pdc, phase, cutoff):
-        # below the cap a band matches one padded by 2 (cutoff + 1) rungs; at
-        # the cap it is the band padded by cutoff + 1, whose own truncation
-        # error shows in the trace deficit
-        p = ModeParams.from_npdc(mu_t, mu_r, n_pdc, phase)
-        rungs = []
-        with mock.patch.object(fock, "_evolution", spy_rungs(rungs)):
-            state = evolve_thermal_pair(p, cutoff, 10.0)
-        at_cap = fixed_pad_bands(p, cutoff, cutoff + 1)
-        doubled = fixed_pad_bands(p, cutoff, 2 * (cutoff + 1))
-        for d, band in zip(range(-cutoff, cutoff + 1), state.bands):
-            if rungs[abs(d)] == padded_rungs(cutoff + 1 - abs(d), cutoff + 1):
-                assert band.tobytes() == at_cap[d + cutoff].tobytes(), d
-            else:
-                assert np.abs(band - doubled[d + cutoff]).max() < 1e-14, d
 
     def test_phase_zero_bands_are_real(self):
         # the pump phase enters only through the gauge e^{i phase (r - r')}
@@ -293,10 +245,8 @@ class TestEvolveThermalPair:
         assert run(cfg, out_dir=tmp_path)["passed"]
 
     def test_banded_memory_at_cutoff_60(self):
-        # the dense matrix at this cutoff alone would take 211 MiB; the
-        # cleared factor table is filled within the traced peak
+        # the dense matrix at this cutoff alone would take 211 MiB
         p = ModeParams.from_npdc(0.5, 0.5, 0.3)
-        fock._FACTORS.clear()
         tracemalloc.start()
         try:
             state = evolve_thermal_pair(p, 60)
@@ -308,11 +258,9 @@ class TestEvolveThermalPair:
         assert peak < 8e6
 
     def test_factored_memory_at_cutoff_200(self):
-        # the oracle keeps one real evolution per gap and never builds a band:
-        # the 401 complex bands at this cutoff alone would take 83 MiB; the
-        # cleared factor table is filled to its budget within the traced peak
+        # the oracle keeps one real evolution per gap (21.8 MB at this cutoff)
+        # and never builds a band: the 401 complex bands alone would take 83 MiB
         p = ModeParams.from_npdc(1.0, 1.0, 0.25)
-        fock._FACTORS.clear()
         tracemalloc.start()
         try:
             state = evolve_thermal_pair(p, 200)
@@ -322,76 +270,14 @@ class TestEvolveThermalPair:
             tracemalloc.stop()
         assert peak < 30e6
 
-
-def held_bytes(table):
-    """The bytes of the arrays a factor table holds, summed afresh."""
-    return sum(a.nbytes for arrays in table._entries.values() for a in arrays)
-
-
-class TestFactorTable:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.floats(0.0, 5.0),
-        st.floats(0.0, 5.0),
-        st.floats(0.0, 2.0),
-        st.floats(-math.pi, math.pi),
-        st.integers(1, 40),
-        st.sampled_from([fock._FACTORS.budget, 100_000, 10_000, 0]),
-    )
-    @example(0.5, 0.5, 0.3, 0.0, 40, fock._FACTORS.budget)
-    # the factors of cutoff 40 take 0.5 to 0.7 MB, so these budgets fill during the first evolution
-    @example(0.5, 0.5, 0.3, 1.0, 40, 100_000)
-    @example(5.0, 5.0, 1.0, 0.4, 40, 10_000)
-    def test_warm_evolution_matches_cold(self, mu_t, mu_r, n_pdc, phase, cutoff, budget):
-        # the reference computes every SVD afresh: a table of budget 0 holds nothing
-        p = ModeParams.from_npdc(mu_t, mu_r, n_pdc, phase)
-        with mock.patch.object(fock, "_FACTORS", fock._FactorTable(0)):
-            fresh = evolve_thermal_pair(p, cutoff, 10.0)
-        table = fock._FactorTable(budget)
-        with mock.patch.object(fock, "_FACTORS", table):
-            cold = evolve_thermal_pair(p, cutoff, 10.0)
-            assert 0 <= table.nbytes == held_bytes(table) <= budget
-            held = dict(table._entries)
-            warm = evolve_thermal_pair(p, cutoff, 10.0)
-        # a full table admits nothing more and evicts nothing
-        assert table._entries == held and table.nbytes == held_bytes(table) <= budget
-        for state in (cold, warm):
-            assert all(np.array_equal(a, b) for a, b in zip(state.evolutions, fresh.evolutions))
-            assert all(np.array_equal(a, b) for a, b in zip(state.weights, fresh.weights))
-            assert state.trace_deficit == fresh.trace_deficit
-
-    def test_cutoff_200_stays_within_the_budget(self):
-        # these factors take 12 MiB: the table fills with the first (largest)
-        # ones and a second evolution replaces none of them
-        p = ModeParams.from_npdc(1.0, 1.0, 0.25)
-        table = fock._FactorTable(fock._FACTORS.budget)
-        with mock.patch.object(fock, "_FACTORS", table):
-            cold = evolve_thermal_pair(p, 200)
-            held = dict(table._entries)
-            assert table.nbytes == held_bytes(table) <= table.budget
-            assert table.nbytes > table.budget - 2 * 8 * (2 * 105 ** 2 + 105)  # within two of the largest entries
-            warm = evolve_thermal_pair(p, 200)
-        assert table._entries == held and table.nbytes == held_bytes(table)
-        assert all(np.array_equal(a, b) for a, b in zip(cold.evolutions, warm.evolutions))
-
-    @pytest.mark.parametrize("budget", [fock._FACTORS.budget, 0])
-    def test_factors_are_read_only(self, budget):
-        # held or not, every caller gets arrays it cannot write through
-        with mock.patch.object(fock, "_FACTORS", fock._FactorTable(budget)):
-            for factors in (fock._band_svd(3, 10), fock._band_svd(3, 10)):
-                for a in factors:
-                    assert not a.flags.writeable
-                    with pytest.raises(ValueError, match="read-only"):
-                        a[0] = 0.0
-
     def test_demo_oracle_twice_in_one_process_is_byte_identical(self, tmp_path):
+        # an evolution keeps no state in the process between calls
         from thermalpdc.scenario import run
 
         cfg = json.loads(DEMO_ORACLE.read_text())
-        fock._FACTORS.clear()
-        for out in ("cold", "warm"):
+        for out in ("first", "second"):
             run(cfg, out_dir=tmp_path / out)
-        assert (tmp_path / "cold" / "oracle_report.json").read_bytes() == (tmp_path / "warm" / "oracle_report.json").read_bytes()
+        assert (tmp_path / "first" / "oracle_report.json").read_bytes() == (tmp_path / "second" / "oracle_report.json").read_bytes()
 
 
 class TestMoments:

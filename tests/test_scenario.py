@@ -449,6 +449,8 @@ class TestCsvWriter:
     @example({"": np.zeros(0)})  # so is the header
     @example({"a": np.array([0.0, -0.0, 0.0, math.nan, -0.0]), "b": np.array([1, 1, 2, 1, 2])})
     @example({"t": np.resize(np.array([1.5, math.inf, -math.inf, 5e-324]), 257), "f": np.resize([True, False], 257)})
+    # magnitudes shared by both signs, which are repr'd once; a NaN with its sign bit set is still empty
+    @example({"m": np.array([0.1, -0.1, -math.nan, 2.5, -2.5, -0.0, -5e-324, 5e-324])})
     def test_matches_csv_module(self, columns):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
