@@ -108,6 +108,32 @@ class TestClosedFormEvolutions:
         want = [[jacobi_entry(coupling, gap, m, n) for n in range(len(o))] for m in range(len(o))]
         assert np.abs(o - want).max() <= 1e-14
 
+    def test_bright_seeds_match_the_svd_reference(self):
+        # seeds mu = (3, 3), n_pdc 1 at cutoff 100 spread every column well
+        # beyond the sizes the hypothesis test draws
+        p = ModeParams.from_npdc(3.0, 3.0, 1.0)
+        state = evolve_thermal_pair(p, 100, 1e-3)
+        for gap in (0, 1, 50, 100):
+            assert np.abs(state.evolutions[gap] - reference_evolution(p.coupling, gap, 101 - gap)).max() <= 5e-14, gap
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.floats(0.0, 0.6), st.floats(0.0, 0.6), st.integers(0, 20))
+    @example(0.3, 0.4, 0)
+    @example(0.6, 0.6, 20)
+    def test_evolutions_compose(self, first, second, gap):
+        # e^{(k1 + k2) K} = e^{k1 K} e^{k2 K}: at cutoff 200 the first 30
+        # columns of both factors carry at most 1e-8 beyond the cutoff (at
+        # cutoff 150 gap 20 of 0.6 + 0.6 misses 1e-4 of the product)
+        a, b, both = (fock._evolutions(k, 200, first_gap=gap)[0] for k in (first, second, first + second))
+        assert np.abs((a @ b)[:30, :30] - both[:30, :30]).max() <= 2e-14
+
+    @pytest.mark.parametrize("n_pdc", [0.1, 0.5])
+    def test_leading_columns_are_orthonormal(self, n_pdc):
+        # O is orthogonal before truncation; at cutoff 200 the first 16 columns
+        # of the first 16 gaps keep all their weight
+        for gap, o in enumerate(fock._evolutions(math.asinh(math.sqrt(n_pdc)), 200)[:16]):
+            assert np.abs(o[:, :16].T @ o[:, :16] - np.eye(16)).max() <= 1e-14, gap
+
     def test_uncoupled_pair_is_exactly_unevolved(self):
         assert all(np.array_equal(o, np.eye(len(o))) for o in fock._evolutions(0.0, 40))
 
@@ -269,6 +295,16 @@ class TestEvolveThermalPair:
         finally:
             tracemalloc.stop()
         assert peak < 30e6
+
+    def test_evolution_is_unchanged_by_the_evolutions_before_it(self):
+        # an evolution of another coupling and cutoff in between leaves no trace
+        p = ModeParams.from_npdc(0.5, 0.5, 0.3, 0.4)
+        first = evolve_thermal_pair(p, 40)
+        evolve_thermal_pair(ModeParams.from_npdc(3.0, 3.0, 1.0), 100, 1e-3)
+        again = evolve_thermal_pair(p, 40)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first.evolutions, again.evolutions))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first.weights, again.weights))
+        assert first.trace_deficit == again.trace_deficit
 
     def test_demo_oracle_twice_in_one_process_is_byte_identical(self, tmp_path):
         # an evolution keeps no state in the process between calls
