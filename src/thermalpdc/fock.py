@@ -28,13 +28,14 @@ The output density matrix is truncated at a photon-number cutoff per mode.
 The truncated weight is reported as a trace deficit, never hidden.
 
 The output state is kept factored: per gap, the float64 rows of O on the
-band's rungs and the input weights of bands +-gap, about
-8 sum_side (side^2 + 2 side) bytes for side 1 to cutoff + 1 (0.6 MiB at
-cutoff 60, where the 2 cutoff + 1 complex bands would take 2.3 MiB and the
-dense matrix of side (cutoff + 1)^2 211 MiB).  Every diagnostic the
-oracle reads is a function of those factors: the joint distribution is
-(O o O) w per band and the anomalous moment a weighted first
-sub-diagonal.  The bands themselves are built only on demand.
+band's rungs, and once the two thermal input distributions w_t and w_r,
+about 8 sum_side side^2 bytes for side 1 to cutoff + 1 (0.6 MiB at cutoff
+60, where the 2 cutoff + 1 complex bands would take 2.3 MiB and the dense
+matrix of side (cutoff + 1)^2 211 MiB).  The input weight of rung
+(n_T, n_R) is w_t[n_T] w_r[n_R].  Every diagnostic the oracle reads is a
+function of those factors: the joint distribution is (O o O) w per band
+and the anomalous moment a weighted first sub-diagonal.  The bands
+themselves are built only on demand.
 
 validate_factorization checks the Gaussian moment factorization behind the
 ghost correlation map against this evolution, one mode pair at a time.
@@ -67,37 +68,38 @@ class TwoModeFockState:
     product state |n_T>_T |n_R>_R with
     (n_T, n_R) = (r + max(d, 0), r + max(-d, 0)); entries between different
     bands are zero.  For side = cutoff + 1 - gap, evolutions[gap] is the
-    (side, side) float64 evolution O of bands d = +-gap on their rungs and
-    weights[gap] the (side, 2) input weights w of the rungs of band gap
-    (column 0) and band -gap (column 1).  Band d is
-    e^{i phase (r - r')} (O diag(w) O^T)[r, r'].  Its diagonal, the joint
-    distribution, is computed once from (O o O) w; trace_deficit = 1 - trace
-    collects both the unseeded input tail and the evolved weight pushed
-    beyond the cutoff.  bands, matrix, hermiticity_defect and min_eigenvalue
-    build the bands on every call.
+    (side, side) float64 evolution O of bands d = +-gap on their rungs;
+    w_t and w_r are the thermal input distributions of the two modes, of
+    length cutoff + 1, so the input weight w of rung (n_T, n_R) is
+    w_t[n_T] w_r[n_R].  Band d is e^{i phase (r - r')} (O diag(w) O^T)[r, r'].
+    Its diagonal, the joint distribution, is computed once from (O o O) w;
+    trace_deficit = 1 - trace collects both the unseeded input tail and the
+    evolved weight pushed beyond the cutoff.  bands, matrix,
+    hermiticity_defect and min_eigenvalue build the bands on every call.
     """
 
     cutoff: int
     phase: float
     evolutions: tuple[np.ndarray, ...]
-    weights: tuple[np.ndarray, ...]
+    w_t: np.ndarray
+    w_r: np.ndarray
     trace_deficit: float = field(init=False)
     _joint: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dim = self.cutoff + 1
         sides = range(dim, 0, -1)
-        shapes = ([o.shape for o in self.evolutions], [w.shape for w in self.weights])
-        if shapes != ([(s, s) for s in sides], [(s, 2) for s in sides]):
+        shapes = ([o.shape for o in self.evolutions], np.shape(self.w_t), np.shape(self.w_r))
+        if shapes != ([(s, s) for s in sides], (dim,), (dim,)):
             raise ValueError(
-                f"evolutions and weights must have shapes (side, side) and (side, 2) for side "
-                f"cutoff + 1 - gap, gap from 0 to cutoff {self.cutoff}"
+                f"evolutions must have shapes (side, side) for side cutoff + 1 - gap, gap from 0 to "
+                f"cutoff {self.cutoff}, and w_t and w_r shape (cutoff + 1,)"
             )
         # band d is the diagonal P[r + max(d, 0), r + max(-d, 0)], written through a flat stride
         joint = np.zeros((dim, dim))
         flat = joint.reshape(-1)
-        for gap, (o, w) in enumerate(zip(self.evolutions, self.weights)):
-            diagonals = (o * o) @ w
+        for gap, o in enumerate(self.evolutions):
+            diagonals = (o * o) @ self._gap_weights(gap)
             flat[gap * dim :: dim + 1] = diagonals[:, 0]
             flat[gap : (dim - gap) * dim : dim + 1] = diagonals[:, 1]
         joint.flags.writeable = False
@@ -113,13 +115,19 @@ class TwoModeFockState:
         phases = np.exp(1j * self.phase * np.arange(-self.cutoff, dim))
         gauge = np.lib.stride_tricks.sliding_window_view(phases, dim)[:, ::-1]
         bands = [None] * (2 * self.cutoff + 1)
-        for gap, (o, w) in enumerate(zip(self.evolutions, self.weights)):
-            side = dim - gap
+        for gap, o in enumerate(self.evolutions):
+            side, w = dim - gap, self._gap_weights(gap)
             for d, column in ((gap, 0), (-gap, 1)) if gap else ((0, 0),):
                 band = gauge[:side, :side] * ((o * w[:, column]) @ o.T)
                 band.reshape(-1)[:: side + 1] = np.diagonal(self._joint, -d)
                 bands[d + self.cutoff] = band
         return tuple(bands)
+
+    def _gap_weights(self, gap: int) -> np.ndarray:
+        """The (side, 2) input weights of the rungs of band gap (column 0), each
+        (r + gap, r), and of band -gap (column 1), each (r, r + gap)."""
+        side = self.cutoff + 1 - gap
+        return np.column_stack((self.w_t[gap:] * self.w_r[:side], self.w_t[:side] * self.w_r[gap:]))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -167,7 +175,7 @@ def evolve_thermal_pair(p: ModeParams, cutoff: int, max_trace_deficit: float = 1
     of geometric input weights P(n) = mu^n / (1 + mu)^(n+1) of its rungs
     within the cutoff and O the real pair evolution on those rungs (see
     _evolutions), so the pump phase enters only through that gauge; the
-    state keeps O and the weights of bands +-gap once per gap.  Raises
+    state keeps O once per gap and the two input distributions.  Raises
     ValueError for a cutoff or max_trace_deficit out of range or if the
     input tails beyond the cutoff exceed a tenth of max_trace_deficit (see
     input_tail_problem), and if the trace deficit exceeds max_trace_deficit
@@ -176,18 +184,8 @@ def evolve_thermal_pair(p: ModeParams, cutoff: int, max_trace_deficit: float = 1
     problem = input_tail_problem(p.mu_t, p.mu_r, cutoff, max_trace_deficit)
     if problem:
         raise ValueError(problem)
-    dim = cutoff + 1
-    w_t = _thermal_weights(p.mu_t, cutoff)
-    w_r = _thermal_weights(p.mu_r, cutoff)
-    weights = []
-    for gap in range(dim):
-        side = dim - gap
-        # rung r of band gap is (r + gap, r), of band -gap (r, r + gap)
-        w = np.empty((side, 2))
-        np.multiply(w_t[gap:], w_r[:side], out=w[:, 0])
-        np.multiply(w_t[:side], w_r[gap:], out=w[:, 1])
-        weights.append(w)
-    state = TwoModeFockState(cutoff, p.phase, _evolutions(p.coupling, cutoff), tuple(weights))
+    w_t, w_r = _thermal_weights(p.mu_t, cutoff), _thermal_weights(p.mu_r, cutoff)
+    state = TwoModeFockState(cutoff, p.phase, _evolutions(p.coupling, cutoff), w_t, w_r)
     if abs(state.trace_deficit) > max_trace_deficit:
         raise ValueError(
             f"trace deficit {state.trace_deficit:.3e} exceeds {max_trace_deficit:.3e} in magnitude; raise the cutoff"
@@ -362,8 +360,8 @@ def cross_amplitude(state: TwoModeFockState) -> complex:
     e^{i phase} sum_k O[r + 1, k] w_k O[r, k], read from the factors.
     """
     total = 0.0
-    for gap, (o, w) in enumerate(zip(state.evolutions, state.weights)):
-        r = np.arange(1.0, len(o))
+    for gap, o in enumerate(state.evolutions):
+        r, w = np.arange(1.0, len(o)), state._gap_weights(gap)
         sub = (o[1:] * o[:-1]) @ (w if gap else w[:, :1])  # gap 0 is the one band d = 0
         total += np.sqrt(r * (r + gap)) @ sub.sum(axis=1)
     return complex(np.exp(1j * state.phase) * total)

@@ -60,6 +60,7 @@ ILL_CONDITIONED_TOL = 1e-6
 _BUCKET_UNIFORMITY = 1e-9
 
 # Values in a block of map rows: 256 KiB of float64, which stays in cache.
+# Every block is reduced row by row, so no output byte depends on it.
 _BLOCK_VALUES = 32768
 
 # Largest phase error, in radians, that snapping a grid onto a uniform
@@ -199,8 +200,9 @@ class G2Map:
     weight >= 0, and rows read-only.  On the object plane rows is |F|^2
     and weight is |t(x_T)|^2; on a kernel lattice (see g2_map) rows is a
     window view of one line of |F|^2, so the (len(x_r), len(x_t)) map is
-    never held: row_blocks builds it a block of rows at a time and .values
-    on demand.  Fourier-lens collection keeps the map itself in rows, with
+    never held: row_blocks builds it a block of rows at a time, the one
+    pass that bucket_reduce and artifacts.write_pgm read, and .values builds
+    it on demand.  Fourier-lens collection keeps the map itself in rows, with
     a weight of ones.
 
     peak is values.max(), NaN included, found at construction from the
@@ -212,7 +214,7 @@ class G2Map:
     weight turns into NaN.  Every other column of values is 0.  It is
     slice(None) when that is every column (a weight of ones, a smooth
     object), else the array of their indices (a slit or grating, opaque
-    where |t|^2 = 0); row_blocks and bucket_reduce read only those columns.
+    where |t|^2 = 0); row_blocks reads only those columns.
     """
 
     x_r: np.ndarray
@@ -241,43 +243,32 @@ class G2Map:
 
     def row_blocks(self):
         """(start, block) for blocks of whole rows of values[:, support],
-        about _BLOCK_VALUES // len(x_t) rows (at least one) each, in order.
+        about _BLOCK_VALUES // len(x_t) rows (at least one) each, in order:
+        rows[start:stop, support] times the weight there.
 
         Every block is written into one reused buffer, which the consumer may
         overwrite but must be done with before the next block.
         """
-        weight = self.weight[self.support]
-        buffer = tiled = None
-        for start, block in self._support_blocks():
-            if buffer is None:  # the first block is the largest
-                buffer = np.empty(block.shape)
-                # numpy multiplies by a weight tiled to the block about a quarter
-                # faster than by one broadcast over it
-                tiled = np.broadcast_to(weight, block.shape).copy()
-            yield start, np.multiply(block, tiled[:len(block)], out=buffer[:len(block)])
+        rows, weight = self.rows, self.weight[self.support]
+        step = max(1, _BLOCK_VALUES // rows.shape[1])
+        buffer = np.empty((min(step, rows.shape[0]), weight.size))
+        for start in range(0, rows.shape[0], step):
+            block = rows[start:start + step, self.support]
+            yield start, np.multiply(block, weight, out=buffer[:len(block)])
 
     def bucket_reduce(self) -> np.ndarray:
         """Integrate over the Test coordinate (Riemann sum over the grid).
 
         The bucket detector is modeled as covering the whole x_t grid, of two
         or more uniform pixels (see _bucket_step); an object wider than the
-        grid would bias the reduction.  Each block of rows, restricted to the
-        support, takes one product with the weight there, so no temporary
-        grows with the map.
+        grid would bias the reduction.  Each block of row_blocks is summed
+        row by row, and a row's sum reads only that row, so the result does
+        not depend on the block height and no temporary grows with the map.
         """
-        weight = self.weight[self.support]
         reduced = np.empty(self.rows.shape[0])
-        for start, block in self._support_blocks():
-            np.matmul(block, weight, out=reduced[start:start + len(block)])
+        for start, block in self.row_blocks():
+            block.sum(axis=1, out=reduced[start:start + len(block)])
         return reduced * _bucket_step(self.x_t)
-
-    def _support_blocks(self):
-        """(start, rows[start:stop, support]) for the blocks of row_blocks: a
-        view when the support is every column, a gathered copy otherwise."""
-        rows = self.rows
-        step = max(1, _BLOCK_VALUES // rows.shape[1])
-        for start in range(0, rows.shape[0], step):
-            yield start, rows[start:start + step, self.support]
 
 
 def _bucket_step(x_t: np.ndarray) -> float:

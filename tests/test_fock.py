@@ -303,7 +303,7 @@ class TestEvolveThermalPair:
         evolve_thermal_pair(ModeParams.from_npdc(3.0, 3.0, 1.0), 100, 1e-3)
         again = evolve_thermal_pair(p, 40)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(first.evolutions, again.evolutions))
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(first.weights, again.weights))
+        assert first.w_t.tobytes() == again.w_t.tobytes() and first.w_r.tobytes() == again.w_r.tobytes()
         assert first.trace_deficit == again.trace_deficit
 
     def test_demo_oracle_twice_in_one_process_is_byte_identical(self, tmp_path):
@@ -585,3 +585,11 @@ class TestBandedState:
             trace += np.trace(band).real
         assert abs(cross_amplitude(state) - cross) <= 4e-15 * max(abs(cross), 1.0)
         assert abs(state.trace_deficit - (1.0 - trace)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "w_t, w_r", [(np.ones(5), np.ones(4)), (np.ones(4), np.ones((4, 1)))], ids=["long-w-t", "2-d-w-r"]
+    )
+    def test_rejects_misshapen_input_distributions(self, w_t, w_r):
+        evolutions = tuple(np.eye(side) for side in range(4, 0, -1))
+        with pytest.raises(ValueError, match="w_t and w_r shape"):
+            TwoModeFockState(3, 0.0, evolutions, w_t, w_r)

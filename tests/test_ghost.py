@@ -1,11 +1,13 @@
+import json
 import math
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from thermalpdc import (
@@ -28,6 +30,7 @@ from thermalpdc import (
 )
 from thermalpdc import ghost
 from thermalpdc.artifacts import write_pgm
+from thermalpdc.scenario import parse_config
 
 ASINH1 = math.asinh(1.0)
 LAM = 0.7e-6
@@ -695,6 +698,49 @@ class TestStreamedMap:
         x_r, x_t = self.grids(self.QGRID)
         g = g2_map(IMAGING, single_slit(x_t, SLIT), TWIN, self.QGRID, x_r, x_t)
         assert [len(block) for _, block in g.row_blocks()] == [63] * 8 + [9]
+
+    # the matched 1025 x 1025 grids of the ghost-image benchmark workload, IMAGING's optics
+    MATCHED = MomentumGrid(512, 2454.3692606171526)
+    DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "configs" / "ghost_image.json"
+
+    @staticmethod
+    def assert_image_ignores_the_block_height(monkeypatch, *args):
+        images = []
+        for block_values in (32768, 16384, 4096):
+            monkeypatch.setattr(ghost, "_BLOCK_VALUES", block_values)
+            images.append(ghost_image(*args).raw.tobytes())
+        assert images[1:] == images[:1] * 2
+
+    # a double slit drawn as the workload draws one from the unit point u: width in [30, 50] um,
+    # separation in [3, 5] widths, center within +-100 um
+    @pytest.mark.parametrize("u", [(0.1, 0.5, 0.9), (0.6, 0.2, 0.3), (0.95, 0.8, 0.05)])
+    def test_matched_image_ignores_the_block_height(self, monkeypatch, u):
+        x_r, x_t = self.grids(self.MATCHED)
+        width = 30e-6 + 20e-6 * u[0]
+        obj = double_slit(x_t, width, (3.0 + 2.0 * u[1]) * width, -100e-6 + 200e-6 * u[2])
+        self.assert_image_ignores_the_block_height(monkeypatch, IMAGING, obj, TWIN, self.MATCHED, x_r, x_t)
+
+    def test_demo_image_ignores_the_block_height(self, monkeypatch):
+        demo, _ = parse_config(json.loads(self.DEMO_CONFIG.read_text()))
+        self.assert_image_ignores_the_block_height(
+            monkeypatch, demo.geometry, demo.obj, demo.profile, demo.qgrid, demo.x_r, demo.x_t
+        )
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data(), st.integers(1, 30), st.integers(2, 40), st.integers(1, 200))
+    def test_random_maps_stream_like_the_whole_map(self, tmp_path, data, count, width, block_values):
+        # non-negative rows with a few NaNs, and a weight open and opaque in runs
+        rows = np.array(data.draw(st.lists(st.floats(0.0, 1e6), min_size=count * width, max_size=count * width)))
+        rows = rows.reshape(count, width)
+        for i, j in data.draw(st.lists(st.tuples(st.integers(0, count - 1), st.integers(0, width - 1)), max_size=3)):
+            rows[i, j] = np.nan
+        runs = data.draw(st.lists(st.tuples(st.booleans(), st.integers(1, 8)), min_size=1))
+        transmits = np.resize(np.repeat([t for t, _ in runs], [n for _, n in runs]), width)
+        weight = transmits * np.array(data.draw(st.lists(st.floats(0.0, 10.0), min_size=width, max_size=width)))
+        g = G2Map(np.arange(float(count)), np.arange(float(width)), rows, weight)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ghost, "_BLOCK_VALUES", block_values)
+            assert_streams_like_the_whole_map(tmp_path, g, g.values)
 
     def test_dense_route_keeps_its_array(self, tmp_path):
         qgrid = MomentumGrid(64, 2 * np.pi / (16 * SLIT))
