@@ -21,8 +21,8 @@ and O[n, m] = (-1)^delta O[m, n], with P_n^(a, b) a Jacobi polynomial.
 These are the entries of the untruncated evolution, so every column is
 exact without a padded generator, and _evolutions evaluates all of them by
 one Jacobi degree recurrence over every gap and diagonal at once; it keeps
-nothing between calls.  The cutoff-60 demo oracle evolves in about 2 ms,
-and bright seeds mu = (3, 3), n_pdc 1 at cutoff 120 in about 10 ms.
+nothing between calls.  The cutoff-60 demo oracle evolves in about 2.5 ms,
+and bright seeds mu = (3, 3), n_pdc 1 at cutoff 120 in about 11 ms.
 
 The output density matrix is truncated at a photon-number cutoff per mode.
 The truncated weight is reported as a trace deficit, never hidden.
@@ -54,9 +54,6 @@ from .gaussian import ModeParams, _real, _row, _statistics_columns, build_covari
 
 # Floating-point floor added to 10x the trace deficit in validate_factorization.
 FACTORIZATION_TOL_FLOOR = 1e-8
-# A chain of _evolutions whose start lies below 2^-_SCALE_BITS is carried
-# scaled to about that size until its terms reach it.
-_SCALE_BITS = 500
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,27 +202,31 @@ def _evolutions(coupling: float, cutoff: int, first_gap: int = 0) -> tuple[np.nd
 
     With t = tanh coupling, c = cosh coupling and delta = m - n >= 0, the
     entry O[m, n] = t^delta c^-(gap+1) sqrt(n! (m+gap)! / (m! (n+gap)!))
-    P_n^(delta, gap)(x), x = 1 - 2 t^2, is the term e_n of the chain
-    (gap, delta) that the Jacobi degree recurrence (DLMF 18.9.2) gives, scaled
-    to carry the entry itself: with s = 2 n + delta + gap and
-    q_n = sqrt(n (n + delta) (n + gap) (n + delta + gap)),
+    P_n^(delta, gap)(1 - 2 t^2) is the term e_0 h_n w_n of the chain
+    (gap, delta): e_0 = t^delta c^-(gap+1) sqrt(C(gap + delta, delta)),
+    h_n = sqrt(C(n + delta + gap, delta) C(n + delta, delta) / C(gap + delta, delta))
+    and w_n = P_n^(delta, gap)(x) / P_n^(delta, gap)(1), which is
+    2F1(-n, n + delta + gap + 1; delta + 1; t^2) (DLMF 18.5.7).  The degree
+    recurrence (DLMF 18.9.2) of w, in Reinsch's form on D_n = w_n - w_{n-1}
+    with s = 2 n + delta + gap, is
 
-        q_n e_n = (s - 1) (s x + (delta^2 - gap^2) / (s - 2)) / 2 e_{n-1} - s / (s - 2) q_{n-1} e_{n-2},
+        (n + delta) (n + delta + gap) D_n = -t^2 s (s - 1) w_{n-1} + s (n - 1) (n - 1 + gap) / (s - 2) D_{n-1}
 
-    where (delta^2 - gap^2) / (s - 2) reads delta - gap at n = 1, and
-    O[n, m] = (-1)^delta O[m, n].  The chains are ordered by gap + delta, so
+    from w_0 = 1 and D_0 = 0, and O[n, m] = (-1)^delta O[m, n].  Its
+    coefficients are rational, and it stays within a few ulps as x = 1 - 2 t^2
+    nears 1, where the three-term recurrence of the entries themselves has a
+    double characteristic root and its rounding grows as the coupling falls
+    (1.4e-13 at coupling 0.01, cutoff 120).  The chains are ordered by gap + delta, so
     those still within the cutoff at degree n, gap + delta + n <= cutoff,
     are a prefix; each degree is written into the gaps' matrices, views of
     one buffer, through per-chain flat offsets.
 
-    The start e_0 = t^delta c^-(gap+1) sqrt(C(gap + delta, delta)) is formed
-    as a mantissa and a power of two.  A chain whose start lies below
-    2^-_SCALE_BITS carries it scaled by 2^shift, and sheds shift as its terms
-    grow, so an entry underflows only where its exact value does.
+    e_0 h_n is carried as a mantissa and a power of two, so an entry
+    underflows only where its exact value does.
     """
     dim = cutoff + 1
     t, c = math.tanh(coupling), math.cosh(coupling)
-    half_x = 0.5 - t * t
+    t2 = t * t
     gaps = np.arange(first_gap, dim)
     count = len(gaps)  # gaps, and degrees
     sides = dim - gaps
@@ -246,52 +247,39 @@ def _evolutions(coupling: float, cutoff: int, first_gap: int = 0) -> tuple[np.nd
     a = np.repeat(np.arange(count), np.arange(1, count + 1))
     i = np.arange(len(a)) - a * (a + 1) // 2
     delta = a - i
-    mant, expo = mant[i, delta], expo[i, delta]
-    shift = np.maximum(0, -_SCALE_BITS - expo - np.frexp(mant)[1])
-    scaled = np.flatnonzero(shift)
-    e1 = np.ldexp(mant, expo + shift)  # e_{n-1}, times 2^shift
-    e2 = np.zeros(len(a))  # e_{n-2}, times 2^shift
+    # int32 exponents: np.ldexp takes them without a cast
+    mant, expo = mant[i, delta], expo[i, delta].astype(np.intc)
     g, d = gaps[i] + 0.0, delta + 0.0
-    half_diff = 0.5 * (d - g)
-    # carried from degree to degree: r = s - 1 and u = n (n + delta + gap), so
-    # that q_n^2 = u (u + delta gap) and (s - 2) times the e_{n-1} coefficient
-    # is r (x r^2 + delta^2 - gap^2 - x) / 2
-    r, u, product = g + d - 1.0, np.zeros(len(a)), g * d
-    offset = half_diff * (g + d) - half_x
+    w, diff = np.ones(len(a)), np.zeros(len(a))
+    # carried from degree to degree: s and the factors n + delta,
+    # n + delta + gap and n + gap
+    s, nd, ndg, ng = g + d, d.copy(), g + d, g.copy()
     # flat offsets of O[delta + n, n] and O[n, delta + n], their step per degree, and the sign of the second
     lower, upper, step = offsets[i] + delta * sides[i], offsets[i] + delta, sides[i] + 1
     sign = 1.0 - 2.0 * (delta & 1)
     for n in range(count):
         k = (count - n) * (count - n + 1) // 2  # the chains with gap + delta + n <= cutoff
         if n:
-            rk, uk = r[:k], u[:k]
-            rk += 2.0
-            uk += rk
-            q = np.sqrt((uk + product[:k]) * uk)
-            if n == 1:
-                new = (half_x * (rk + 1.0) + half_diff[:k]) * rk * e1[:k]
-                np.divide(new, q, out=e2[:k])
-            else:
-                new = (half_x * (rk * rk) + offset[:k]) * rk * e1[:k]
-                new -= (rk + 1.0) * q_last[:k] * e2[:k]
-                np.divide(new, (rk - 1.0) * q, out=e2[:k])
-            e1, e2, q_last = e2, e1, q
+            sk, ndk, ndgk, ngk, wk, diffk = s[:k], nd[:k], ndg[:k], ng[:k], w[:k], diff[:k]
+            sk += 2.0
+            ndk += 1.0
+            ndgk += 1.0
+            new = -t2 * (sk * (sk - 1.0)) * wk
+            if n > 1:  # D_0 = 0, and s - 2 is 0 for the chain (0, 0)
+                new += (sk * (n - 1.0)) * ngk / (sk - 2.0) * diffk
+            ngk += 1.0
+            den = ndk * ndgk
+            np.divide(new, den, out=diffk)
+            wk += diffk
+            # h_n / h_{n-1} = sqrt((n + delta) (n + delta + gap) / (n (n + gap)))
+            den /= ngk * n
+            mant[:k], e = np.frexp(mant[:k] * np.sqrt(den))
+            expo[:k] += e
             lower[:k] += step[:k]
             upper[:k] += step[:k]
-            if scaled.size:
-                # a scaled chain's terms stay below 2^-_SCALE_BITS until its shift is spent
-                scaled = scaled[scaled < k]
-                drop = np.minimum(np.maximum(np.frexp(e1[scaled])[1] + _SCALE_BITS, 0), shift[scaled])
-                e1[scaled] = np.ldexp(e1[scaled], -drop)
-                e2[scaled] = np.ldexp(e2[scaled], -drop)
-                shift[scaled] -= drop
-                scaled = scaled[shift[scaled] > 0]
-        flat[lower[:k]] = e1[:k]
-        flat[upper[:k]] = e1[:k] * sign[:k]
-        if scaled.size:
-            true = np.ldexp(e1[scaled], -shift[scaled])
-            flat[lower[scaled]] = true
-            flat[upper[scaled]] = true * sign[scaled]
+        e = np.ldexp(mant[:k] * w[:k], expo[:k])
+        flat[lower[:k]] = e
+        flat[upper[:k]] = e * sign[:k]
     return tuple(flat[lo:hi].reshape(side, side) for lo, hi, side in zip(offsets[:-1], offsets[1:], sides))
 
 

@@ -108,6 +108,14 @@ class TestClosedFormEvolutions:
         want = [[jacobi_entry(coupling, gap, m, n) for n in range(len(o))] for m in range(len(o))]
         assert np.abs(o - want).max() <= 1e-14
 
+    @pytest.mark.parametrize("coupling, gap", [(0.01, 0), (0.01, 2), (0.005, 1)])
+    def test_weak_coupling_entries_match_the_explicit_jacobi_sum(self, coupling, gap):
+        # x = 1 - 2 t^2 near 1, where a three-term recurrence in the entries
+        # themselves is off by over 1e-14 at cutoff 40
+        o = fock._evolutions(coupling, 40, first_gap=gap)[0]
+        want = [[jacobi_entry(coupling, gap, m, n) for n in range(len(o))] for m in range(len(o))]
+        assert np.abs(o - want).max() <= 1e-15
+
     def test_bright_seeds_match_the_svd_reference(self):
         # seeds mu = (3, 3), n_pdc 1 at cutoff 100 spread every column well
         # beyond the sizes the hypothesis test draws
@@ -120,6 +128,7 @@ class TestClosedFormEvolutions:
     @given(st.floats(0.0, 0.6), st.floats(0.0, 0.6), st.integers(0, 20))
     @example(0.3, 0.4, 0)
     @example(0.6, 0.6, 20)
+    @example(0.03125, 0.03125, 2)  # a three-term recurrence in the entries missed by 2.02e-14
     def test_evolutions_compose(self, first, second, gap):
         # e^{(k1 + k2) K} = e^{k1 K} e^{k2 K}: at cutoff 200 the first 30
         # columns of both factors carry at most 1e-8 beyond the cutoff (at
